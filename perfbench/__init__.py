@@ -1,0 +1,5 @@
+"""Benchmark of the poseinn pipeline: workloads, correctness checks and traces.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
