@@ -11,8 +11,8 @@ reverse creation order.
 Only the layers this project uses are supported: 2-D matmul, elementwise
 arithmetic with numpy-style broadcasting on add/sub/mul, a handful of
 nonlinearities, concat/split/column-gather, reshape, reductions, MSE,
-stride-2 convolutions (direct and transposed via zero dilation) and global
-average pooling. No GPU, no higher-order derivatives.
+stride-2 convolutions (direct, and transposed as its adjoint through the
+same im2col/col2im pair). No GPU, no higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ class Tensor:
         if self.data.size != 1:
             raise DimensionError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """Same values, no graph connection."""
-        return Tensor(self.data)
 
     def backward(self) -> None:
         """Reverse-mode pass from this scalar; fills ``.grad`` on leaves."""
@@ -250,16 +246,6 @@ def tanh(a) -> Tensor:
         _accumulate(a, g * (1.0 - out_data * out_data))
 
     return _make(out_data, (a,), bwd, "tanh")
-
-
-def relu(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def bwd(g):
-        _accumulate(a, g * (a.data > 0.0))
-
-    return _make(out_data, (a,), bwd, "relu")
 
 
 def leaky_relu(a, alpha: float = 0.01) -> Tensor:
@@ -493,39 +479,40 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Te
     return _make(out_data, (x, w, b), bwd, "conv2d")
 
 
-def zero_dilate(x: Tensor, stride: int) -> Tensor:
-    """Insert stride-1 zeros between pixels; building block of transposed conv."""
-    x = _wrap(x)
-    n, h, w, c = x.data.shape
-    out_data = np.zeros((n, stride * (h - 1) + 1, stride * (w - 1) + 1, c))
-    out_data[:, ::stride, ::stride, :] = x.data
-
-    def bwd(g):
-        _accumulate(x, g[:, ::stride, ::stride, :].copy())
-
-    return _make(out_data, (x,), bwd, "zero_dilate", check=False)
-
-
 def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Tensor:
-    """Transposed convolution, realized as zero dilation + unit-stride conv.
+    """Transposed convolution on (N,H,W,Cin): the adjoint of ``conv2d``.
 
-    ``w`` is stored directly in the equivalent-convolution layout
-    (k, k, Cin, Cout), so output size is stride*H for k=4, stride=2, pad=1.
+    ``w`` is stored in the equivalent-convolution layout (k, k, Cin, Cout):
+    the result equals a unit-stride convolution with ``w``, padded by
+    k-1-pad, over ``x`` with stride-1 zeros between its pixels. Each input
+    pixel instead scatters ``x @ w[::-1, ::-1]`` into a k×k output window
+    through ``_col2im``, so no zeros are multiplied. The output size is
+    stride*(H-1) + k - 2*pad, i.e. stride*H for k=4, stride=2, pad=1.
     """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
     k = w.data.shape[0]
-    return conv2d(zero_dilate(x, stride), w, b, stride=1, pad=k - 1 - pad)
-
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the spatial axes: (N,H,W,C) -> (N,C)."""
-    x = _wrap(x)
-    n, h, w, c = x.data.shape
-    out_data = x.data.mean(axis=(1, 2))
+    if w.data.shape[1] != k or w.data.shape[2] != x.data.shape[3]:
+        raise DimensionError(f"conv_transpose2d weight {w.data.shape} does not match input {x.data.shape}")
+    n, h, wd, cin = x.data.shape
+    cout = w.data.shape[3]
+    ho = stride * (h - 1) + k - 2 * pad
+    wo = stride * (wd - 1) + k - 2 * pad
+    # (Cin, k*k*Cout): column (i, j, co) holds the flipped tap w[k-1-i, k-1-j, :, co]
+    wmat = w.data[::-1, ::-1].transpose(2, 0, 1, 3).reshape(cin, -1)
+    flat = x.data.reshape(-1, cin)
+    cols = (flat @ wmat).reshape(n, h, wd, -1)
+    out_data = _col2im(cols, (n, ho, wo, cout), k, stride, pad) + b.data
 
     def bwd(g):
-        _accumulate(x, np.broadcast_to(g[:, None, None, :] / (h * w), x.data.shape).copy())
+        gcols, _, _ = _im2col(g, k, stride, pad)
+        gflat = gcols.reshape(-1, gcols.shape[-1])
+        gw = (flat.T @ gflat).reshape(cin, k, k, cout).transpose(1, 2, 0, 3)[::-1, ::-1]
+        _accumulate(w, gw)
+        _accumulate(b, g.sum(axis=(0, 1, 2)))
+        if x.requires_grad:
+            _accumulate(x, (gflat @ wmat.T).reshape(x.data.shape))
 
-    return _make(out_data, (x,), bwd, "global_avg_pool", check=False)
+    return _make(out_data, (x, w, b), bwd, "conv_transpose2d")
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,6 @@ def _op_table(rng):
         ("sin", [n34()], lambda t: w(nd.sin(t[0]))),
         ("cos", [n34()], lambda t: w(nd.cos(t[0]))),
         ("acos", [in_acos_domain], lambda t: w(nd.acos(t[0]))),
-        ("relu", [away_from_zero], lambda t: w(nd.relu(t[0]))),
         ("leaky_relu", [away_from_zero],
          lambda t: w(nd.leaky_relu(t[0], 0.01))),
         ("clip", [clip_safe], lambda t: w(nd.clip(t[0], -0.8, 0.8))),
@@ -169,14 +168,10 @@ def _op_table(rng):
                     0.4 * rng.standard_normal((3, 3, 3, 4)),
                     0.1 * rng.standard_normal(4)],
          lambda t: w(nd.conv2d(t[0], t[1], t[2], stride=2, pad=1))),
-        ("zero_dilate", [rng.standard_normal((2, 3, 4, 2))],
-         lambda t: w(nd.zero_dilate(t[0], 2))),
         ("conv_transpose2d", [rng.standard_normal((2, 3, 3, 2)),
                               0.4 * rng.standard_normal((4, 4, 2, 3)),
                               0.1 * rng.standard_normal(3)],
          lambda t: w(nd.conv_transpose2d(t[0], t[1], t[2], stride=2, pad=1))),
-        ("global_avg_pool", [rng.standard_normal((2, 4, 5, 3))],
-         lambda t: w(nd.global_avg_pool(t[0]))),
     ]
 
 
