@@ -1,10 +1,12 @@
 """Command-line pipeline: scene generation, dataset rendering, pose
-augmentation, training, evaluation, sequential tracking, and benchmarks.
+augmentation, training, evaluation and sequential tracking.
 
 Every artifact a command writes is a pure function of its inputs and the
-root --seed (with --threads 1), so a rerun produces bitwise-identical
-bytes. Timing goes to stdout only, never into files. Config files are
-strict key-value text: an unknown key is an error, not a silent default.
+root --seed, so a rerun at the same BLAS thread count produces
+bitwise-identical bytes. --threads only prints a warning; pin BLAS with
+OPENBLAS_NUM_THREADS=1 instead. Timing goes to stdout only, never into
+files. Config files are strict key-value text: an unknown key is an error,
+not a silent default.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 
 from . import dataset as ds
 from . import localizer as loc
-from . import ndiff as nd
 from . import sampler as sp
 from . import scenegen as sg
 from . import trainer as tr
@@ -272,19 +273,12 @@ def cmd_sample_poses(args) -> None:
                   "budget_factor", "cloud_points"})
     data = ds.load_dataset(args.data)
     scene = sg.load_scene(data.scene_path)
-    target = _gi(pairs, "target", 2000)
+    cfg = _sampling_config(pairs, args.seed)
     t0 = time.perf_counter()
-    if target == 0:
+    if cfg is None:
         poses = np.zeros((0, data.pose_dim))
         images = np.zeros((0, data.intrinsics.height, data.intrinsics.width, 3))
     else:
-        cfg = sp.SamplingConfig(
-            target=target,
-            max_delta_training=_gf(pairs, "max_delta_training", 0.5),
-            max_rot_noise=np.deg2rad(_gf(pairs, "max_rot_noise_deg", 3.6)),
-            widen=_gf(pairs, "widen", 1.0),
-            budget_factor=_gi(pairs, "budget_factor", 100),
-            seed=args.seed)
         cloud = sg.export_point_cloud(scene, _gi(pairs, "cloud_points", 20000),
                                       np.random.default_rng([args.seed, 2]))
         training = [Pose.from_vector(v, data.pose_dim) for v in data.poses]
@@ -303,14 +297,27 @@ _FIELD_PARSERS = {"int": as_int, "float": as_float, "str": as_str,
                   "bool": lambda pairs, key: bool(as_int(pairs, key))}
 # config keys whose unit differs from the dataclass field they set
 _MODEL_KEY_UNITS = {"cond_cell_theta_deg": ("cond_cell_theta", np.deg2rad)}
+_SAMPLING_KEY_UNITS = {"max_rot_noise_deg": ("max_rot_noise", np.deg2rad)}
 _MODEL_FROM_DATA = {"dim", "image_hw", "seed"}
 
 
-def _config_fields(pairs: dict[str, str], cls, skip: set[str]) -> dict:
+def _config_fields(pairs: dict[str, str], cls, skip: set[str],
+                   units: dict | None = None) -> dict:
     """The keys of dataclass ``cls`` present in ``pairs``, parsed by field
-    type; absent keys keep the dataclass default, which lives only there."""
-    return {f.name: _FIELD_PARSERS[f.type](pairs, f.name) for f in fields(cls)
-            if f.name not in skip and f.name in pairs}
+    type, plus the ``units`` keys converted onto the fields they set;
+    absent keys keep the dataclass default, which lives only there."""
+    kw = {f.name: _FIELD_PARSERS[f.type](pairs, f.name) for f in fields(cls)
+          if f.name not in skip and f.name in pairs}
+    for key, (name, convert) in (units or {}).items():
+        if key in pairs:
+            kw[name] = convert(as_float(pairs, key))
+    return kw
+
+
+def _sampling_config(pairs: dict[str, str], seed: int) -> sp.SamplingConfig | None:
+    """None for ``target = 0``, which asks for an empty synthetic split."""
+    kw = _config_fields(pairs, sp.SamplingConfig, {"seed"}, _SAMPLING_KEY_UNITS)
+    return None if kw.get("target") == 0 else sp.SamplingConfig(**kw, seed=seed)
 
 
 def _train_config(pairs: dict[str, str], seed: int) -> tr.TrainConfig:
@@ -318,10 +325,7 @@ def _train_config(pairs: dict[str, str], seed: int) -> tr.TrainConfig:
 
 
 def _model_config(pairs: dict[str, str], data: ds.Dataset, seed: int) -> ModelConfig:
-    kw = _config_fields(pairs, ModelConfig, _MODEL_FROM_DATA)
-    for key, (name, convert) in _MODEL_KEY_UNITS.items():
-        if key in pairs:
-            kw[name] = convert(as_float(pairs, key))
+    kw = _config_fields(pairs, ModelConfig, _MODEL_FROM_DATA, _MODEL_KEY_UNITS)
     return ModelConfig(dim=data.pose_dim, image_hw=data.intrinsics.height, seed=seed, **kw)
 
 
@@ -517,43 +521,6 @@ def cmd_track(args) -> None:
           f"{float(np.median(errs[:, 0])):.4f} m / {float(np.median(errs[:, 1])):.2f} deg")
 
 
-def cmd_bench(args) -> None:
-    """Single-core micro-benchmarks printed to stdout; writes no files."""
-    scene = sg.generate_scene(args.seed)
-    intr = sg.CameraIntrinsics()
-    poses = sg.generate_trajectory(scene, "loop", 8, dim=3)
-
-    t0 = time.perf_counter()
-    images = sg.render_batch(scene, intr, poses)
-    t_render = (time.perf_counter() - t0) / len(poses)
-
-    model = PoseRegressor(ModelConfig(dim=3, seed=args.seed), scene.bounds)
-    vecs = np.array([p.as_vector() for p in poses])
-    xhat = nd.Tensor(model.encode_pose_batch(vecs))
-    t0 = time.perf_counter()
-    reps = 10
-    for _ in range(reps):
-        y, _ = model.flow.forward(xhat)
-    t_fwd = (time.perf_counter() - t0) / reps
-
-    rng = np.random.default_rng(args.seed)
-    z = rng.standard_normal((len(poses), model.config.dim))
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        model.flow.inverse(y, z)
-    t_inv = (time.perf_counter() - t0) / reps
-
-    t0 = time.perf_counter()
-    for i in range(5):
-        loc.localize(model, images[0], 50, rng=np.random.default_rng([args.seed, i]))
-    t_loc = (time.perf_counter() - t0) / 5
-
-    print(f"render {intr.width}x{intr.height}: {1.0 / t_render:.1f} images/s")
-    print(f"flow forward (batch {len(poses)}): {1.0 / t_fwd:.1f} calls/s")
-    print(f"flow inverse (batch {len(poses)}): {1.0 / t_inv:.1f} calls/s")
-    print(f"localize (50 samples): {1.0 / t_loc:.1f} frames/s")
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -570,7 +537,6 @@ _COMMANDS = {
     "train": cmd_train,
     "eval": cmd_eval,
     "track": cmd_track,
-    "bench": cmd_bench,
 }
 
 
@@ -579,13 +545,12 @@ def build_parser() -> argparse.ArgumentParser:
                 description="Pose regression via invertible image-to-pose flows.")
     sub = p.add_subparsers(dest="verb", required=True, metavar="VERB")
 
-    def add(verb, needs_out=True, **extra_help):
+    def add(verb, **extra_help):
         q = sub.add_parser(verb, help=extra_help.get("help", ""))
         q.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
         q.add_argument("--threads", type=int, default=1,
-                       help="worker threads; >1 voids bitwise determinism")
-        if needs_out:
-            q.add_argument("--out", required=True, help="output directory")
+                       help="sets no thread count; above 1 only prints a warning")
+        q.add_argument("--out", required=True, help="output directory")
         return q
 
     q = add("gen-scene", help="generate a random scene file")
@@ -611,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--data", required=True, help="ordered frames manifest")
     q.add_argument("--ekf", action="store_true", help="fuse with odometry")
     q.add_argument("--odom", help="odometry file, one 'df dl dtheta' line per frame")
-    add("bench", needs_out=False, help="micro-benchmarks (stdout only)")
     return p
 
 

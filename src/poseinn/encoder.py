@@ -10,10 +10,11 @@ transposed convolutions back to image resolution, squashed to [0, 1].
 The latent width is 2dL, matching the flow's image-latent side. Images
 travel as (N, H, W, 3) float arrays in [0, 1].
 
-Trained jointly with the flow (see trainer.py), the latent collapses: mu
-is narrow, sigma stays near 1 and the decoder's reconstructions stay close
-to the mean image, so the decoder serves as a regulariser, not as an image
-model.
+The posterior collapses: mu is narrow, sigma stays near 1 and the
+decoder's reconstructions stay close to the mean image, so the decoder
+serves as a regulariser, not as an image model. The collapse is the VAE
+objective's own optimum (see trainer.py), already reached in warm-up,
+before the flow trains.
 """
 
 from __future__ import annotations

@@ -171,15 +171,14 @@ class FlowModel:
             logdet = logdet + nd.tsum(s, axis=1)
         return w, logdet
 
-    def _inverse_working(self, w: Tensor, ce: Tensor | None) -> tuple[Tensor, Tensor]:
-        logdet = Tensor(np.zeros(w.data.shape[0]))
+    def _inverse_working(self, w: Tensor, ce: Tensor | None) -> Tensor:
+        """Run the stack backwards; sampling needs no log-det."""
         for k in reversed(range(self.config.blocks)):
             v1, v2 = nd.split(w, [self.half, self.width - self.half])
             s, t = self._subnets(k, v1, ce)
             u2 = nd.mul(v2 - t, nd.exp(nd.mul(s, -1.0)))
             w = nd.gather_cols(nd.concat([v1, u2]), self.inv_perms[k])
-            logdet = logdet - nd.tsum(s, axis=1)
-        return w, logdet
+        return w
 
     def _pad(self, x: Tensor) -> Tensor:
         if not self.padded:
@@ -220,17 +219,7 @@ class FlowModel:
             raise DimensionError("latent and z batch sizes differ")
         w = self._pad(nd.concat([y, z]))
         ce = self._check_condition(w, c)
-        out, _ = self._inverse_working(w, ce)
-        return self._unpad(out)
-
-    def inverse_log_det_jacobian(self, y, z, c=None) -> Tensor:
-        """Per-sample log|det| of the inverse map at (y, z); equals the
-        negated forward log-det at the preimage."""
-        y, z = nd._wrap(y), nd._wrap(z)
-        w = self._pad(nd.concat([y, z]))
-        ce = self._check_condition(w, c)
-        _, logdet = self._inverse_working(w, ce)
-        return logdet
+        return self._unpad(self._inverse_working(w, ce))
 
     # ------------------------------------------------------------------
     def param_arrays(self) -> dict[str, np.ndarray]:

@@ -13,7 +13,7 @@ a 3-vector serialization [x, y, theta_z].
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,52 +186,15 @@ class Aabb:
         return bool(np.all(p >= self.lo - tol) and np.all(p <= self.hi + tol))
 
 
-def normalize_pose(pose: Pose, bounds: Aabb) -> Pose:
-    """Map positions affinely into [-1, 1] per axis and angles onto [-1, 1).
-
-    Planar poses keep z = 0 untouched (the serialized vector has no z).
-    Positions more than 1e-6 m outside the bounds are an error; anything
-    closer is clamped so the encoder's domain check never trips.
-    """
-    axes = (0, 1) if pose.dim == 3 else (0, 1, 2)
-    pos = pose.position.copy()
-    for ax in axes:
-        if pos[ax] < bounds.lo[ax] - 1e-6 or pos[ax] > bounds.hi[ax] + 1e-6:
-            raise DomainError(
-                f"pose position {pos[ax]:.6f} outside bounds "
-                f"[{bounds.lo[ax]}, {bounds.hi[ax]}] on axis {ax}")
-        pos[ax] = np.clip((pos[ax] - bounds.center[ax]) / bounds.half[ax], -1.0, 1.0)
-    ang = pose.euler / np.pi
-    if pose.dim == 3:
-        return Pose(np.array([pos[0], pos[1], 0.0]), np.array([ang[0], 0.0, 0.0]), dim=3)
-    return Pose(pos, ang, dim=6)
-
-
-def denormalize_pose(pose: Pose, bounds: Aabb) -> Pose:
-    """Inverse of normalize_pose."""
-    axes = (0, 1) if pose.dim == 3 else (0, 1, 2)
-    pos = pose.position.copy()
-    for ax in axes:
-        pos[ax] = pos[ax] * bounds.half[ax] + bounds.center[ax]
-    ang = pose.euler * np.pi
-    if pose.dim == 3:
-        return Pose(np.array([pos[0], pos[1], 0.0]), np.array([ang[0], 0.0, 0.0]), dim=3)
-    return Pose(pos, ang, dim=6)
-
-
-def positional_encode(pose, L: int) -> np.ndarray:
-    """Multi-frequency encoding of a normalized pose vector.
+def positional_encode_batch(vs: np.ndarray, L: int) -> np.ndarray:
+    """Multi-frequency encoding of each row of an (n, d) array of
+    normalized pose vectors.
 
     Per scalar p the encoding is (sin(2^0 pi p), cos(2^0 pi p), ...,
     sin(2^{L-1} pi p), cos(2^{L-1} pi p)); the per-scalar blocks are
-    concatenated and the raw vector is appended, giving length 2dL + d.
+    concatenated and the raw vector is appended, giving rows of length
+    2dL + d.
     """
-    v = pose.as_vector() if isinstance(pose, Pose) else np.asarray(pose, dtype=np.float64).reshape(-1)
-    return positional_encode_batch(v[None, :], L)[0]
-
-
-def positional_encode_batch(vs: np.ndarray, L: int) -> np.ndarray:
-    """Vectorized positional_encode over rows of an (n, d) array."""
     vs = np.asarray(vs, dtype=np.float64)
     if vs.ndim != 2:
         raise DimensionError(f"expected (n, d) array, got shape {vs.shape}")
@@ -246,7 +209,3 @@ def positional_encode_batch(vs: np.ndarray, L: int) -> np.ndarray:
     enc[:, :, 0::2] = np.sin(phase)
     enc[:, :, 1::2] = np.cos(phase)
     return np.concatenate([enc.reshape(n, 2 * d * L), vs], axis=1)
-
-
-def encoded_length(d: int, L: int) -> int:
-    return 2 * d * L + d

@@ -15,7 +15,7 @@ from . import ndiff as nd
 from .encoder import Vae, VaeConfig
 from .errors import ConditioningError, DimensionError, DomainError
 from .flow import FlowConfig, FlowModel
-from .geometry import Aabb, Pose, encoded_length, positional_encode_batch, wrap_angle
+from .geometry import Aabb, Pose, positional_encode_batch, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class ModelConfig:
 
     @property
     def cond_dim(self) -> int:
-        return encoded_length(self.dim, self.enc_L) if self.conditional else 0
+        return self.x_len if self.conditional else 0
 
 
 def round_to_grid(pose: Pose, cell_xy: float, cell_theta: float) -> Pose:

@@ -1,4 +1,7 @@
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,14 +9,37 @@ import pytest
 import poseinn.cli as cli
 import poseinn.dataset as ds
 import poseinn.localizer as loc
+import poseinn.sampler as sp
 import poseinn.trainer as tr
 from poseinn.model import ModelConfig
 from poseinn.geometry import Pose, euler_to_matrix, geodesic_distance, wrap_angle
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every `poseinn` command in README.md: lines of fenced
+    ``sh`` blocks, with backslash continuations joined, and inline code
+    spans. Leading VAR=value assignments are dropped."""
+    text = README.read_text(encoding="utf-8")
+    fence = re.compile(r"^```(\w*)\n(.*?)^```", re.M | re.S)
+    lines = [ln for lang, body in fence.findall(text) if lang == "sh"
+             for ln in body.replace("\\\n", " ").splitlines()]
+    lines += re.findall(r"`([^`]+)`", fence.sub("", text))
+    cmds = []
+    for ln in lines:
+        argv = shlex.split(ln, comments=True)
+        while argv and re.fullmatch(r"\w+=\S*", argv[0]):
+            argv.pop(0)
+        if argv[:1] == ["poseinn"]:
+            cmds.append(argv[1:])
+    return cmds
 
 
 SCENE_CFG = "kind = scene_config\nprimitives = 4\n"
@@ -299,14 +325,19 @@ class TestErrors:
         assert ei.value.code == 2
         assert capsys.readouterr().err.startswith("ERROR usage:")
 
-    def test_threads_warning(self, pipeline, tmp_path, capsys):
-        assert cli.main(["bench", "--seed", "0", "--threads", "2"]) == 0
+    def test_threads_warning(self, tmp_path, capsys):
+        cfg = write(tmp_path / "s.cfg", SCENE_CFG)
+        assert cli.main(["gen-scene", "--config", cfg, "--threads", "2",
+                         "--out", str(tmp_path / "o")]) == 0
         assert "voids bitwise determinism" in capsys.readouterr().err
 
 
 class TestConfigDefaults:
     def test_empty_train_config_keeps_dataclass_defaults(self):
         assert cli._train_config({}, seed=4) == tr.TrainConfig(seed=4)
+
+    def test_empty_sampling_config_keeps_dataclass_defaults(self):
+        assert cli._sampling_config({}, seed=4) == sp.SamplingConfig(seed=4)
 
     def test_empty_model_config_keeps_dataclass_defaults(self, pipeline):
         data = ds.load_dataset(pipeline["train"])
@@ -321,6 +352,8 @@ class TestConfigDefaults:
         assert (cfg.epochs, cfg.lr_start, cfg.mix) == (7, 0.01, "pool")
         mc = cli._model_config(pairs, data, seed=0)
         assert mc.conditional is True and mc.cond_cell_theta == np.deg2rad(45.0)
+        sc = cli._sampling_config({"budget_factor": "7", "max_rot_noise_deg": "2"}, seed=0)
+        assert (sc.budget_factor, sc.max_rot_noise) == (7, np.deg2rad(2.0))
 
 
 class TestMetrics:
@@ -360,8 +393,17 @@ class TestMetrics:
             cli.evaluate_posteriors([], np.zeros((0, 3)), 3)
 
 
-class TestBench:
-    def test_bench_prints_rates(self, capsys):
-        assert cli.main(["bench", "--seed", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "images/s" in out and "localize" in out
+class TestReadme:
+    def test_readme_commands_parse(self):
+        """Every `poseinn ...` command the README shows is one the parser
+        accepts; nothing is run."""
+        cmds = readme_commands()
+        assert len(cmds) >= 7
+        parser = cli.build_parser()
+        bad = []
+        for argv in cmds:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                bad.append(" ".join(argv))
+        assert bad == []

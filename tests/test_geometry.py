@@ -10,6 +10,7 @@ from scipy.spatial.transform import Rotation
 
 from poseinn import geometry as geo
 from poseinn.errors import DimensionError, DomainError
+from poseinn.model import ModelConfig, PoseRegressor
 
 
 def quat_angle(r1: np.ndarray, r2: np.ndarray) -> float:
@@ -173,49 +174,50 @@ class TestRandomRotation:
 
 
 class TestNormalize:
+    """The one pose normaliser: PoseRegressor.normalize_vectors and its
+    inverse denormalize_vectors."""
+
     BOUNDS = geo.Aabb(np.array([-2.0, -3.0, -1.0]), np.array([2.0, 3.0, 1.0]))
 
+    def model(self, dim=6):
+        return PoseRegressor(ModelConfig(dim=dim, image_hw=16, enc_L=1, blocks=1,
+                                         hidden=4), self.BOUNDS)
+
     def test_center_maps_to_zero(self):
-        p = geo.Pose(self.BOUNDS.center, np.zeros(3), dim=6)
-        n = geo.normalize_pose(p, self.BOUNDS)
-        np.testing.assert_array_equal(n.position, np.zeros(3))
+        v = np.concatenate([self.BOUNDS.center, np.zeros(3)])[None, :]
+        np.testing.assert_array_equal(self.model().normalize_vectors(v), np.zeros((1, 6)))
 
     def test_corner_maps_to_ones(self):
-        p = geo.Pose(self.BOUNDS.hi, np.zeros(3), dim=6)
-        n = geo.normalize_pose(p, self.BOUNDS)
-        np.testing.assert_array_equal(n.position, np.ones(3))
-        p = geo.Pose(self.BOUNDS.lo, np.zeros(3), dim=6)
-        np.testing.assert_array_equal(geo.normalize_pose(p, self.BOUNDS).position, -np.ones(3))
+        m = self.model()
+        v = np.stack([np.concatenate([self.BOUNDS.hi, np.zeros(3)]),
+                      np.concatenate([self.BOUNDS.lo, np.zeros(3)])])
+        np.testing.assert_array_equal(m.normalize_vectors(v)[:, :3],
+                                      [np.ones(3), -np.ones(3)])
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(42)
-        for _ in range(200):
-            pos = rng.uniform(self.BOUNDS.lo, self.BOUNDS.hi)
-            ang = rng.uniform(-np.pi, np.pi, size=3)
-            p = geo.Pose(pos, ang, dim=6)
-            back = geo.denormalize_pose(geo.normalize_pose(p, self.BOUNDS), self.BOUNDS)
-            np.testing.assert_allclose(back.position, p.position, atol=1e-12)
-            np.testing.assert_allclose(back.euler, p.euler, atol=1e-12)
+        v = np.column_stack([rng.uniform(self.BOUNDS.lo, self.BOUNDS.hi, (200, 3)),
+                             rng.uniform(-np.pi, np.pi, (200, 3))])
+        m = self.model()
+        np.testing.assert_allclose(m.denormalize_vectors(m.normalize_vectors(v)), v,
+                                   atol=1e-12)
 
     def test_planar_roundtrip(self):
         rng = np.random.default_rng(9)
-        for _ in range(100):
-            v = np.array([rng.uniform(-2, 2), rng.uniform(-3, 3), rng.uniform(-np.pi, np.pi)])
-            p = geo.Pose.from_vector(v, 3)
-            n = geo.normalize_pose(p, self.BOUNDS)
-            assert np.all(np.abs(n.as_vector()) <= 1.0)
-            back = geo.denormalize_pose(n, self.BOUNDS)
-            np.testing.assert_allclose(back.as_vector(), v, atol=1e-12)
+        v = np.column_stack([rng.uniform(-2, 2, 100), rng.uniform(-3, 3, 100),
+                             rng.uniform(-np.pi, np.pi, 100)])
+        m = self.model(dim=3)
+        n = m.normalize_vectors(v)
+        assert np.all(np.abs(n) <= 1.0)
+        np.testing.assert_allclose(m.denormalize_vectors(n), v, atol=1e-12)
 
     def test_outside_bounds_raises(self):
-        p = geo.Pose(np.array([2.5, 0.0, 0.0]), np.zeros(3), dim=6)
         with pytest.raises(DomainError):
-            geo.normalize_pose(p, self.BOUNDS)
+            self.model().normalize_vectors(np.array([[2.5, 0.0, 0.0, 0.0, 0.0, 0.0]]))
 
     def test_marginal_overflow_clamped(self):
-        p = geo.Pose(np.array([2.0 + 5e-7, 0.0, 0.0]), np.zeros(3), dim=6)
-        n = geo.normalize_pose(p, self.BOUNDS)
-        assert n.position[0] == 1.0
+        n = self.model().normalize_vectors(np.array([[2.0 + 5e-7, 0.0, 0.0, 0.0, 0.0, 0.0]]))
+        assert n[0, 0] == 1.0
 
     def test_aabb_validation(self):
         with pytest.raises(DomainError):
@@ -224,22 +226,22 @@ class TestNormalize:
 
 class TestPositionalEncode:
     def test_zero_pose_pattern(self):
-        enc = geo.positional_encode(np.zeros(6), L=5)
+        enc = geo.positional_encode_batch(np.zeros((1, 6)), L=5)[0]
         assert enc.shape == (66,)
         np.testing.assert_array_equal(enc[:60:2], np.zeros(30))  # sines
         np.testing.assert_array_equal(enc[1:60:2], np.ones(30))  # cosines
         np.testing.assert_array_equal(enc[60:], np.zeros(6))
 
     def test_single_scalar_p1_L1(self):
-        enc = geo.positional_encode(np.array([1.0]), L=1)
+        enc = geo.positional_encode_batch(np.array([[1.0]]), L=1)[0]
         np.testing.assert_allclose(enc, [0.0, -1.0, 1.0], atol=1e-12)
 
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(42)
         for d in (3, 6):
             v = rng.uniform(-1.0, 1.0, size=d)
-            enc = geo.positional_encode(v, L=5)
-            assert enc.shape == (geo.encoded_length(d, 5),)
+            enc = geo.positional_encode_batch(v[None, :], L=5)[0]
+            assert enc.shape == (2 * d * 5 + d,)
             expected = []
             for p in v:
                 for k in range(5):
@@ -248,22 +250,10 @@ class TestPositionalEncode:
             expected.extend(v)
             np.testing.assert_allclose(enc, expected, atol=1e-12)
 
-    def test_accepts_pose_object(self):
-        p = geo.Pose.from_vector(np.array([0.1, -0.2, 0.3]), 3)
-        enc = geo.positional_encode(p, L=2)
-        np.testing.assert_allclose(enc[-3:], [0.1, -0.2, 0.3], atol=1e-15)
-
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(11)
-        vs = rng.uniform(-1, 1, size=(8, 6))
-        batch = geo.positional_encode_batch(vs, L=5)
-        for i in range(8):
-            np.testing.assert_array_equal(batch[i], geo.positional_encode(vs[i], L=5))
-
     @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=6))
     @settings(max_examples=50)
     def test_pairs_on_unit_circle(self, vals):
-        enc = geo.positional_encode(np.array(vals), L=3)
+        enc = geo.positional_encode_batch(np.array([vals]), L=3)[0]
         d = len(vals)
         gamma = enc[:2 * d * 3].reshape(d, 3, 2)
         np.testing.assert_allclose(gamma[:, :, 0] ** 2 + gamma[:, :, 1] ** 2,
@@ -271,8 +261,8 @@ class TestPositionalEncode:
 
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainError):
-            geo.positional_encode(np.array([1.1, 0.0, 0.0]), L=5)
+            geo.positional_encode_batch(np.array([[1.1, 0.0, 0.0]]), L=5)
 
     def test_rejects_bad_depth(self):
         with pytest.raises(DomainError):
-            geo.positional_encode(np.zeros(3), L=0)
+            geo.positional_encode_batch(np.zeros((1, 3)), L=0)
