@@ -13,13 +13,17 @@ random rotation on top. A candidate is kept only if
 
 "In view" is frustum containment with positive depth and no occlusion
 test; rule 3's minimum already rejects cameras pressed against geometry.
-Candidates use independently derived rngs, so the accepted list does not
-depend on evaluation order, and every accepted pose re-passes the filter
-when recomputed from scratch.
+Rule 1 costs one distance per training pose and the frustum test one
+rotation per cloud point, so rule 1 is checked before any frustum work: a
+rule-1 reject carries only its training distance, and `None` for the two
+frustum stats. Candidates use independently derived rngs, so the accepted
+list does not depend on evaluation order, and every accepted pose re-passes
+the filter when recomputed from scratch.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +31,8 @@ import numpy as np
 from .errors import DomainError, SamplingError
 from .geometry import Pose, euler_to_matrix, matrix_to_euler, random_rotation, wrap_angle
 from .scenegen import CameraIntrinsics, Scene
+
+log = logging.getLogger(__name__)
 
 REASON_RULE1 = "rule1_delta_training"
 REASON_RULE2 = "rule2_n_in_view"
@@ -51,8 +57,8 @@ class SamplingConfig:
 
 @dataclass(frozen=True)
 class ViewStats:
-    n_in_view: int
-    delta_in_view: float  # nan when n_in_view == 0
+    n_in_view: int | None  # None on a rule-1 reject
+    delta_in_view: float | None  # nan when n_in_view == 0, None on a rule-1 reject
     delta_training: float
 
 
@@ -71,27 +77,39 @@ class FilterResult:
     stats: ViewStats
 
 
-def in_view_mask(pose: Pose, intr: CameraIntrinsics, cloud: np.ndarray) -> np.ndarray:
-    """Boolean mask of cloud points inside the camera frustum."""
-    cloud = np.asarray(cloud, dtype=np.float64)
-    rot = pose.rotation()
-    rel = (cloud - pose.position) @ rot  # columns: forward, left, up
-    depth, lat, vert = rel[:, 0], rel[:, 1], rel[:, 2]
+def _frustum_mask(rel: np.ndarray, rot: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
+    """Frustum test of points given relative to the camera position."""
+    cam = rel @ rot  # columns: forward, left, up
+    depth, lat, vert = cam[:, 0], cam[:, 1], cam[:, 2]
     tan_h = np.tan(intr.hfov / 2.0)
     tan_v = tan_h * (intr.height / intr.width)
     return (depth > 0.0) & (np.abs(lat) <= depth * tan_h) & (np.abs(vert) <= depth * tan_v)
 
 
+def _nearest(rel: np.ndarray) -> float:
+    """Smallest row norm; sqrt is monotone and correctly rounded, so this is
+    bitwise the min of np.linalg.norm(rel, axis=1)."""
+    return float(np.sqrt(np.min(np.add.reduce(rel * rel, axis=1))))
+
+
+def _frustum_stats(pose: Pose, intr: CameraIntrinsics, cloud: np.ndarray) -> tuple[int, float]:
+    """(n_in_view, delta_in_view) from one pass over the cloud."""
+    rel = np.asarray(cloud, dtype=np.float64) - pose.position
+    mask = _frustum_mask(rel, pose.rotation(), intr)
+    n = int(np.count_nonzero(mask))
+    return n, (_nearest(rel[mask]) if n else float("nan"))
+
+
+def in_view_mask(pose: Pose, intr: CameraIntrinsics, cloud: np.ndarray) -> np.ndarray:
+    """Boolean mask of cloud points inside the camera frustum."""
+    return _frustum_mask(np.asarray(cloud, dtype=np.float64) - pose.position,
+                         pose.rotation(), intr)
+
+
 def view_stats(pose: Pose, intr: CameraIntrinsics, cloud: np.ndarray,
                training_positions: np.ndarray) -> ViewStats:
-    mask = in_view_mask(pose, intr, cloud)
-    n = int(np.sum(mask))
-    if n > 0:
-        d_in_view = float(np.min(np.linalg.norm(cloud[mask] - pose.position, axis=1)))
-    else:
-        d_in_view = float("nan")
-    d_training = float(np.min(np.linalg.norm(training_positions - pose.position, axis=1)))
-    return ViewStats(n, d_in_view, d_training)
+    n, d_in_view = _frustum_stats(pose, intr, cloud)
+    return ViewStats(n, d_in_view, _nearest(training_positions - pose.position))
 
 
 def compute_ranges(training_poses: list[Pose], intr: CameraIntrinsics,
@@ -138,10 +156,13 @@ def sample_orientation(training_poses: list[Pose], max_angle: float,
 def filter_pose(candidate: Pose, training_positions: np.ndarray, cloud: np.ndarray,
                 intr: CameraIntrinsics, ranges: AcceptanceRanges,
                 cfg: SamplingConfig) -> FilterResult:
-    """Apply the three rules in order; the reason names the first failure."""
-    stats = view_stats(candidate, intr, cloud, training_positions)
-    if stats.delta_training > cfg.max_delta_training:
-        return FilterResult(False, REASON_RULE1, stats)
+    """Apply the three rules in order; the reason names the first failure.
+    Rule 1 is decided before any frustum work, so a rule-1 reject's stats
+    hold `None` for n_in_view and delta_in_view."""
+    d_training = _nearest(training_positions - candidate.position)
+    if d_training > cfg.max_delta_training:
+        return FilterResult(False, REASON_RULE1, ViewStats(None, None, d_training))
+    stats = ViewStats(*_frustum_stats(candidate, intr, cloud), d_training)
     if not ranges.n_lo <= stats.n_in_view <= ranges.n_hi:
         return FilterResult(False, REASON_RULE2, stats)
     if stats.n_in_view == 0 or not ranges.d_lo <= stats.delta_in_view <= ranges.d_hi:
@@ -191,6 +212,10 @@ def sample_poses(scene: Scene, cloud: np.ndarray, training_poses: list[Pose],
         if result.accepted:
             accepted.append((candidate, result.stats))
             if len(accepted) == cfg.target:
+                log.info("sample_poses: %d attempts, %d accepted, %d collisions, "
+                         "rejected by rule 1/2/3: %d/%d/%d", attempts, len(accepted),
+                         reasons["collision"], reasons[REASON_RULE1], reasons[REASON_RULE2],
+                         reasons[REASON_RULE3])
                 return accepted
         else:
             reasons[result.reason] += 1

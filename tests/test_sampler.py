@@ -1,6 +1,10 @@
 """Sampler tests. The load-bearing oracle is an independent brute-force
 reimplementation of the view metrics and the three rules; every accepted
-pose must re-pass it."""
+pose must re-pass it, and every rejected candidate must fail the same rule
+first."""
+
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -39,13 +43,21 @@ def brute_force_stats(pose, intr, cloud, training_positions):
     return n, (best if n else float("nan")), d_train
 
 
-def brute_force_passes(pose, intr, cloud, training_positions, ranges, cfg):
-    n, d_view, d_train = brute_force_stats(pose, intr, cloud, training_positions)
+def brute_force_reason(stats, ranges, cfg):
+    """The first of the three rules brute_force_stats' result fails, or None."""
+    n, d_view, d_train = stats
     if d_train > cfg.max_delta_training:
-        return False
+        return sp.REASON_RULE1
     if not ranges.n_lo <= n <= ranges.n_hi:
-        return False
-    return n > 0 and ranges.d_lo <= d_view <= ranges.d_hi
+        return sp.REASON_RULE2
+    if n == 0 or not ranges.d_lo <= d_view <= ranges.d_hi:
+        return sp.REASON_RULE3
+    return None
+
+
+def brute_force_passes(pose, intr, cloud, training_positions, ranges, cfg):
+    stats = brute_force_stats(pose, intr, cloud, training_positions)
+    return brute_force_reason(stats, ranges, cfg) is None
 
 
 def toy_setup(scene_seed=3, n_train=12, n_cloud=800):
@@ -167,6 +179,43 @@ class TestFilterPose:
         ranges = sp.compute_ranges(train, INTR, cloud)
         res = sp.filter_pose(train[0], positions, cloud, INTR, ranges, sp.SamplingConfig())
         assert not res.accepted and res.reason == sp.REASON_RULE1
+        # rule 1 is decided before any frustum work
+        assert res.stats.n_in_view is None and res.stats.delta_in_view is None
+        _, _, d_train = brute_force_stats(train[0], INTR, cloud, positions)
+        np.testing.assert_allclose(res.stats.delta_training, d_train, atol=1e-12)
+
+    def test_first_failing_rule_matches_brute_force_randomized(self):
+        scene, cloud, train = toy_setup()
+        positions = np.array([p.position for p in train])
+        ranges = sp.compute_ranges(train, INTR, cloud)
+        cfg = sp.SamplingConfig()
+        lo, hi = scene.bounds.lo, scene.bounds.hi
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for _ in range(300):
+            # half the candidates sit near a training position, so every
+            # rule and acceptance occur, not only rule-1 rejects
+            if rng.random() < 0.5:
+                pos = positions[rng.integers(len(positions))] + rng.uniform(-0.5, 0.5, 3)
+                pos[2] = 0.0
+            else:
+                pos = np.array([rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1]), 0.0])
+            cand = Pose(pos, np.array([rng.uniform(-np.pi, np.pi), 0.0, 0.0]), dim=3)
+            res = sp.filter_pose(cand, positions, cloud, INTR, ranges, cfg)
+            n, d_view, d_train = stats = brute_force_stats(cand, INTR, cloud, positions)
+            want = brute_force_reason(stats, ranges, cfg)
+            assert (res.accepted, res.reason) == (want is None, want)
+            seen.add(res.reason)
+            np.testing.assert_allclose(res.stats.delta_training, d_train, atol=1e-12)
+            if res.reason == sp.REASON_RULE1:
+                assert res.stats.n_in_view is None and res.stats.delta_in_view is None
+                continue
+            assert res.stats.n_in_view == n
+            if n:
+                np.testing.assert_allclose(res.stats.delta_in_view, d_view, atol=1e-12)
+            else:
+                assert np.isnan(res.stats.delta_in_view)
+        assert seen == {None, sp.REASON_RULE1, sp.REASON_RULE2, sp.REASON_RULE3}
 
     def test_wall_hugger_rejected_rule3(self):
         # camera close to a wall of points: widened rule 2 range passes,
@@ -233,6 +282,45 @@ class TestSamplePoses:
         for (pa, _), (pb, _) in zip(a, b):
             np.testing.assert_array_equal(pa.position, pb.position)
             np.testing.assert_array_equal(pa.euler, pb.euler)
+
+    def test_filter_called_once_per_non_colliding_candidate(self, monkeypatch):
+        # perfbench times datagen's frames and takes its calibration samples
+        # by wrapping sampler.filter_pose; batching or inlining the calls
+        # would silently strip those samples
+        scene, cloud, train = toy_setup()
+        calls = {"collides": 0, "collisions": 0, "filter": 0}
+        collides, filter_pose = sg.Scene.position_collides, sp.filter_pose
+
+        def counting_collides(self, p):
+            out = collides(self, p)
+            calls["collides"] += 1
+            calls["collisions"] += bool(out)
+            return out
+
+        def counting_filter(*args, **kwargs):
+            calls["filter"] += 1
+            return filter_pose(*args, **kwargs)
+
+        monkeypatch.setattr(sg.Scene, "position_collides", counting_collides)
+        monkeypatch.setattr(sp, "filter_pose", counting_filter)
+        out = sp.sample_poses(scene, cloud, train, INTR, sp.SamplingConfig(target=20, seed=5))
+        assert len(out) == 20 and calls["collisions"] > 0
+        assert calls["filter"] == calls["collides"] - calls["collisions"]
+
+    def test_success_logs_tally(self, caplog):
+        scene, cloud, train = toy_setup()
+        cfg = sp.SamplingConfig(target=20, seed=5)
+        with caplog.at_level(logging.INFO, logger="poseinn.sampler"):
+            out = sp.sample_poses(scene, cloud, train, INTR, cfg)
+        lines = [r.getMessage() for r in caplog.records if r.name == "poseinn.sampler"]
+        assert len(lines) == 1
+        m = re.fullmatch(r"sample_poses: (\d+) attempts, (\d+) accepted, (\d+) collisions, "
+                         r"rejected by rule 1/2/3: (\d+)/(\d+)/(\d+)", lines[0])
+        assert m, lines[0]
+        attempts, accepted, collisions, r1, r2, r3 = map(int, m.groups())
+        assert accepted == len(out) == cfg.target
+        assert attempts == accepted + collisions + r1 + r2 + r3
+        assert r1 > 0
 
     def test_budget_exhaustion_diagnostics(self):
         scene, cloud, train = toy_setup()
