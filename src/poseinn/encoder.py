@@ -141,13 +141,7 @@ class Vae:
         return {k: t.data for k, t in self.params.items()}
 
     def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for k, t in self.params.items():
-            a = arrays.get(k)
-            if a is None:
-                raise DimensionError(f"missing vae parameter '{k}'")
-            if a.shape != t.data.shape:
-                raise DimensionError(f"vae parameter '{k}' has shape {a.shape}, expected {t.data.shape}")
-            t.data = np.array(a)
+        nd.load_params(self.params, arrays, "vae")
 
 
 def kl_divergence(mu: Tensor, logvar: Tensor) -> Tensor:

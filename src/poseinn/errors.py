@@ -31,7 +31,7 @@ class NonFiniteError(PoseInnError):
 
 
 class TapeError(PoseInnError):
-    """Misuse of the reverse-mode tape (e.g. a second backward pass)."""
+    """Misuse of the backward pass (e.g. a second pass from the same root)."""
 
     code = "tape"
 

@@ -230,13 +230,7 @@ class FlowModel:
         return out
 
     def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for k, t in self.params.items():
-            a = arrays.get(k)
-            if a is None:
-                raise DimensionError(f"missing flow parameter '{k}'")
-            if a.shape != t.data.shape:
-                raise DimensionError(f"flow parameter '{k}' has shape {a.shape}, expected {t.data.shape}")
-            t.data = np.array(a)
+        nd.load_params(self.params, arrays, "flow")
         for i in range(self.config.blocks):
             a = arrays.get(f"perm{i}")
             if a is None:

@@ -44,13 +44,10 @@ class PosePosterior:
     def mean_pose(self) -> Pose:
         return Pose.from_vector(self.mean, self.dim)
 
-    def scalar_uncertainty(self, include_rotation: bool = False) -> float:
-        """Sum of position variances; optionally adds the angular ones."""
+    def scalar_uncertainty(self) -> float:
+        """Sum of position variances."""
         k = 2 if self.dim == 3 else 3
-        u = float(np.sum(self.variance[:k]))
-        if include_rotation:
-            u += float(np.sum(self.variance[k:]))
-        return u
+        return float(np.sum(self.variance[:k]))
 
 
 def summarize_samples(samples: np.ndarray, dim: int) -> PosePosterior:
@@ -110,8 +107,7 @@ def localize(model: PoseRegressor, image: np.ndarray, n_samples: int = 50,
     return summarize_samples(samples, model.config.dim)
 
 
-def variance_filter(posteriors: list[PosePosterior],
-                    include_rotation: bool = False) -> tuple[np.ndarray, list[PosePosterior]]:
+def variance_filter(posteriors: list[PosePosterior]) -> tuple[np.ndarray, list[PosePosterior]]:
     """Keep posteriors whose scalar uncertainty is <= the median.
 
     Returns (boolean keep mask, kept subset). Ties at the median are kept, so
@@ -119,7 +115,7 @@ def variance_filter(posteriors: list[PosePosterior],
     """
     if len(posteriors) < 2:
         raise DomainError("variance filtering needs at least 2 posteriors")
-    u = np.array([p.scalar_uncertainty(include_rotation) for p in posteriors])
+    u = np.array([p.scalar_uncertainty() for p in posteriors])
     mask = u <= np.median(u)
     return mask, [p for p, m in zip(posteriors, mask) if m]
 

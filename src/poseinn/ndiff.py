@@ -4,9 +4,9 @@ Everything is float64. A ``Tensor`` wraps a numpy array and, when it is the
 result of a differentiable op, remembers its parents and a backward closure.
 Tensors are immutable values: ops never write into an input array, so the
 creation order of tensors is already a topological order of the compute
-graph. ``Tape`` exploits that: it is the ordered record of grad-requiring
-nodes reachable from a scalar root, and the backward pass walks it in exact
-reverse creation order.
+graph. ``Tensor.backward`` exploits that: it collects the grad-requiring
+nodes reachable from a scalar root and walks them in exact reverse creation
+order.
 
 Only the layers this project uses are supported: 2-D matmul, elementwise
 arithmetic with numpy-style broadcasting on add/sub/mul, a handful of
@@ -69,8 +69,37 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def backward(self) -> None:
-        """Reverse-mode pass from this scalar; fills ``.grad`` on leaves."""
-        Tape.from_root(self).run(self)
+        """Reverse-mode pass from this scalar; fills ``.grad`` on leaves.
+
+        Creation order is a valid topological order because tensors are
+        immutable: every op's inputs exist before its output. The root is
+        seeded with gradient 1, the grad-requiring nodes reachable from it
+        are visited in exact reverse creation order, and each node's
+        backward closure accumulates into its parents. A root can only be
+        run once; rerunning would silently double-accumulate leaf gradients.
+        """
+        if self.data.size != 1:
+            raise DimensionError("backward() requires a scalar root")
+        if not self.requires_grad:
+            raise TapeError("backward() on a tensor with no grad-requiring ancestry")
+        if self._spent:
+            raise TapeError("second backward pass on the same root; rebuild the graph first")
+        seen: dict[int, Tensor] = {}
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            if t._nid in seen:
+                continue
+            seen[t._nid] = t
+            for p in t._parents:
+                if p.requires_grad and p._nid not in seen:
+                    stack.append(p)
+        self._spent = True
+        self.grad = np.ones_like(self.data)
+        for nid in sorted(seen, reverse=True):
+            node = seen[nid]
+            if node._bwd is not None and node.grad is not None:
+                node._bwd(node.grad)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r}, grad={self.requires_grad})"
@@ -103,48 +132,6 @@ class Tensor:
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-class Tape:
-    """Ordered record of the grad-requiring nodes reachable from one root.
-
-    Creation order is a valid topological order because tensors are
-    immutable: every op's inputs exist before its output. ``run`` seeds the
-    root with gradient 1, visits nodes in exact reverse creation order and
-    lets each node's backward closure accumulate into its parents. A root
-    can only be run once; rerunning would silently double-accumulate leaf
-    gradients.
-    """
-
-    def __init__(self, nodes: list[Tensor]):
-        self._nodes = nodes
-
-    @classmethod
-    def from_root(cls, root: Tensor) -> "Tape":
-        if root.data.size != 1:
-            raise DimensionError("backward() requires a scalar root")
-        if not root.requires_grad:
-            raise TapeError("backward() on a tensor with no grad-requiring ancestry")
-        seen: dict[int, Tensor] = {}
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            if t._nid in seen:
-                continue
-            seen[t._nid] = t
-            for p in t._parents:
-                if p.requires_grad and p._nid not in seen:
-                    stack.append(p)
-        return cls(sorted(seen.values(), key=lambda t: t._nid))
-
-    def run(self, root: Tensor) -> None:
-        if root._spent:
-            raise TapeError("second backward pass on the same root; rebuild the graph first")
-        root._spent = True
-        root.grad = np.ones_like(root.data)
-        for node in reversed(self._nodes):
-            if node._bwd is not None and node.grad is not None:
-                node._bwd(node.grad)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -516,44 +503,31 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int 
 
 
 # ---------------------------------------------------------------------------
-# optimizer
+# parameters and optimizer
 # ---------------------------------------------------------------------------
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: dict, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> tuple[dict[str, np.ndarray], dict]:
-    """One bias-corrected Adam update on plain arrays; pure, returns copies.
-
-    ``state`` is ``{"m": {...}, "v": {...}, "t": int}``; pass ``{}`` for a
-    fresh start. Missing gradients count as zero (the moments still decay).
-    """
-    if not state:
-        state = {"m": {k: np.zeros_like(v) for k, v in params.items()},
-                 "v": {k: np.zeros_like(v) for k, v in params.items()},
-                 "t": 0}
-    t = state["t"] + 1
-    new_params, new_m, new_v = {}, {}, {}
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        elif not np.all(np.isfinite(g)):
-            raise OptimizerError(f"non-finite gradient for parameter '{name}'")
-        if g.shape != p.shape:
-            raise OptimizerError(f"gradient shape {g.shape} != param shape {p.shape} for '{name}'")
-        m = beta1 * state["m"][name] + (1.0 - beta1) * g
-        v = beta2 * state["v"][name] + (1.0 - beta2) * (g * g)
-        step = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        new_params[name] = p - step
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, {"m": new_m, "v": new_v, "t": t}
+def load_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray], kind: str) -> None:
+    """Copy ``arrays[name]`` into every named parameter; a missing name or a
+    shape mismatch raises ``DimensionError`` naming the ``kind`` of model."""
+    for k, t in params.items():
+        a = arrays.get(k)
+        if a is None:
+            raise DimensionError(f"missing {kind} parameter '{k}'")
+        if a.shape != t.data.shape:
+            raise DimensionError(f"{kind} parameter '{k}' has shape {a.shape}, expected {t.data.shape}")
+        t.data = np.array(a)
 
 
 class Adam:
-    """Adam over a dict of named leaf tensors; mutates their .data in place."""
+    """Bias-corrected Adam over a dict of named leaf tensors.
+
+    ``step`` checks every gradient (finite, same shape as its parameter)
+    before its first write, so a bad gradient raises ``OptimizerError`` and
+    leaves the parameters, the moments and ``t`` untouched. A missing
+    gradient counts as zero (the moments still decay). The moments
+    ``state["m"]``/``state["v"]`` are updated in place; each parameter's
+    ``.data`` is rebound to a new array, never written into.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -563,13 +537,35 @@ class Adam:
         self.state: dict = {}
 
     def step(self, lr: float | None = None) -> None:
-        arrs = {k: t.data for k, t in self.params.items()}
-        grads = {k: t.grad for k, t in self.params.items() if t.grad is not None}
-        new, self.state = adam_step(arrs, grads, self.state,
-                                    self.lr if lr is None else lr,
-                                    self.beta1, self.beta2, self.eps)
-        for k, t in self.params.items():
-            t.data = new[k]
+        grads = {}
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                g = np.zeros_like(p.data)
+            elif not np.all(np.isfinite(g)):
+                raise OptimizerError(f"non-finite gradient for parameter '{name}'")
+            if g.shape != p.data.shape:
+                raise OptimizerError(
+                    f"gradient shape {g.shape} != param shape {p.data.shape} for '{name}'")
+            grads[name] = g
+        if not self.state:
+            self.state = {"m": {k: np.zeros_like(p.data) for k, p in self.params.items()},
+                          "v": {k: np.zeros_like(p.data) for k, p in self.params.items()},
+                          "t": 0}
+        lr = self.lr if lr is None else lr
+        b1, b2 = self.beta1, self.beta2
+        t = self.state["t"] + 1
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        for name, p in self.params.items():
+            g = grads[name]
+            m, v = self.state["m"][name], self.state["v"][name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.state["t"] = t
 
     def zero_grad(self) -> None:
         for t in self.params.values():

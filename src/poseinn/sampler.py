@@ -100,12 +100,6 @@ def _frustum_stats(pose: Pose, intr: CameraIntrinsics, cloud: np.ndarray) -> tup
     return n, (_nearest(rel[mask]) if n else float("nan"))
 
 
-def in_view_mask(pose: Pose, intr: CameraIntrinsics, cloud: np.ndarray) -> np.ndarray:
-    """Boolean mask of cloud points inside the camera frustum."""
-    return _frustum_mask(np.asarray(cloud, dtype=np.float64) - pose.position,
-                         pose.rotation(), intr)
-
-
 def view_stats(pose: Pose, intr: CameraIntrinsics, cloud: np.ndarray,
                training_positions: np.ndarray) -> ViewStats:
     n, d_in_view = _frustum_stats(pose, intr, cloud)
@@ -171,8 +165,7 @@ def filter_pose(candidate: Pose, training_positions: np.ndarray, cloud: np.ndarr
 
 
 def sample_poses(scene: Scene, cloud: np.ndarray, training_poses: list[Pose],
-                 intr: CameraIntrinsics, cfg: SamplingConfig,
-                 ranges: AcceptanceRanges | None = None) -> list[tuple[Pose, ViewStats]]:
+                 intr: CameraIntrinsics, cfg: SamplingConfig) -> list[tuple[Pose, ViewStats]]:
     """Rejection-sample cfg.target accepted poses; raises with diagnostics
     if the attempt budget (budget_factor * target) runs out."""
     if not training_poses:
@@ -181,8 +174,7 @@ def sample_poses(scene: Scene, cloud: np.ndarray, training_poses: list[Pose],
         raise SamplingError("cannot sample poses against an empty cloud")
     dim = training_poses[0].dim
     positions = np.array([p.position for p in training_poses])
-    if ranges is None:
-        ranges = compute_ranges(training_poses, intr, cloud, cfg.widen)
+    ranges = compute_ranges(training_poses, intr, cloud, cfg.widen)
 
     z_lo, z_hi = (float(positions[:, 2].min()), float(positions[:, 2].max())) if dim == 3 \
         else (scene.bounds.lo[2], scene.bounds.hi[2])

@@ -243,8 +243,7 @@ def _normals(rel: np.ndarray, prim) -> np.ndarray:
     return n
 
 
-def render(scene: Scene, intr: CameraIntrinsics, pose: Pose,
-           noise_sigma: float = 0.0, rng: np.random.Generator | None = None) -> np.ndarray:
+def render(scene: Scene, intr: CameraIntrinsics, pose: Pose) -> np.ndarray:
     """Raycast one image at the given pose; (H, W, 3) floats in [0, 1]."""
     origin = pose.position
     if not scene.bounds.contains(origin, tol=1e-9):
@@ -277,17 +276,11 @@ def render(scene: Scene, intr: CameraIntrinsics, pose: Pose,
         shade = (AMBIENT + (1.0 - AMBIENT) * lambert) / (1.0 + DEPTH_FALLOFF * best_t[mask])
         img[mask] = prim.albedo[None, :] * shade[:, None]
 
-    img = img.reshape(intr.height, intr.width, 3)
-    if noise_sigma > 0.0:
-        if rng is None:
-            raise DomainError("render noise needs an rng")
-        img = np.clip(img + rng.normal(0.0, noise_sigma, size=img.shape), 0.0, 1.0)
-    return img
+    return img.reshape(intr.height, intr.width, 3)
 
 
-def render_batch(scene: Scene, intr: CameraIntrinsics, poses: list[Pose],
-                 noise_sigma: float = 0.0, rng: np.random.Generator | None = None) -> np.ndarray:
-    return np.stack([render(scene, intr, p, noise_sigma, rng) for p in poses])
+def render_batch(scene: Scene, intr: CameraIntrinsics, poses: list[Pose]) -> np.ndarray:
+    return np.stack([render(scene, intr, p) for p in poses])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -88,17 +88,18 @@ class TrainConfig:
 class LossEntry:
     """One row of the loss report. rev_pos is a squared error in m^2;
     rev_rot is a mean geodesic angle in radians; nll is a log-density and
-    may be negative; fwd_mmd and rev_mmd are squared MMDs."""
+    may be negative; fwd_mmd and rev_mmd are squared MMDs. A loss that was
+    not computed (the flow losses in warm-up, nll at w_nll = 0) reads 0."""
 
     epoch: int
     lr: float
     total: float
-    fwd: float
-    rev_pos: float
-    rev_rot: float
-    rev_enc: float
-    recon: float
-    kl: float
+    fwd: float = 0.0
+    rev_pos: float = 0.0
+    rev_rot: float = 0.0
+    rev_enc: float = 0.0
+    recon: float = 0.0
+    kl: float = 0.0
     nll: float = 0.0
     fwd_mmd: float = 0.0
     rev_mmd: float = 0.0
@@ -246,9 +247,7 @@ def train_step(model: PoseRegressor, pose_vecs: np.ndarray, images: np.ndarray,
         kl = kl_divergence(mu, logvar)
         parts["kl"] = kl.item()
 
-        if warmup:
-            fwd = rev_pos = rev_rot = rev_enc = nll = fwd_mmd = rev_mmd = None
-        else:
+        if not warmup:
             n = len(pose_vecs)
             xhat_np = model.encode_pose_batch(pose_vecs)
             xhat = Tensor(xhat_np)
@@ -282,7 +281,6 @@ def train_step(model: PoseRegressor, pose_vecs: np.ndarray, images: np.ndarray,
             parts["rev_rot"] = rev_rot.item()
             parts["rev_enc"] = rev_enc.item()
 
-            nll = None
             if cfg.w_nll > 0:
                 nll = nd.tmean(nd.mul(nd.tsum(nd.mul(z_fwd, z_fwd), axis=1), 0.5) - logdet)
                 parts["nll"] = nll.item()
@@ -292,7 +290,7 @@ def train_step(model: PoseRegressor, pose_vecs: np.ndarray, images: np.ndarray,
             total = total + nd.mul(fwd, cfg.w_fwd) + nd.mul(rev_pos, cfg.w_rev_pos) \
                 + nd.mul(rev_rot, cfg.w_rev_rot) + nd.mul(rev_enc, cfg.w_rev_enc) \
                 + nd.mul(fwd_mmd, W_FWD_MMD) + nd.mul(rev_mmd, W_REV_MMD)
-            if nll is not None:
+            if cfg.w_nll > 0:
                 total = total + nd.mul(nll, cfg.w_nll)
 
         opt.zero_grad()
@@ -303,15 +301,10 @@ def train_step(model: PoseRegressor, pose_vecs: np.ndarray, images: np.ndarray,
             f"non-finite training loss: {e}; finite components so far: "
             + ", ".join(f"{n}={v:.6g}" for n, v in parts.items())) from e
 
-    def val(t) -> float:
-        # fp rounding can leave a mathematically >= 0 component a hair below
-        return 0.0 if t is None else max(0.0, t.item())
-
-    return LossEntry(epoch=epoch, lr=lr, total=total.item(), fwd=val(fwd),
-                     rev_pos=val(rev_pos), rev_rot=val(rev_rot),
-                     rev_enc=val(rev_enc), recon=val(recon), kl=val(kl),
-                     nll=0.0 if nll is None else nll.item(),
-                     fwd_mmd=val(fwd_mmd), rev_mmd=val(rev_mmd))
+    # fp rounding can leave a mathematically >= 0 component a hair below;
+    # nll is a log-density and is reported as is
+    return LossEntry(epoch=epoch, lr=lr, total=total.item(),
+                     **{k: v if k == "nll" else max(0.0, v) for k, v in parts.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +313,9 @@ def train_step(model: PoseRegressor, pose_vecs: np.ndarray, images: np.ndarray,
 
 def _mean_entry(epoch: int, lr: float, steps: list[LossEntry]) -> LossEntry:
     n = len(steps)
-    avg = lambda f: sum(getattr(s, f) for s in steps) / n
-    return LossEntry(epoch=epoch, lr=lr, total=avg("total"), fwd=avg("fwd"),
-                     rev_pos=avg("rev_pos"), rev_rot=avg("rev_rot"),
-                     rev_enc=avg("rev_enc"), recon=avg("recon"),
-                     kl=avg("kl"), nll=avg("nll"), fwd_mmd=avg("fwd_mmd"),
-                     rev_mmd=avg("rev_mmd"))
+    return LossEntry(epoch=epoch, lr=lr, **{
+        f.name: sum(getattr(s, f.name) for s in steps) / n
+        for f in fields(LossEntry) if f.name not in ("epoch", "lr")})
 
 
 def train(model: PoseRegressor, poses: np.ndarray, images: np.ndarray,
@@ -400,8 +390,7 @@ def train(model: PoseRegressor, poses: np.ndarray, images: np.ndarray,
 
 def format_loss_table(entries: list[LossEntry]) -> str:
     """Per-epoch losses as tab-separated text with a header row."""
-    cols = ["epoch", "lr", "total", "fwd", "rev_pos", "rev_rot",
-            "rev_enc", "recon", "kl", "nll", "fwd_mmd", "rev_mmd"]
+    cols = [f.name for f in fields(LossEntry)]
     lines = ["\t".join(cols)]
     for e in entries:
         lines.append("\t".join(

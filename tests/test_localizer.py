@@ -54,7 +54,6 @@ class TestSummarize:
     def test_scalar_uncertainty_positions_only(self):
         p = make_posterior([1.0, 2.0, 7.0])
         assert p.scalar_uncertainty() == 3.0
-        assert p.scalar_uncertainty(include_rotation=True) == 10.0
 
 
 class _ConstantZ:

@@ -403,64 +403,113 @@ class TestTape:
             nd.exp(big)
 
 
+def adam_over(**arrays) -> nd.Adam:
+    return nd.Adam({k: nd.Tensor(np.array(v, dtype=np.float64), requires_grad=True)
+                    for k, v in arrays.items()})
+
+
 class TestAdam:
     def test_zero_grad_keeps_params(self):
-        p = {"w": np.array([1.0, 2.0])}
-        new, st = nd.adam_step(p, {"w": np.zeros(2)}, {}, lr=0.1)
-        np.testing.assert_array_equal(new["w"], p["w"])
-        assert st["t"] == 1
+        opt = adam_over(w=[1.0, 2.0])
+        opt.params["w"].grad = np.zeros(2)
+        opt.step(lr=0.1)
+        np.testing.assert_array_equal(opt.params["w"].data, [1.0, 2.0])
+        assert opt.state["t"] == 1
 
     def test_first_step_magnitude(self):
         # bias correction makes the first step almost exactly lr*sign(g)
-        p = {"w": np.array([0.0])}
-        new, _ = nd.adam_step(p, {"w": np.array([3.7])}, {}, lr=0.05)
-        np.testing.assert_allclose(new["w"], [-0.05], rtol=1e-6)
+        opt = adam_over(w=[0.0])
+        opt.params["w"].grad = np.array([3.7])
+        opt.step(lr=0.05)
+        np.testing.assert_allclose(opt.params["w"].data, [-0.05], rtol=1e-6)
 
     def test_quadratic_convergence(self):
         # minimize (w-3)^2 from w=0: 100 steps at lr=0.1 lands within 0.05
-        w = {"w": np.array([0.0])}
-        st: dict = {}
+        opt = adam_over(w=[0.0])
+        w = opt.params["w"]
         for _ in range(100):
-            g = {"w": 2.0 * (w["w"] - 3.0)}
-            w, st = nd.adam_step(w, g, st, lr=0.1)
-        assert abs(w["w"][0] - 3.0) < 0.05
+            w.grad = 2.0 * (w.data - 3.0)
+            opt.step(lr=0.1)
+        assert abs(w.data[0] - 3.0) < 0.05
 
     def test_nonfinite_grad_names_param(self):
+        opt = adam_over(bad_param=np.zeros(2))
+        opt.params["bad_param"].grad = np.array([np.nan, 0.0])
         with pytest.raises(OptimizerError, match="bad_param"):
-            nd.adam_step({"bad_param": np.zeros(2)}, {"bad_param": np.array([np.nan, 0.0])}, {}, lr=0.1)
+            opt.step(lr=0.1)
 
     def test_missing_grad_is_zero(self):
-        p = {"a": np.array([1.0]), "b": np.array([5.0])}
-        new, _ = nd.adam_step(p, {"a": np.array([1.0])}, {}, lr=0.1)
-        np.testing.assert_array_equal(new["b"], [5.0])
-        assert new["a"][0] < 1.0
+        opt = adam_over(a=[1.0], b=[5.0])
+        opt.params["a"].grad = np.array([1.0])
+        opt.step(lr=0.1)
+        np.testing.assert_array_equal(opt.params["b"].data, [5.0])
+        assert opt.params["a"].data[0] < 1.0
 
     def test_shape_mismatch(self):
+        opt = adam_over(w=np.zeros(2))
+        opt.params["w"].grad = np.zeros(3)
         with pytest.raises(OptimizerError):
-            nd.adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, {}, lr=0.1)
+            opt.step(lr=0.1)
 
-    def test_class_wrapper_matches_functional(self):
+    def test_matches_update_written_out(self):
+        # the bias-corrected update in numpy, bitwise, over 5 steps; "b" never
+        # gets a gradient, so it enters as zeros and only its moments decay
         rng = np.random.default_rng(42)
-        w0 = rng.normal(size=(3, 3))
-        t = nd.Tensor(w0.copy(), requires_grad=True)
-        opt = nd.Adam({"w": t}, lr=0.01)
-        fp = {"w": w0.copy()}
-        fs: dict = {}
-        for _ in range(5):
+        w0, b0 = rng.normal(size=(3, 3)), rng.normal(size=3)
+        opt = nd.Adam({"w": nd.Tensor(w0.copy(), requires_grad=True),
+                       "b": nd.Tensor(b0.copy(), requires_grad=True)}, lr=0.01)
+        ref = {"w": w0.copy(), "b": b0.copy()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v = {k: np.zeros_like(a) for k, a in ref.items()}
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        for t in range(1, 6):
             opt.zero_grad()
-            loss = nd.mse(nd.matmul(t, nd.Tensor(np.eye(3))), nd.Tensor(np.eye(3)))
-            loss.backward()
-            g = {"w": t.grad.copy()}
+            w = opt.params["w"]
+            nd.mse(nd.matmul(w, nd.Tensor(np.eye(3))), nd.Tensor(np.eye(3))).backward()
+            grads = {"w": w.grad.copy(), "b": np.zeros(3)}
             opt.step()
-            fp, fs = nd.adam_step(fp, g, fs, lr=0.01)
-            np.testing.assert_array_equal(t.data, fp["w"])
+            for k in ref:
+                m[k] = b1 * m[k] + (1.0 - b1) * grads[k]
+                v[k] = b2 * v[k] + (1.0 - b2) * (grads[k] * grads[k])
+                ref[k] = ref[k] - lr * (m[k] / (1.0 - b1 ** t)) \
+                    / (np.sqrt(v[k] / (1.0 - b2 ** t)) + eps)
+                np.testing.assert_array_equal(opt.params[k].data, ref[k])
+                np.testing.assert_array_equal(opt.state["m"][k], m[k])
+                np.testing.assert_array_equal(opt.state["v"][k], v[k])
+            assert opt.state["t"] == t
+
+    @pytest.mark.parametrize("bad", [np.array([np.inf, 0.0]), np.zeros(3)],
+                             ids=["non_finite", "wrong_shape"])
+    def test_error_leaves_state_untouched(self, bad):
+        # "b" comes after "a", so an update that wrote before checking every
+        # gradient would already have moved "a" and its moments
+        opt = adam_over(a=[1.0, 2.0], b=[3.0, 4.0])
+        opt.params["a"].grad = np.array([0.5, -0.5])
+        opt.params["b"].grad = bad
+        with pytest.raises(OptimizerError):
+            opt.step(lr=0.1)
+        assert opt.state == {}
+        np.testing.assert_array_equal(opt.params["a"].data, [1.0, 2.0])
+        opt.params["b"].grad = np.array([0.25, 1.0])
+        opt.step(lr=0.1)
+        params = {k: t.data.copy() for k, t in opt.params.items()}
+        moments = {k: a.copy() for k, a in opt.state_arrays().items()}
+        opt.params["b"].grad = bad
+        with pytest.raises(OptimizerError, match="'b'"):
+            opt.step(lr=0.1)
+        assert opt.state["t"] == 1
+        for k, t in opt.params.items():
+            np.testing.assert_array_equal(t.data, params[k])
+        for k, a in opt.state_arrays().items():
+            np.testing.assert_array_equal(a, moments[k])
 
     def test_state_roundtrip(self):
-        t = nd.Tensor(np.ones(2), requires_grad=True)
-        opt = nd.Adam({"w": t}, lr=0.1)
+        opt = adam_over(w=np.ones(2))
+        t = opt.params["w"]
         t.grad = np.array([0.5, -0.5])
-        opt.step()
+        opt.step(lr=0.1)
         arrs = opt.state_arrays()
+        assert list(arrs) == ["adam.m.w", "adam.v.w"]
         opt2 = nd.Adam({"w": nd.Tensor(t.data.copy(), requires_grad=True)}, lr=0.1)
         opt2.load_state_arrays(arrs, t=1)
         assert opt2.state["t"] == 1

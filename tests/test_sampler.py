@@ -76,7 +76,7 @@ class TestInView:
     def test_facing_away_sees_nothing(self):
         cloud = np.array([[2.0, 0.0, 0.0], [1.5, 0.3, 0.1]])
         pose = Pose(np.zeros(3), np.array([np.pi, 0.0, 0.0]), dim=3)  # looking -x
-        assert not sp.in_view_mask(pose, INTR, cloud).any()
+        assert sp.view_stats(pose, INTR, cloud, np.zeros((1, 3))).n_in_view == 0
 
     def test_single_axis_point(self):
         cloud = np.array([[2.0, 0.0, 0.0]])

@@ -83,15 +83,6 @@ class TestRender:
         with pytest.raises(DomainError):
             sg.render(scene, sg.CameraIntrinsics(16, 16), pose_at(5.0, 0.0, 0.0))
 
-    def test_noise_needs_rng_and_stays_in_range(self):
-        scene = sg.generate_scene(2)
-        intr = sg.CameraIntrinsics(16, 16)
-        with pytest.raises(DomainError):
-            sg.render(scene, intr, pose_at(0, 0, 0), noise_sigma=0.1)
-        img = sg.render(scene, intr, pose_at(0, 0, 0), noise_sigma=0.3,
-                        rng=np.random.default_rng(4))
-        assert np.all(img >= 0.0) and np.all(img <= 1.0)
-
     def test_symmetric_scene_opposite_views_match(self):
         scene = sg.generate_symmetric_scene(7)
         intr = sg.CameraIntrinsics(16, 16)

@@ -183,7 +183,7 @@ class TestTrainStep:
         cfg = tr.TrainConfig(epochs=2, batch=6)
         e = tr.train_step(m, poses, imgs, cfg, np.random.default_rng(0), 5e-4,
                           nd.Adam(m.params), warmup=True)
-        assert e.fwd == e.rev_pos == e.rev_rot == e.rev_enc == 0.0
+        assert e.fwd == e.rev_pos == e.rev_rot == e.rev_enc == e.nll == e.fwd_mmd == e.rev_mmd == 0.0
         assert abs(e.total - (cfg.w_recon * e.recon + cfg.w_kl * e.kl)) < 1e-12
 
     def test_repeated_steps_decrease_total(self):
@@ -408,3 +408,8 @@ class TestLossTable:
         assert vals[0] == "3"
         assert float(vals[1]) == e.lr and float(vals[2]) == e.total
         assert float(vals[8]) == e.kl
+
+    def test_header(self):
+        header = tr.format_loss_table([]).rstrip("\n")
+        assert header == "\t".join(["epoch", "lr", "total", "fwd", "rev_pos", "rev_rot", "rev_enc",
+                                    "recon", "kl", "nll", "fwd_mmd", "rev_mmd"])
