@@ -27,7 +27,6 @@ from . import ndiff as nd
 from .errors import DimensionError, DomainError
 from .ndiff import Tensor
 
-LEAKY_ALPHA = 0.01
 CONV_CHANNELS = (16, 32, 64)
 KERNEL = 4
 
@@ -99,7 +98,7 @@ class Vae:
         for i in range(4):
             h = nd.conv2d(h, self.params[f"enc.conv{i}.w"], self.params[f"enc.conv{i}.b"],
                           stride=2, pad=1)
-            h = nd.leaky_relu(h, LEAKY_ALPHA)
+            h = nd.leaky_relu(h)
         # the heads read every cell of the last grid, so where an object
         # sits in the frame reaches the latent
         flat = nd.reshape(h, (h.data.shape[0], -1))
@@ -127,13 +126,13 @@ class Vae:
             raise DimensionError(f"latent must be (n, {self.config.latent}), got {latent.data.shape}")
         g = self.config.grid
         h = nd.matmul(latent, self.params["dec.lin.w"]) + self.params["dec.lin.b"]
-        h = nd.leaky_relu(h, LEAKY_ALPHA)
+        h = nd.leaky_relu(h)
         h = nd.reshape(h, (latent.data.shape[0], g, g, self.config.latent))
         for i in range(4):
             h = nd.conv_transpose2d(h, self.params[f"dec.conv{i}.w"], self.params[f"dec.conv{i}.b"],
                                     stride=2, pad=1)
             if i < 3:
-                h = nd.leaky_relu(h, LEAKY_ALPHA)
+                h = nd.leaky_relu(h)
         return nd.sigmoid(h)
 
     # ------------------------------------------------------------------

@@ -33,8 +33,6 @@ from . import ndiff as nd
 from .errors import ConditioningError, DimensionError
 from .ndiff import Tensor
 
-LEAKY_ALPHA = 0.01
-
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -126,7 +124,7 @@ class FlowModel:
         for i in range(n_layers):
             h = nd.matmul(h, self.params[f"{prefix}.w{i}"]) + self.params[f"{prefix}.b{i}"]
             if i < n_layers - 1:
-                h = nd.leaky_relu(h, LEAKY_ALPHA)
+                h = nd.leaky_relu(h)
         return h
 
     def embed_condition(self, c) -> Tensor:

@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditioningError, DimensionError, DomainError, TrackingError
+from . import ndiff as nd
+from .errors import (ConditioningError, DimensionError, DomainError, NonFiniteError,
+                     TrackingError)
 from .geometry import Pose, wrap_angle
 from .model import PoseRegressor
-from .ndiff import Tensor
 
 # eigenvalues may dip this far below zero before a covariance counts as broken
 PSD_SLACK = 1e-10
@@ -81,7 +82,8 @@ def localize(model: PoseRegressor, image: np.ndarray, n_samples: int = 50,
 
     The image is encoded once with the VAE mean; each sample inverts the flow
     at a fresh z ~ N(0, 1). Conditional models require ``condition`` (the
-    previous-state estimate); unconditional models reject one.
+    previous-state estimate); unconditional models reject one. No autodiff
+    graph is built; non-finite flow outputs raise ``NonFiniteError``.
     """
     if rng is None:
         raise DomainError("localize needs an rng (pass np.random.default_rng(seed))")
@@ -94,15 +96,18 @@ def localize(model: PoseRegressor, image: np.ndarray, n_samples: int = 50,
     if model.config.conditional and condition is None:
         raise ConditioningError("conditional model requires a previous-state condition")
 
-    yhat = model.vae.encode(image[None], mode="mean").data
-    if not np.all(np.isfinite(yhat)):
-        raise DomainError("model produced a non-finite image latent")
-    y_tile = np.repeat(yhat, n_samples, axis=0)
     z = rng.standard_normal((n_samples, model.config.dim))
     c = None
     if condition is not None:
-        c = Tensor(np.tile(model.condition_vector(condition), (n_samples, 1)))
-    x = model.flow.inverse(Tensor(y_tile), Tensor(z), c).data
+        c = np.tile(model.condition_vector(condition), (n_samples, 1))
+    # no gradient is wanted: the ops build no graph and skip their per-op
+    # checks. A non-finite image latent or a NaN weight reaches the flow
+    # output, which is checked once.
+    with nd.no_grad():
+        yhat = model.vae.encode(image[None], mode="mean").data
+        x = model.flow.inverse(np.repeat(yhat, n_samples, axis=0), z, c).data
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError("flow inverse produced non-finite values")
     samples = model.decode_pose_vectors(x)
     return summarize_samples(samples, model.config.dim)
 

@@ -8,6 +8,15 @@ graph. ``Tensor.backward`` exploits that: it collects the grad-requiring
 nodes reachable from a scalar root and walks them in exact reverse creation
 order.
 
+Outside ``no_grad()`` every op but the shape ops and ``tsum`` checks its
+result for non-finite values, and an op builds a graph node whenever one
+of its inputs requires a gradient. Model parameters always do, so
+training and any direct call into a model build graphs. Inside
+``no_grad()`` every op returns a plain tensor with no parents, no
+backward closure and no finiteness check; inference that wants no
+gradient runs there, and its caller checks the final result for
+finiteness once.
+
 Only the layers this project uses are supported: 2-D matmul, elementwise
 arithmetic with numpy-style broadcasting on add/sub/mul, a handful of
 nonlinearities, concat/split/column-gather, reshape, reductions, MSE,
@@ -18,12 +27,18 @@ same im2col/col2im pair). No GPU, no higher-order derivatives.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, NonFiniteError, OptimizerError, TapeError
 
 _node_ids = itertools.count()
+_grad_enabled = True
+
+# negative-side slope of leaky_relu; 0 < LEAKY_ALPHA < 1 lets its forward
+# take the larger of x and LEAKY_ALPHA * x
+LEAKY_ALPHA = 0.01
 
 
 def _as_f64(x) -> np.ndarray:
@@ -153,7 +168,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+@contextmanager
+def no_grad():
+    """Ops inside the block build no graph and skip their finiteness checks;
+    the previous mode comes back on exit, also when the block raises."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _make(data: np.ndarray, parents: tuple, bwd, op: str, check: bool = True) -> Tensor:
+    if not _grad_enabled:
+        return Tensor(data, _op=op)
     if check:
         _check_finite(data, op)
     req = any(p.requires_grad for p in parents)
@@ -235,12 +265,13 @@ def tanh(a) -> Tensor:
     return _make(out_data, (a,), bwd, "tanh")
 
 
-def leaky_relu(a, alpha: float = 0.01) -> Tensor:
+def leaky_relu(a) -> Tensor:
     a = _wrap(a)
-    out_data = np.where(a.data > 0.0, a.data, alpha * a.data)
+    out_data = LEAKY_ALPHA * a.data
+    np.maximum(a.data, out_data, out=out_data)
 
     def bwd(g):
-        _accumulate(a, g * np.where(a.data > 0.0, 1.0, alpha))
+        _accumulate(a, g * np.where(a.data > 0.0, 1.0, LEAKY_ALPHA))
 
     return _make(out_data, (a,), bwd, "leaky_relu")
 
@@ -508,13 +539,20 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int 
 
 def load_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray], kind: str) -> None:
     """Copy ``arrays[name]`` into every named parameter; a missing name or a
-    shape mismatch raises ``DimensionError`` naming the ``kind`` of model."""
+    shape mismatch raises ``DimensionError`` naming the ``kind`` of model.
+
+    A non-finite value raises ``NonFiniteError``: inference under
+    ``no_grad`` checks only its output, and an infinite weight inside a
+    tanh-clamped coupling scale saturates to a finite output.
+    """
     for k, t in params.items():
         a = arrays.get(k)
         if a is None:
             raise DimensionError(f"missing {kind} parameter '{k}'")
         if a.shape != t.data.shape:
             raise DimensionError(f"{kind} parameter '{k}' has shape {a.shape}, expected {t.data.shape}")
+        if not np.all(np.isfinite(a)):
+            raise NonFiniteError(f"{kind} parameter '{k}' is not finite")
         t.data = np.array(a)
 
 

@@ -147,7 +147,7 @@ def _op_table(rng):
         ("cos", [n34()], lambda t: w(nd.cos(t[0]))),
         ("acos", [in_acos_domain], lambda t: w(nd.acos(t[0]))),
         ("leaky_relu", [away_from_zero],
-         lambda t: w(nd.leaky_relu(t[0], 0.01))),
+         lambda t: w(nd.leaky_relu(t[0]))),
         ("clip", [clip_safe], lambda t: w(nd.clip(t[0], -0.8, 0.8))),
         ("concat", [rng.standard_normal((3, 2)), rng.standard_normal((3, 5))],
          lambda t: w(nd.concat([t[0], t[1]]))),

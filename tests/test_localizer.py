@@ -5,7 +5,7 @@ import pytest
 
 import poseinn.localizer as lc
 from poseinn.errors import (ConditioningError, DimensionError, DomainError,
-                            TrackingError)
+                            NonFiniteError, TrackingError)
 from poseinn.geometry import Aabb, Pose, wrap_angle
 from poseinn.model import ModelConfig, PoseRegressor
 
@@ -16,6 +16,17 @@ def tiny_model(dim=3, conditional=False, seed=0):
     return PoseRegressor(
         ModelConfig(dim=dim, image_hw=16, enc_L=2, blocks=3, hidden=32,
                     conditional=conditional, seed=seed), BOUNDS)
+
+
+def active_model(conditional=False):
+    """Tiny model whose coupling output layers are non-zero, so the flow is
+    no longer a bare permutation and the image and condition reach it."""
+    m = tiny_model(conditional=conditional)
+    rng = np.random.default_rng(5)
+    for k, t in m.params.items():
+        if k.startswith("flow.") and (".s.w2" in k or ".t.w2" in k):
+            t.data = rng.normal(size=t.data.shape) * 0.3
+    return m
 
 
 def make_posterior(variances, dim=3):
@@ -103,19 +114,37 @@ class TestLocalize:
             lc.localize(tiny_model(), img, condition=at, rng=np.random.default_rng(0))
 
     def test_conditional_model_uses_condition(self):
-        m = tiny_model(conditional=True)
-        # zero-initialized couplings ignore everything at init: give the
-        # final subnet layers weight so the condition can reach the output
-        rng = np.random.default_rng(5)
-        for k, t in m.params.items():
-            if k.startswith("flow.") and (".s.w2" in k or ".t.w2" in k):
-                t.data = rng.normal(size=t.data.shape) * 0.3
+        m = active_model(conditional=True)
         img = np.random.default_rng(1).uniform(0, 1, (16, 16, 3))
         a = lc.localize(m, img, n_samples=8, rng=np.random.default_rng(0),
                         condition=Pose(np.array([1.3, 0.2, 0]), np.zeros(3), dim=3))
         b = lc.localize(m, img, n_samples=8, rng=np.random.default_rng(0),
                         condition=Pose(np.array([-1.3, 0.2, 0]), np.zeros(3), dim=3))
         assert not np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("conditional,n", [(False, 50), (True, 500)])
+    def test_samples_bitwise_equal_to_graph_building_path(self, conditional, n):
+        m = active_model(conditional=conditional)
+        img = np.random.default_rng(1).uniform(0, 1, (16, 16, 3))
+        cond = Pose(np.array([0.4, -0.7, 0]), np.array([0.9, 0, 0]), dim=3) if conditional else None
+        post = lc.localize(m, img, n_samples=n, condition=cond, rng=np.random.default_rng(3))
+        y = np.repeat(m.vae.encode(img[None], mode="mean").data, n, axis=0)
+        z = np.random.default_rng(3).standard_normal((n, 3))
+        c = None if cond is None else np.tile(m.condition_vector(cond), (n, 1))
+        x = m.flow.inverse(y, z, c)
+        assert x.requires_grad
+        assert post.samples.tobytes() == m.decode_pose_vectors(x.data).tobytes()
+
+    @pytest.mark.parametrize("name", ["flow.block1.s.w0", "flow.block2.t.w2"])
+    def test_nan_flow_weight_raises_one_line(self, name):
+        m = tiny_model()
+        w = m.params[name]
+        w.data = w.data.copy()
+        w.data[0, 0] = np.nan
+        img = np.random.default_rng(1).uniform(0, 1, (16, 16, 3))
+        with pytest.raises(NonFiniteError) as e:
+            lc.localize(m, img, n_samples=8, rng=np.random.default_rng(0))
+        assert "flow inverse" in str(e.value) and "\n" not in str(e.value)
 
 
 class TestVarianceFilter:

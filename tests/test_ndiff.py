@@ -100,9 +100,22 @@ class TestUnaryGrads:
         # stay away from the kink so FD is valid
         x0 = np.array([[-2.0, -0.7, 0.9, 3.0]])
         t = nd.Tensor(x0.copy(), requires_grad=True)
-        nd.tsum(nd.leaky_relu(t, 0.01)).backward()
-        num = fd_grad(lambda v: float(np.sum(nd.leaky_relu(nd.Tensor(v), 0.01).data)), x0.copy())
+        nd.tsum(nd.leaky_relu(t)).backward()
+        num = fd_grad(lambda v: float(np.sum(nd.leaky_relu(nd.Tensor(v)).data)), x0.copy())
         np.testing.assert_allclose(t.grad, num, rtol=1e-6)
+
+    def test_leaky_relu_forward_is_bitwise_the_where_form(self):
+        rng = np.random.default_rng(4)
+        sub = np.finfo(np.float64).smallest_subnormal
+        normal = np.finfo(np.float64).tiny
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                            sub, -sub, 7 * sub, -7 * sub, 1e-310, -1e-310, normal, -normal])
+        scaled = rng.normal(size=(6, 50)) * 10.0 ** rng.integers(-300, 300, size=(6, 50))
+        for x in (rng.normal(size=(8, 40)), scaled, special):
+            # non-finite inputs would trip the per-op check in graph mode
+            with nd.no_grad():
+                got = nd.leaky_relu(nd.Tensor(x)).data
+            assert got.tobytes() == np.where(x > 0, x, 0.01 * x).tobytes()
 
     def test_exp_trivial(self):
         assert nd.exp(nd.Tensor(0.0)).item() == 1.0
@@ -349,7 +362,7 @@ class TestComposite:
         w2, b2 = rng.normal(size=(8, 2)) * 0.5, rng.normal(size=2) * 0.1
 
         def build(t):
-            h = nd.leaky_relu(nd.matmul(t, nd.Tensor(w1)) + nd.Tensor(b1), 0.01)
+            h = nd.leaky_relu(nd.matmul(t, nd.Tensor(w1)) + nd.Tensor(b1))
             o = nd.tanh(nd.matmul(h, nd.Tensor(w2)) + nd.Tensor(b2))
             return nd.tsum(nd.exp(o * 0.3) * nd.sin(o))
 
@@ -401,6 +414,53 @@ class TestTape:
         big = nd.Tensor([[800.0]], requires_grad=True)
         with pytest.raises(NonFiniteError):
             nd.exp(big)
+
+
+class TestNoGrad:
+    def test_ops_on_parameters_build_no_graph(self):
+        w = nd.Tensor([[0.5, -1.0], [2.0, 0.3]], requires_grad=True)
+        x = nd.Tensor([[1.0, -2.0]], requires_grad=True)
+        with nd.no_grad():
+            outs = [nd.matmul(x, w), x + w, nd.leaky_relu(x), nd.exp(x), nd.tanh(x),
+                    nd.concat([x, x]), nd.narrow(w, 0, 1, axis=0), nd.gather_cols(w, [1, 0]),
+                    nd.tsum(x)]
+        for out in outs:
+            assert not out.requires_grad
+            assert out._parents == () and out._bwd is None
+
+    def test_backward_on_result_raises(self):
+        x = nd.Tensor([[1.0, -2.0]], requires_grad=True)
+        with nd.no_grad():
+            out = nd.tsum(nd.tanh(x))
+        with pytest.raises(TapeError):
+            out.backward()
+        assert x.grad is None
+
+    def test_per_op_finite_check_skipped(self):
+        with nd.no_grad():
+            out = nd.exp(nd.Tensor([[800.0]], requires_grad=True))
+        assert np.isinf(out.data).all()
+
+    def test_graph_mode_back_after_exception(self):
+        x = nd.Tensor([[1.0]], requires_grad=True)
+        with pytest.raises(DimensionError):
+            with nd.no_grad():
+                nd.matmul(x, nd.Tensor(np.ones((3, 1))))
+        assert (x * 2.0).requires_grad
+        with pytest.raises(NonFiniteError):
+            nd.exp(x * 800.0)
+
+    def test_nested_blocks_restore_the_outer_mode(self):
+        x = nd.Tensor([[1.0]], requires_grad=True)
+        with nd.no_grad():
+            with nd.no_grad():
+                pass
+            assert not (x * 2.0).requires_grad
+            with pytest.raises(DimensionError):
+                with nd.no_grad():
+                    nd.matmul(x, nd.Tensor(np.ones((3, 1))))
+            assert not (x * 2.0).requires_grad
+        assert (x * 2.0).requires_grad
 
 
 def adam_over(**arrays) -> nd.Adam:

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import poseinn.localizer as lc
 import poseinn.ndiff as nd
 import poseinn.trainer as tr
 from poseinn.errors import (CheckpointError, ConditioningError, DimensionError,
@@ -278,6 +279,19 @@ class TestTrainStep:
             fixed_step(m, nd.Adam(m.params), poses, imgs,
                        tr.TrainConfig(epochs=2, batch=4), 0)
 
+    def test_step_after_a_failed_localize_fills_every_gradient(self):
+        m = tiny_model()
+        w = m.params["flow.block0.s.w0"]
+        good = w.data
+        w.data = good.copy()
+        w.data[0, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            lc.localize(m, np.zeros((16, 16, 3)), n_samples=4, rng=np.random.default_rng(0))
+        w.data = good
+        poses, imgs = tiny_data(4)
+        fixed_step(m, nd.Adam(m.params), poses, imgs, tr.TrainConfig(epochs=2, batch=4), 0)
+        assert all(p.grad is not None for p in m.params.values())
+
 
 class TestTrain:
     def test_two_epochs_decrease_loss(self):
@@ -337,6 +351,18 @@ class TestTrain:
 
 
 class TestCheckpoint:
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        # a single infinite scale-net weight would saturate the coupling's
+        # tanh clamp and leave localize's output finite
+        m = tiny_model()
+        w = m.params["flow.block1.s.w1"]
+        w.data = w.data.copy()
+        w.data[0, 0] = np.inf
+        p = tmp_path / "inf.ckpt"
+        tr.save_checkpoint(p, m)
+        with pytest.raises(NonFiniteError, match="flow parameter 'block1.s.w1' is not finite"):
+            tr.load_checkpoint(p)
+
     def test_round_trip_bitwise_forward(self, tmp_path):
         m = tiny_model(seed=7)
         p = tmp_path / "m.ckpt"
