@@ -102,8 +102,8 @@ class Vae:
         # the heads read every cell of the last grid, so where an object
         # sits in the frame reaches the latent
         flat = nd.reshape(h, (h.data.shape[0], -1))
-        mu = nd.matmul(flat, self.params["enc.mu.w"]) + self.params["enc.mu.b"]
-        logvar = nd.matmul(flat, self.params["enc.lv.w"]) + self.params["enc.lv.b"]
+        mu = nd.linear(flat, self.params["enc.mu.w"], self.params["enc.mu.b"])
+        logvar = nd.linear(flat, self.params["enc.lv.w"], self.params["enc.lv.b"])
         return mu, logvar
 
     def encode(self, y, mode: str = "mean", rng: np.random.Generator | None = None) -> Tensor:
@@ -125,7 +125,7 @@ class Vae:
         if latent.data.ndim != 2 or latent.data.shape[1] != self.config.latent:
             raise DimensionError(f"latent must be (n, {self.config.latent}), got {latent.data.shape}")
         g = self.config.grid
-        h = nd.matmul(latent, self.params["dec.lin.w"]) + self.params["dec.lin.b"]
+        h = nd.linear(latent, self.params["dec.lin.w"], self.params["dec.lin.b"])
         h = nd.leaky_relu(h)
         h = nd.reshape(h, (latent.data.shape[0], g, g, self.config.latent))
         for i in range(4):

@@ -18,9 +18,13 @@ permutations fix index 0, so the pad sits in the passive half of every
 coupling and survives the stack exactly, making the inverse (which
 re-inserts the zero) exact as well.
 
-An optional condition vector c is embedded once by a small MLP and
-appended to every coupling subnet input; the working vector never carries
-it, so invertibility is untouched.
+An optional condition vector c is embedded once by a small MLP and feeds
+the first layer of every coupling subnet beside the passive half: that
+layer's weight stacks passive rows over condition rows, and the
+condition's product, plus the layer bias, is added to the passive
+product. A condition of one row therefore serves a whole batch and is
+embedded and multiplied once; a condition of n rows gives one per batch
+row. The working vector never carries it, so invertibility is untouched.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ndiff as nd
-from .errors import ConditioningError, DimensionError
+from .errors import ConditioningError, DimensionError, DomainError
 from .ndiff import Tensor
 
 
@@ -55,8 +59,12 @@ class FlowConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1 or self.enc_L < 1 or self.blocks < 1 or self.layers < 1:
-            raise DimensionError("flow config requires positive dim, enc_L, blocks, layers")
+        if self.dim < 1 or self.enc_L < 1 or self.blocks < 1 or self.layers < 1 or self.hidden < 1:
+            raise DimensionError("flow config requires positive dim, enc_L, blocks, layers, hidden")
+        if self.cond_dim and self.cond_width < 1:
+            raise DimensionError("a conditional flow requires a positive cond_width")
+        if not (np.isfinite(self.clamp) and self.clamp > 0):
+            raise DomainError(f"flow clamp must be finite and positive, got {self.clamp}")
 
     @property
     def x_len(self) -> int:
@@ -119,10 +127,11 @@ class FlowModel:
                 self.params[f"cond.b{i}"] = Tensor(b, requires_grad=True)
 
     # ------------------------------------------------------------------
-    def _mlp(self, prefix: str, x: Tensor, n_layers: int) -> Tensor:
-        h = x
-        for i in range(n_layers):
-            h = nd.matmul(h, self.params[f"{prefix}.w{i}"]) + self.params[f"{prefix}.b{i}"]
+    def _mlp(self, prefix: str, h: Tensor, n_layers: int, start: int = 0) -> Tensor:
+        """Layers ``start`` .. ``n_layers - 1`` of an MLP, with a leaky ReLU
+        after each but the last; ``h`` is the input of layer ``start``."""
+        for i in range(start, n_layers):
+            h = nd.linear(h, self.params[f"{prefix}.w{i}"], self.params[f"{prefix}.b{i}"])
             if i < n_layers - 1:
                 h = nd.leaky_relu(h)
         return h
@@ -143,15 +152,26 @@ class FlowModel:
         if c is None:
             return None
         ce = self.embed_condition(c)
-        if ce.data.shape[0] != x.data.shape[0]:
-            raise DimensionError("condition batch size does not match input batch size")
+        if ce.data.shape[0] not in (1, x.data.shape[0]):
+            raise DimensionError(
+                f"condition has {ce.data.shape[0]} rows; need 1 or the batch size {x.data.shape[0]}")
         return ce
 
+    def _subnet(self, prefix: str, passive: Tensor, ce: Tensor | None) -> Tensor:
+        """One coupling subnet. Its first layer's weight stacks the passive
+        rows over the condition rows; the condition's share of that layer
+        is computed per condition row and added as the bias of the passive
+        product, so one condition row serves a whole batch."""
+        w0, b0 = self.params[f"{prefix}.w0"], self.params[f"{prefix}.b0"]
+        if ce is not None:
+            b0 = nd.linear(ce, nd.narrow(w0, self.half, w0.data.shape[0], axis=0), b0)
+            w0 = nd.narrow(w0, 0, self.half, axis=0)
+        h = nd.leaky_relu(nd.linear(passive, w0, b0))
+        return self._mlp(prefix, h, self.config.layers + 1, start=1)
+
     def _subnets(self, k: int, passive: Tensor, ce: Tensor | None) -> tuple[Tensor, Tensor]:
-        inp = passive if ce is None else nd.concat([passive, ce])
-        n_layers = self.config.layers + 1
-        s_raw = self._mlp(f"block{k}.s", inp, n_layers)
-        t = self._mlp(f"block{k}.t", inp, n_layers)
+        s_raw = self._subnet(f"block{k}.s", passive, ce)
+        t = self._subnet(f"block{k}.t", passive, ce)
         cl = self.config.clamp
         s = nd.mul(nd.tanh(nd.mul(s_raw, 1.0 / cl)), cl)
         return s, t
@@ -192,7 +212,9 @@ class FlowModel:
     # ------------------------------------------------------------------
     def forward_log_det(self, x, c=None) -> tuple[Tensor, Tensor, Tensor]:
         """Encoded pose -> (image latent y_hat, residual latent z, per-sample
-        log|det| of the forward map), all from one pass through the stack."""
+        log|det| of the forward map), all from one pass through the stack.
+        A condition ``c`` has one row, shared by the whole batch, or one
+        row per batch row."""
         x = nd._wrap(x)
         if x.data.ndim != 2 or x.data.shape[1] != self.config.x_len:
             raise DimensionError(f"flow input must be (n, {self.config.x_len}), got {x.data.shape}")
@@ -207,7 +229,8 @@ class FlowModel:
         return y, z
 
     def inverse(self, y, z, c=None) -> Tensor:
-        """(image latent, residual latent) -> encoded pose."""
+        """(image latent, residual latent) -> encoded pose; ``c`` as in
+        ``forward_log_det``."""
         y, z = nd._wrap(y), nd._wrap(z)
         if y.data.ndim != 2 or y.data.shape[1] != self.config.latent_len:
             raise DimensionError(f"latent must be (n, {self.config.latent_len}), got {y.data.shape}")

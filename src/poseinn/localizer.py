@@ -82,8 +82,11 @@ def localize(model: PoseRegressor, image: np.ndarray, n_samples: int = 50,
 
     The image is encoded once with the VAE mean; each sample inverts the flow
     at a fresh z ~ N(0, 1). Conditional models require ``condition`` (the
-    previous-state estimate); unconditional models reject one. No autodiff
-    graph is built; non-finite flow outputs raise ``NonFiniteError``.
+    previous-state estimate); unconditional models reject one. The flow gets
+    the condition as one row that serves all n_samples draws, so it is
+    embedded, and multiplied into each subnet's first layer, once per call.
+    No autodiff graph is built; non-finite flow outputs raise
+    ``NonFiniteError``.
     """
     if rng is None:
         raise DomainError("localize needs an rng (pass np.random.default_rng(seed))")
@@ -99,7 +102,7 @@ def localize(model: PoseRegressor, image: np.ndarray, n_samples: int = 50,
     z = rng.standard_normal((n_samples, model.config.dim))
     c = None
     if condition is not None:
-        c = np.tile(model.condition_vector(condition), (n_samples, 1))
+        c = model.condition_vector(condition)[None]
     # no gradient is wanted: the ops build no graph and skip their per-op
     # checks. A non-finite image latent or a NaN weight reaches the flow
     # output, which is checked once.

@@ -17,11 +17,12 @@ backward closure and no finiteness check; inference that wants no
 gradient runs there, and its caller checks the final result for
 finiteness once.
 
-Only the layers this project uses are supported: 2-D matmul, elementwise
-arithmetic with numpy-style broadcasting on add/sub/mul, a handful of
-nonlinearities, concat/split/column-gather, reshape, reductions, MSE,
-stride-2 convolutions (direct, and transposed as its adjoint through the
-same im2col/col2im pair). No GPU, no higher-order derivatives.
+Only the layers this project uses are supported: 2-D matmul and affine
+layers, elementwise arithmetic with numpy-style broadcasting on
+add/sub/mul, a handful of nonlinearities, concat/split/column-gather,
+reshape, reductions, MSE, stride-2 convolutions (direct, and transposed
+as its adjoint through the same im2col/col2im pair). No GPU, no
+higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -242,6 +243,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, a.data.T @ g)
 
     return _make(out_data, (a, b), bwd, "matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine layer ``x @ w + b`` as one node: the bias is added in place
+    into the fresh product, so no second array of the output's size is
+    made. ``b`` must broadcast into the product's shape; values and
+    gradients equal those of ``matmul`` then ``add`` bitwise."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise DimensionError(f"linear needs 2-D operands, got {x.data.shape} @ {w.data.shape}")
+    if x.data.shape[1] != w.data.shape[0]:
+        raise DimensionError(f"linear inner dims disagree: {x.data.shape} @ {w.data.shape}")
+    out_data = x.data @ w.data
+    try:
+        out_data += b.data
+    except ValueError:
+        raise DimensionError(
+            f"linear bias {b.data.shape} does not broadcast into {out_data.shape}") from None
+
+    def bwd(g):
+        _accumulate(x, g @ w.data.T)
+        _accumulate(w, x.data.T @ g)
+        _accumulate(b, _unbroadcast(g, b.data.shape))
+
+    return _make(out_data, (x, w, b), bwd, "linear")
 
 
 def exp(a) -> Tensor:

@@ -140,6 +140,12 @@ def _op_table(rng):
         ("mul", [n34(), n34()], lambda t: w(nd.mul(t[0], t[1]))),
         ("matmul", [rng.standard_normal((3, 4)), rng.standard_normal((4, 5))],
          lambda t: w(nd.matmul(t[0], t[1]))),
+        ("linear", [rng.standard_normal((3, 4)), rng.standard_normal((4, 5)),
+                    rng.standard_normal(5)],
+         lambda t: w(nd.linear(t[0], t[1], t[2]))),
+        ("linear_row_bias", [rng.standard_normal((3, 4)), rng.standard_normal((4, 5)),
+                             rng.standard_normal((3, 5))],
+         lambda t: w(nd.linear(t[0], t[1], t[2]))),
         ("exp", [0.5 * n34()], lambda t: w(nd.exp(t[0]))),
         ("tanh", [n34()], lambda t: w(nd.tanh(t[0]))),
         ("sigmoid", [n34()], lambda t: w(nd.sigmoid(t[0]))),

@@ -311,6 +311,15 @@ class TestErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR conditioning:")
 
+    def test_zero_clamp_one_error_line(self, pipeline, tmp_path, capsys):
+        cfg = write(tmp_path / "c.cfg", TRAIN_CFG + "clamp = 0\n")
+        rc = cli.main(["train", "--config", cfg, "--data", pipeline["train"],
+                       "--seed", "0", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR domain:") and "clamp" in err
+        assert err.count("\n") == 1
+
     def test_bad_log_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("POSEINN_LOG", "chatty")
         cfg = write(tmp_path / "s.cfg", SCENE_CFG)

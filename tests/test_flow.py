@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from poseinn import ndiff as nd
-from poseinn.errors import ConditioningError, DimensionError
+from poseinn.errors import ConditioningError, DimensionError, DomainError
 from poseinn.flow import FlowConfig, FlowModel
 
 
@@ -250,6 +250,83 @@ class TestConditioning:
             m.forward(x, np.zeros((2, 5)))
         with pytest.raises(DimensionError):
             m.forward(x, np.zeros((3, 3)))
+        with pytest.raises(DimensionError):
+            m.inverse(np.zeros((3, m.config.latent_len)), np.zeros((3, 3)), np.zeros((2, 3)))
+
+
+class TestSplitCondition:
+    """One condition row serves a whole batch through the split first layer."""
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_subnet_is_the_mlp_of_passive_and_embedding_side_by_side(self, rows):
+        m = rand_model(dim=3, cond_dim=3, seed=32)
+        rng = np.random.default_rng(13)
+        for name, t in m.params.items():
+            if ".b" in name:  # biases start at zero; make each one count
+                t.data = rng.normal(size=t.data.shape)
+        passive = rng.normal(size=(5, m.half))
+        ce = m.embed_condition(rng.normal(size=(rows, 3))).data
+        h = np.concatenate([passive, np.broadcast_to(ce, (5, ce.shape[1]))], axis=1)
+        n_layers = m.config.layers + 1
+        for i in range(n_layers):
+            h = h @ m.params[f"block1.t.w{i}"].data + m.params[f"block1.t.b{i}"].data
+            if i < n_layers - 1:
+                h = np.maximum(h, nd.LEAKY_ALPHA * h)
+        got = m._subnet("block1.t", nd.Tensor(passive), nd.Tensor(ce)).data
+        np.testing.assert_allclose(got, h, rtol=0, atol=1e-12)
+
+    def test_one_row_matches_tiled_rows(self):
+        m = rand_model(dim=3, cond_dim=3, seed=33)
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(7, m.config.x_len))
+        c = rng.normal(size=(1, 3))
+        tiled = np.tile(c, (7, 1))
+        for a, b in zip(m.forward_log_det(x, c), m.forward_log_det(x, tiled)):
+            assert np.max(np.abs(a.data - b.data)) < 1e-9
+        y, z = rng.normal(size=(7, m.config.latent_len)), rng.normal(size=(7, 3))
+        assert np.max(np.abs(m.inverse(y, z, c).data - m.inverse(y, z, tiled).data)) < 1e-9
+
+    def test_roundtrip_with_one_row(self):
+        m = rand_model(dim=3, cond_dim=3, seed=34)
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(9, m.config.x_len))
+        c = rng.normal(size=(1, 3))
+        y, z = m.forward(x, c)
+        assert np.max(np.abs(m.inverse(y, z, c).data - x)) < 1e-9
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_condition_rows_of_first_layer_and_embedding_match_fd(self, rows):
+        m = rand_model(dim=3, enc_L=1, blocks=2, hidden=8, cond_dim=3, seed=35)
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(4, m.config.x_len)) * 0.5
+        c = rng.normal(size=(rows, 3))
+        target = rng.normal(size=(4, m.config.latent_len))
+
+        def loss():
+            y, _ = m.forward(x, c)
+            return nd.mse(y, nd.Tensor(target))
+
+        for t in m.params.values():
+            t.grad = None
+        loss().backward()
+        h = 1e-5
+        cond_rows = np.arange(m.half, m.params["block0.s.w0"].data.shape[0])
+        cond_w0 = m.params["cond.w0"].data.shape
+        picks = [("block0.s.w0", (i, j)) for i, j in zip(rng.choice(cond_rows, 5),
+                                                           rng.integers(0, 8, 5))]
+        picks += [("cond.w0", (i, j)) for i, j in zip(rng.integers(0, cond_w0[0], 5),
+                                                       rng.integers(0, cond_w0[1], 5))]
+        for name, idx in picks:
+            t = m.params[name]
+            old = t.data[idx]
+            t.data[idx] = old + h
+            fp = loss().item()
+            t.data[idx] = old - h
+            fm = loss().item()
+            t.data[idx] = old
+            num = (fp - fm) / (2 * h)
+            got = t.grad[idx]
+            assert abs(got - num) <= 1e-5 * max(1.0, abs(num)), (name, idx, got, num)
 
 
 class TestAmbiguityChannel:
@@ -289,6 +366,20 @@ class TestShapesAndSerialization:
         yd, zd = dst.forward(x)
         np.testing.assert_array_equal(ys.data, yd.data)
         np.testing.assert_array_equal(zs.data, zd.data)
+
+    @pytest.mark.parametrize("kw", [{"hidden": 0}, {"hidden": -3},
+                                    {"cond_dim": 3, "cond_width": 0}])
+    def test_nonpositive_width_rejected(self, kw):
+        with pytest.raises(DimensionError):
+            FlowConfig(dim=3, **kw)
+
+    @pytest.mark.parametrize("clamp", [0.0, -1.0, np.inf, np.nan])
+    def test_clamp_must_be_finite_and_positive(self, clamp):
+        with pytest.raises(DomainError):
+            FlowConfig(dim=3, clamp=clamp)
+
+    def test_unconditional_ignores_cond_width(self):
+        assert FlowConfig(dim=3, cond_width=0).cond_width == 0
 
     def test_missing_param_rejected(self):
         src = rand_model(seed=1)

@@ -130,7 +130,7 @@ class TestLocalize:
         post = lc.localize(m, img, n_samples=n, condition=cond, rng=np.random.default_rng(3))
         y = np.repeat(m.vae.encode(img[None], mode="mean").data, n, axis=0)
         z = np.random.default_rng(3).standard_normal((n, 3))
-        c = None if cond is None else np.tile(m.condition_vector(cond), (n, 1))
+        c = None if cond is None else m.condition_vector(cond)[None]
         x = m.flow.inverse(y, z, c)
         assert x.requires_grad
         assert post.samples.tobytes() == m.decode_pose_vectors(x.data).tobytes()

@@ -168,6 +168,37 @@ class TestMatmul:
             nd.matmul(nd.Tensor(np.ones(3)), nd.Tensor(np.ones((3, 2))))
 
 
+class TestLinear:
+    @pytest.mark.parametrize("bias_shape", [(5,), (1, 5), (3, 5)])
+    def test_equals_matmul_then_add_bitwise(self, bias_shape):
+        rng = np.random.default_rng(12)
+        arrays = [rng.normal(size=(3, 4)), rng.normal(size=(4, 5)), rng.normal(size=bias_shape)]
+        before = [a.tobytes() for a in arrays]
+        g_out = rng.normal(size=(3, 5))
+        results = []
+        for build in (lambda x, w, b: nd.linear(x, w, b),
+                      lambda x, w, b: nd.matmul(x, w) + b):
+            ts = [nd.Tensor(a, requires_grad=True) for a in arrays]
+            out = build(*ts)
+            nd.tsum(nd.mul(out, g_out)).backward()
+            results.append([out.data] + [t.grad for t in ts])
+        for got, ref in zip(*results):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert [a.tobytes() for a in arrays] == before
+
+    @pytest.mark.parametrize("bias_shape", [(6,), (2, 5), (4, 5), (3, 1, 5), (1, 1, 5)])
+    def test_bias_must_broadcast_into_product(self, bias_shape):
+        x, w = nd.Tensor(np.ones((3, 4))), nd.Tensor(np.ones((4, 5)))
+        with pytest.raises(DimensionError):
+            nd.linear(x, w, nd.Tensor(np.ones(bias_shape)))
+
+    def test_shape_errors(self):
+        with pytest.raises(DimensionError):
+            nd.linear(nd.Tensor(np.ones((2, 3))), nd.Tensor(np.ones((2, 3))), nd.Tensor(np.ones(3)))
+        with pytest.raises(DimensionError):
+            nd.linear(nd.Tensor(np.ones(3)), nd.Tensor(np.ones((3, 2))), nd.Tensor(np.ones(2)))
+
+
 class TestShapeOps:
     def test_concat_split_roundtrip(self):
         rng = np.random.default_rng(5)
@@ -421,9 +452,9 @@ class TestNoGrad:
         w = nd.Tensor([[0.5, -1.0], [2.0, 0.3]], requires_grad=True)
         x = nd.Tensor([[1.0, -2.0]], requires_grad=True)
         with nd.no_grad():
-            outs = [nd.matmul(x, w), x + w, nd.leaky_relu(x), nd.exp(x), nd.tanh(x),
-                    nd.concat([x, x]), nd.narrow(w, 0, 1, axis=0), nd.gather_cols(w, [1, 0]),
-                    nd.tsum(x)]
+            outs = [nd.matmul(x, w), nd.linear(x, w, x), x + w, nd.leaky_relu(x), nd.exp(x),
+                    nd.tanh(x), nd.concat([x, x]), nd.narrow(w, 0, 1, axis=0),
+                    nd.gather_cols(w, [1, 0]), nd.tsum(x)]
         for out in outs:
             assert not out.requires_grad
             assert out._parents == () and out._bwd is None
