@@ -91,6 +91,14 @@ def _read_config(path, kind: str, optional: set[str],
     return pairs, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _reject_unread(pairs: dict[str, str], keys: set[str], path, why: str) -> None:
+    """A config key that the chosen mode would ignore is an error, like an
+    unknown key; the one error line names every such key present."""
+    present = sorted(keys & pairs.keys())
+    if present:
+        raise ConfigError(f"{path}: keys not read {why}: {present}")
+
+
 def _gi(pairs: dict[str, str], key: str, default: int) -> int:
     return as_int(pairs, key) if key in pairs else default
 
@@ -221,6 +229,7 @@ def cmd_gen_scene(args) -> None:
         else np.array([-2.0, -2.0, -1.0, 2.0, 2.0, 1.0])
     bounds = Aabb(b[:3], b[3:])
     if _gi(pairs, "symmetric", 0):
+        _reject_unread(pairs, {"primitives"}, args.config, "when symmetric = 1")
         scene = sg.generate_symmetric_scene(args.seed, bounds)
     else:
         scene = sg.generate_scene(args.seed, bounds, _gi(pairs, "primitives", 5))
@@ -243,16 +252,15 @@ def cmd_gen_data(args) -> None:
                                hfov=np.deg2rad(_gf(pairs, "hfov_deg", 90.0)))
     styles = {"loop", "grid"}
     t0 = time.perf_counter()
-    factors = {s: as_float(pairs, f"{s}_loop_factor") if f"{s}_loop_factor" in pairs
-               else None for s in ("train", "test")}
-    splits = {
-        "train": sg.generate_trajectory(scene, _gs(pairs, "train_style", "loop", styles),
-                                        _gi(pairs, "train_count", 200), dim,
-                                        loop_factor=factors["train"]),
-        "test": sg.generate_trajectory(scene, _gs(pairs, "test_style", "grid", styles),
-                                       _gi(pairs, "test_count", 50), dim,
-                                       loop_factor=factors["test"]),
-    }
+    splits = {}
+    for split, default_style, default_count in (("train", "loop", 200), ("test", "grid", 50)):
+        style = _gs(pairs, f"{split}_style", default_style, styles)
+        factor = f"{split}_loop_factor"
+        if style == "grid":
+            _reject_unread(pairs, {factor}, args.config, f"when {split}_style = grid")
+        splits[split] = sg.generate_trajectory(
+            scene, style, _gi(pairs, f"{split}_count", default_count), dim,
+            loop_factor=as_float(pairs, factor) if factor in pairs else None)
     with _OutputDir(args.out) as out:
         _copy_scene(scene_path, out)
         for split, poses in splits.items():
@@ -445,6 +453,15 @@ def cmd_track(args) -> None:
         args.config, "track_config", required={"init"},
         optional={"n_samples", "var_ceiling", "lost_after", "measure",
                   "fuse_heading", "init_var", "odom_var"})
+    measure = args.ekf and bool(_gi(pairs, "measure", 1))
+    if not args.ekf:
+        _reject_unread(pairs, {"measure", "fuse_heading", "init_var", "odom_var"},
+                       args.config, "by track without --ekf")
+    elif measure:
+        _reject_unread(pairs, {"var_ceiling", "lost_after"}, args.config, "by track --ekf")
+    else:
+        _reject_unread(pairs, {"var_ceiling", "lost_after", "n_samples", "fuse_heading"},
+                       args.config, "by track --ekf with measure = 0")
     ck = tr.load_checkpoint(args.ckpt)
     model = ck.model
     if model.config.dim != 3:
@@ -456,13 +473,10 @@ def cmd_track(args) -> None:
 
     init = as_floats(pairs, "init", 3)
     n_samples = _gi(pairs, "n_samples", 50)
-    measure = bool(_gi(pairs, "measure", 1))
     if args.ekf and not args.odom:
         raise ConfigError("--ekf needs an odometry file (--odom)")
     if args.odom and not args.ekf:
         raise ConfigError("--odom only applies with --ekf")
-    if not measure and not args.ekf:
-        raise ConfigError("measure = 0 is the prediction-only mode; it needs --ekf")
 
     t0 = time.perf_counter()
     means = np.zeros((data.count, 3))

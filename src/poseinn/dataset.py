@@ -2,7 +2,9 @@
 
 Poses are d-float records (x, y, theta) or (x, y, z, tz, tx, ty); images are
 HWC float32 in [0, 1]. The manifest pins the record counts, so a blob whose
-byte size disagrees is rejected rather than silently reinterpreted.
+byte size disagrees is rejected rather than silently reinterpreted. Values
+are checked on save and again on load: poses must be finite and image
+values finite and in [0, 1], so bad data stops where it enters the program.
 """
 
 from __future__ import annotations
@@ -55,16 +57,24 @@ def save_dataset(out_dir, name: str, poses: np.ndarray, images: np.ndarray,
         raise ConfigError(
             f"images must be ({len(poses)}, {intr.height}, {intr.width}, 3), "
             f"got {images.shape}")
-    if np.any(images < 0) or np.any(images > 1):
-        raise ConfigError("image values must lie in [0, 1]")
     if split not in SPLITS:
         raise ConfigError(f"split must be one of {SPLITS}, got {split!r}")
-
     poses_blob = f"{name}_poses.f32"
     images_blob = f"{name}_images.f32"
-    with open(os.path.join(out_dir, poses_blob), "wb") as f:
-        f.write(np.ascontiguousarray(poses, dtype="<f4").tobytes())
-    with open(os.path.join(out_dir, images_blob), "wb") as f:
+    poses_path = os.path.join(out_dir, poses_blob)
+    images_path = os.path.join(out_dir, images_blob)
+    # checked as stored: a finite pose beyond float32's range would be inf
+    with np.errstate(over="ignore"):
+        poses32 = np.ascontiguousarray(poses, dtype="<f4")
+    if not np.all(np.isfinite(poses32)):
+        raise ConfigError(f"blob {poses_path}: pose values must be finite as float32")
+    # written so that NaN fails it too
+    if not np.all((images >= 0) & (images <= 1)):
+        raise ConfigError(f"blob {images_path}: image values must be finite and lie in [0, 1]")
+
+    with open(poses_path, "wb") as f:
+        f.write(poses32.tobytes())
+    with open(images_path, "wb") as f:
         f.write(np.ascontiguousarray(images, dtype="<f4").tobytes())
 
     manifest = os.path.join(out_dir, f"{name}.kv")
@@ -87,7 +97,9 @@ def save_dataset(out_dir, name: str, poses: np.ndarray, images: np.ndarray,
 
 
 def load_dataset(manifest_path) -> Dataset:
-    """Parse the manifest, validate blob sizes exactly, and load both blobs."""
+    """Parse the manifest, validate blob sizes exactly, and load both blobs;
+    a non-finite pose, or an image value that is not finite or lies outside
+    [0, 1], rejects its blob."""
     manifest_path = os.fspath(manifest_path)
     pairs = read_kv(manifest_path)
     ensure_keys(pairs, _REQUIRED, source=manifest_path)
@@ -105,10 +117,15 @@ def load_dataset(manifest_path) -> Dataset:
     intr = CameraIntrinsics(width=w, height=h, hfov=as_float(pairs, "hfov"))
 
     base = os.path.dirname(manifest_path)
-    poses = _read_blob(os.path.join(base, as_str(pairs, "poses_blob")),
-                       count * dim, manifest_path).reshape(count, dim)
-    images = _read_blob(os.path.join(base, as_str(pairs, "images_blob")),
-                        count * h * w * 3, manifest_path).reshape(count, h, w, 3)
+    poses_path = os.path.join(base, as_str(pairs, "poses_blob"))
+    images_path = os.path.join(base, as_str(pairs, "images_blob"))
+    poses = _read_blob(poses_path, count * dim, manifest_path).reshape(count, dim)
+    if not np.all(np.isfinite(poses)):
+        raise ConfigError(f"{manifest_path}: blob {poses_path} holds a non-finite pose")
+    images = _read_blob(images_path, count * h * w * 3, manifest_path).reshape(count, h, w, 3)
+    if not np.all((images >= 0) & (images <= 1)):
+        raise ConfigError(f"{manifest_path}: blob {images_path} holds an image value "
+                          "that is not finite or lies outside [0, 1]")
     return Dataset(poses=poses, images=images, pose_dim=dim, intrinsics=intr,
                    scene_path=os.path.join(base, as_str(pairs, "scene")),
                    split=as_str(pairs, "split", allowed=SPLITS),

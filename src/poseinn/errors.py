@@ -67,7 +67,11 @@ class ConfigError(PoseInnError):
 
 
 class ConditioningError(PoseInnError):
-    """A covariance matrix is not positive semidefinite."""
+    """A covariance matrix is not a finite, symmetric, positive
+    semidefinite matrix; or a model's condition does not fit: a
+    conditional model got no condition vector, an unconditional one got
+    one, or a conditional model was asked for full 6-D poses or for
+    ``eval``, which has no pose prior per frame."""
 
     code = "conditioning"
 

@@ -103,10 +103,10 @@ def localize(model: PoseRegressor, image: np.ndarray, n_samples: int = 50,
     c = None
     if condition is not None:
         c = model.condition_vector(condition)[None]
-    # no gradient is wanted: the ops build no graph and skip their per-op
-    # checks. A non-finite image latent or a NaN weight reaches the flow
+    # no gradient is wanted, so the ops build no graph. No op checks its
+    # values: a non-finite image latent or a NaN weight reaches the flow
     # output, which is checked once.
-    with nd.no_grad():
+    with np.errstate(all="ignore"), nd.no_grad():
         yhat = model.vae.encode(image[None], mode="mean").data
         x = model.flow.inverse(np.repeat(yhat, n_samples, axis=0), z, c).data
     if not np.all(np.isfinite(x)):

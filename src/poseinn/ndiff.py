@@ -8,14 +8,17 @@ graph. ``Tensor.backward`` exploits that: it collects the grad-requiring
 nodes reachable from a scalar root and walks them in exact reverse creation
 order.
 
-Outside ``no_grad()`` every op but the shape ops and ``tsum`` checks its
-result for non-finite values, and an op builds a graph node whenever one
-of its inputs requires a gradient. Model parameters always do, so
-training and any direct call into a model build graphs. Inside
-``no_grad()`` every op returns a plain tensor with no parents, no
-backward closure and no finiteness check; inference that wants no
-gradient runs there, and its caller checks the final result for
-finiteness once.
+An op builds a graph node when one of its inputs requires a gradient;
+model parameters always do, so training and any direct call into a model
+build graphs. Inside ``no_grad()`` every op returns a plain tensor with
+no parents and no backward closure, and inference that wants no gradient
+runs there. No op checks its result for finiteness: a NaN or Inf flows
+through the ops as it does through numpy. Values are checked where they
+leave the engine: ``trainer.train_step`` checks every loss term before
+``backward()``, ``localizer.localize`` checks the flow output,
+``Adam.step`` checks every gradient and ``load_params`` every weight.
+Callers run the ops under ``np.errstate(all="ignore")`` so that a
+non-finite value is reported by one of those checks, not by warnings.
 
 Only the layers this project uses are supported: 2-D matmul and affine
 layers, elementwise arithmetic with numpy-style broadcasting on
@@ -44,11 +47,6 @@ LEAKY_ALPHA = 0.01
 
 def _as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
-
-
-def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
 class Tensor:
@@ -171,8 +169,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 @contextmanager
 def no_grad():
-    """Ops inside the block build no graph and skip their finiteness checks;
-    the previous mode comes back on exit, also when the block raises."""
+    """Ops inside the block build no graph; the previous mode comes back on
+    exit, also when the block raises."""
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False
@@ -182,15 +180,10 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _make(data: np.ndarray, parents: tuple, bwd, op: str, check: bool = True) -> Tensor:
-    if not _grad_enabled:
-        return Tensor(data, _op=op)
-    if check:
-        _check_finite(data, op)
-    req = any(p.requires_grad for p in parents)
-    if not req:
-        return Tensor(data, _op=op)
-    return Tensor(data, requires_grad=True, _parents=parents, _bwd=bwd, _op=op)
+def _make(data: np.ndarray, parents: tuple, bwd, op: str) -> Tensor:
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, _parents=parents, _bwd=bwd, _op=op)
+    return Tensor(data, _op=op)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +265,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def exp(a) -> Tensor:
     a = _wrap(a)
-    with np.errstate(over="ignore"):
-        out_data = np.exp(a.data)
+    out_data = np.exp(a.data)
 
     def bwd(g):
         _accumulate(a, g * out_data)
@@ -371,7 +363,7 @@ def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
             idx[axis] = slice(a, b)
             _accumulate(p, g[tuple(idx)])
 
-    return _make(out_data, tuple(parts), bwd, "concat", check=False)
+    return _make(out_data, tuple(parts), bwd, "concat")
 
 
 def narrow(t: Tensor, start: int, stop: int, axis: int = 1) -> Tensor:
@@ -389,7 +381,7 @@ def narrow(t: Tensor, start: int, stop: int, axis: int = 1) -> Tensor:
             full[tuple(idx)] = g
             _accumulate(t, full)
 
-    return _make(out_data, (t,), bwd, "narrow", check=False)
+    return _make(out_data, (t,), bwd, "narrow")
 
 
 def split(t: Tensor, sizes: list[int], axis: int = 1) -> list[Tensor]:
@@ -415,7 +407,7 @@ def gather_cols(t: Tensor, idx: np.ndarray) -> Tensor:
             np.add.at(full, (slice(None), idx), g)
             _accumulate(t, full)
 
-    return _make(out_data, (t,), bwd, "gather_cols", check=False)
+    return _make(out_data, (t,), bwd, "gather_cols")
 
 
 def reshape(t: Tensor, shape) -> Tensor:
@@ -425,7 +417,7 @@ def reshape(t: Tensor, shape) -> Tensor:
     def bwd(g):
         _accumulate(t, g.reshape(t.data.shape))
 
-    return _make(out_data, (t,), bwd, "reshape", check=False)
+    return _make(out_data, (t,), bwd, "reshape")
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +435,7 @@ def tsum(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
             ge = g if keepdims else np.expand_dims(g, axis)
             _accumulate(t, np.broadcast_to(ge, t.data.shape).copy())
 
-    return _make(out_data, (t,), bwd, "sum", check=False)
+    return _make(out_data, (t,), bwd, "sum")
 
 
 def tmean(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -510,7 +502,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Te
     cols, ho, wo = _im2col(x.data, k, stride, pad)
     flat = cols.reshape(-1, cols.shape[-1])
     wmat = w.data.reshape(-1, cout)
-    out_data = (flat @ wmat + b.data).reshape(n, ho, wo, cout)
+    out_data = flat @ wmat
+    out_data += b.data
+    out_data = out_data.reshape(n, ho, wo, cout)
 
     def bwd(g):
         gflat = g.reshape(-1, cout)
@@ -545,7 +539,8 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int 
     wmat = w.data[::-1, ::-1].transpose(2, 0, 1, 3).reshape(cin, -1)
     flat = x.data.reshape(-1, cin)
     cols = (flat @ wmat).reshape(n, h, wd, -1)
-    out_data = _col2im(cols, (n, ho, wo, cout), k, stride, pad) + b.data
+    out_data = _col2im(cols, (n, ho, wo, cout), k, stride, pad)
+    out_data += b.data
 
     def bwd(g):
         gcols, _, _ = _im2col(g, k, stride, pad)
@@ -567,9 +562,9 @@ def load_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray], kind: 
     """Copy ``arrays[name]`` into every named parameter; a missing name or a
     shape mismatch raises ``DimensionError`` naming the ``kind`` of model.
 
-    A non-finite value raises ``NonFiniteError``: inference under
-    ``no_grad`` checks only its output, and an infinite weight inside a
-    tanh-clamped coupling scale saturates to a finite output.
+    A non-finite value raises ``NonFiniteError``: no op checks the values
+    it computes, and an infinite weight inside a tanh-clamped coupling
+    scale saturates to a finite output that no later check would catch.
     """
     for k, t in params.items():
         a = arrays.get(k)

@@ -230,22 +230,22 @@ def train_step(model: PoseRegressor, pose_vecs: np.ndarray, images: np.ndarray,
     """Build the joint loss on one batch, backprop, and step the optimizer.
 
     ``warmup`` restricts the graph to the VAE losses (reconstruction + KL);
-    the flow parameters then receive no gradient and stay untouched.
+    the flow parameters then receive no gradient and stay untouched. A loss
+    term or total that is not finite raises ``NonFiniteError`` naming every
+    term, before ``backward()``: the parameters, the optimizer moments and
+    its step count stay untouched.
     """
     if len(pose_vecs) == 0:
         raise DomainError("training batch is empty")
     d = model.config.dim
-    parts: dict[str, float] = {}
-
-    try:
+    # no op checks its values, so numpy's warnings are silenced and the loss
+    # terms are checked once, before backward() can reach a gradient
+    with np.errstate(all="ignore"):
         y = Tensor(np.asarray(images, dtype=np.float64))
         mu, logvar = model.vae.encode_stats(y)
         eps = rng.standard_normal(size=mu.data.shape)
         yhat = mu + nd.mul(nd.exp(nd.mul(logvar, 0.5)), Tensor(eps))
-        recon = nd.mse(model.vae.decode(yhat), y)
-        parts["recon"] = recon.item()
-        kl = kl_divergence(mu, logvar)
-        parts["kl"] = kl.item()
+        terms = {"recon": nd.mse(model.vae.decode(yhat), y), "kl": kl_divergence(mu, logvar)}
 
         if not warmup:
             n = len(pose_vecs)
@@ -255,11 +255,9 @@ def train_step(model: PoseRegressor, pose_vecs: np.ndarray, images: np.ndarray,
             # one pass gives y, z and the log-det; localize feeds the flow mu,
             # so every flow loss does too
             y_pred, z_fwd, logdet = model.flow.forward_log_det(xhat, c)
-            fwd = nd.mse(y_pred, mu)
-            parts["fwd"] = fwd.item()
-            fwd_mmd = mmd(nd.concat([y_pred, z_fwd]),
-                          nd.concat([mu, Tensor(rng.standard_normal(size=(n, d)))]))
-            parts["fwd_mmd"] = fwd_mmd.item()
+            terms["fwd"] = nd.mse(y_pred, mu)
+            terms["fwd_mmd"] = mmd(nd.concat([y_pred, z_fwd]),
+                                   nd.concat([mu, Tensor(rng.standard_normal(size=(n, d)))]))
 
             # one inverse pass over two stacked batches: each image latent at
             # a fresh z, then at the z its own pose maps to
@@ -269,41 +267,42 @@ def train_step(model: PoseRegressor, pose_vecs: np.ndarray, images: np.ndarray,
                                         nd.concat([z_rand, z_fwd], axis=0), c2)
             x_rand = nd.narrow(x_both, 0, n, axis=0)
             x_pair = nd.narrow(x_both, n, 2 * n, axis=0)
-            rev_mmd = mmd(x_rand, xhat)
-            parts["rev_mmd"] = rev_mmd.item()
+            terms["rev_mmd"] = mmd(x_rand, xhat)
 
             share = REV_RAND_SHARE
-            rev_pos, rev_rot, rev_enc = (
+            terms["rev_pos"], terms["rev_rot"], terms["rev_enc"] = (
                 nd.add(nd.mul(p, 1.0 - share), nd.mul(r, share))
                 for p, r in zip(_pose_losses(model, x_pair, xhat_np),
                                 _pose_losses(model, x_rand, xhat_np)))
-            parts["rev_pos"] = rev_pos.item()
-            parts["rev_rot"] = rev_rot.item()
-            parts["rev_enc"] = rev_enc.item()
 
             if cfg.w_nll > 0:
-                nll = nd.tmean(nd.mul(nd.tsum(nd.mul(z_fwd, z_fwd), axis=1), 0.5) - logdet)
-                parts["nll"] = nll.item()
+                terms["nll"] = nd.tmean(
+                    nd.mul(nd.tsum(nd.mul(z_fwd, z_fwd), axis=1), 0.5) - logdet)
 
-        total = nd.add(nd.mul(recon, cfg.w_recon), nd.mul(kl, cfg.w_kl))
-        if not warmup:
-            total = total + nd.mul(fwd, cfg.w_fwd) + nd.mul(rev_pos, cfg.w_rev_pos) \
-                + nd.mul(rev_rot, cfg.w_rev_rot) + nd.mul(rev_enc, cfg.w_rev_enc) \
-                + nd.mul(fwd_mmd, W_FWD_MMD) + nd.mul(rev_mmd, W_REV_MMD)
-            if cfg.w_nll > 0:
-                total = total + nd.mul(nll, cfg.w_nll)
+        # the total sums the weighted terms in this order; another order
+        # changes its last bits and every checkpoint after it
+        weights = {"recon": cfg.w_recon, "kl": cfg.w_kl, "fwd": cfg.w_fwd,
+                   "rev_pos": cfg.w_rev_pos, "rev_rot": cfg.w_rev_rot,
+                   "rev_enc": cfg.w_rev_enc, "fwd_mmd": W_FWD_MMD, "rev_mmd": W_REV_MMD,
+                   "nll": cfg.w_nll}
+        names = [k for k in weights if k in terms]
+        total = None
+        for k in names:
+            term = nd.mul(terms[k], weights[k])
+            total = term if total is None else nd.add(total, term)
+        parts = {k: terms[k].item() for k in names}
+        loss = total.item()
+        if not np.all(np.isfinite([*parts.values(), loss])):
+            raise NonFiniteError("non-finite training loss: " + ", ".join(
+                f"{k}={v:.6g}" for k, v in [*parts.items(), ("total", loss)]))
 
         opt.zero_grad()
         total.backward()
         opt.step(lr=lr)
-    except NonFiniteError as e:
-        raise NonFiniteError(
-            f"non-finite training loss: {e}; finite components so far: "
-            + ", ".join(f"{n}={v:.6g}" for n, v in parts.items())) from e
 
     # fp rounding can leave a mathematically >= 0 component a hair below;
     # nll is a log-density and is reported as is
-    return LossEntry(epoch=epoch, lr=lr, total=total.item(),
+    return LossEntry(epoch=epoch, lr=lr, total=loss,
                      **{k: v if k == "nll" else max(0.0, v) for k, v in parts.items()})
 
 

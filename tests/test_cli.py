@@ -1,6 +1,9 @@
 import os
 import re
 import shlex
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +342,94 @@ class TestErrors:
         assert cli.main(["gen-scene", "--config", cfg, "--threads", "2",
                          "--out", str(tmp_path / "o")]) == 0
         assert "voids bitwise determinism" in capsys.readouterr().err
+
+
+# track mode: (--ekf given, config lines, the keys that mode does not read)
+TRACK_MODES = {
+    "sequential": (False, "", ["measure", "fuse_heading", "init_var", "odom_var"]),
+    "ekf": (True, "", ["var_ceiling", "lost_after"]),
+    "ekf_predict": (True, "measure = 0\n",
+                    ["var_ceiling", "lost_after", "n_samples", "fuse_heading"]),
+}
+KEY_VALUES = {"measure": "0", "fuse_heading": "0", "init_var": "0 0 0", "odom_var": "0 0 0",
+              "var_ceiling": "1.0", "lost_after": "3", "n_samples": "10"}
+
+
+def one_error_line(capsys, code: str) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR {code}:") and err.count("\n") == 1, err
+    return err
+
+
+class TestModeKeys:
+    """A config key that the chosen mode does not read is rejected, like an
+    unknown key, with one error line that names it."""
+
+    @pytest.mark.parametrize("mode, key", [(m, k) for m, (_, _, keys) in TRACK_MODES.items()
+                                           for k in keys])
+    def test_track_rejects_unread_key(self, pipeline, tmp_path, capsys, mode, key):
+        ekf, lines, _ = TRACK_MODES[mode]
+        cfg = write(tmp_path / "t.cfg",
+                    f"kind = track_config\ninit = 0 0 0\n{lines}{key} = {KEY_VALUES[key]}\n")
+        argv = ["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
+                "--data", pipeline["test"], "--out", str(tmp_path / "o")]
+        if ekf:
+            argv += ["--ekf", "--odom", write(tmp_path / "o.txt", "0 0 0\n" * 4)]
+        assert cli.main(argv) == 1
+        assert f"'{key}'" in one_error_line(capsys, "config")
+        assert not (tmp_path / "o").exists()
+
+    def test_gen_scene_symmetric_rejects_primitives(self, tmp_path, capsys):
+        cfg = write(tmp_path / "s.cfg", "kind = scene_config\nsymmetric = 1\nprimitives = 3\n")
+        assert cli.main(["gen-scene", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = one_error_line(capsys, "config")
+        assert "'primitives'" in err and "symmetric = 1" in err
+
+    @pytest.mark.parametrize("split, style_line", [("train", "train_style = grid\n"),
+                                                   ("test", "")])  # test defaults to grid
+    def test_gen_data_grid_rejects_loop_factor(self, pipeline, tmp_path, capsys,
+                                               split, style_line):
+        cfg = write(tmp_path / "d.cfg", DATA_CFG.format(scene=pipeline["scene"])
+                    + f"{style_line}{split}_loop_factor = 0.3\n")
+        assert cli.main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = one_error_line(capsys, "config")
+        assert f"'{split}_loop_factor'" in err and f"{split}_style = grid" in err
+
+
+def run_module(argv, tmp_path) -> subprocess.CompletedProcess:
+    """``python -m poseinn.cli``: unlike ``cli.main`` under pytest, the
+    child's numpy warnings would reach its stderr."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "poseinn.cli", *map(str, argv)],
+                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300)
+
+
+class TestOneErrorLine:
+    def test_diverging_train(self, pipeline, tmp_path):
+        cfg = write(tmp_path / "c.cfg", TRAIN_CFG + "lr_start = 1e300\nlr_end = 1e300\n")
+        proc = run_module(["train", "--config", cfg, "--data", pipeline["train"],
+                           "--out", tmp_path / "o"], tmp_path)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("ERROR non_finite: epoch 0: non-finite training loss: recon=")
+        assert "total=" in lines[0]
+
+    def test_nan_in_dataset_blob(self, pipeline, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(os.path.dirname(pipeline["train"]), data)
+        blob = data / "train_images.f32"
+        vals = np.fromfile(blob, dtype="<f4")
+        vals[5] = np.nan
+        vals.tofile(blob)
+        proc = run_module(["train", "--config", pipeline["train_cfg"],
+                           "--data", data / "train.kv", "--out", tmp_path / "o"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"ERROR config: {data / 'train.kv'}: blob {blob} holds an image value "
+            "that is not finite or lies outside [0, 1]"]
 
 
 class TestConfigDefaults:

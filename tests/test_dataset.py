@@ -129,3 +129,51 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"\[0, 1\]"):
             ds.save_dataset(tmp_path, "x", np.zeros((2, 3)), images,
                             "s.kv", INTR, 0, "h")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])  # 1e39 is inf as float32
+    def test_save_rejects_non_finite_pose(self, tmp_path, bad):
+        poses = np.zeros((2, 3))
+        poses[1, 2] = bad
+        with pytest.raises(ConfigError, match="x_poses.f32: pose values must be finite"):
+            ds.save_dataset(tmp_path, "x", poses, np.zeros((2, 8, 8, 3)), "s.kv", INTR, 0, "h")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_save_rejects_non_finite_pixels(self, tmp_path, bad):
+        images = np.zeros((2, 8, 8, 3))
+        images[1, 4, 4, 2] = bad
+        with pytest.raises(ConfigError, match="x_images.f32: image values must be finite"):
+            ds.save_dataset(tmp_path, "x", np.zeros((2, 3)), images, "s.kv", INTR, 0, "h")
+        assert os.listdir(tmp_path) == []
+
+
+class TestLoadValues:
+    """A blob edited after saving is checked again where it is read."""
+
+    def poke(self, tmp_path, blob, values):
+        path, _, _ = make(tmp_path)
+        f = os.path.join(tmp_path, blob)
+        vals = np.fromfile(f, dtype="<f4")
+        vals[:len(values)] = values
+        vals.tofile(f)
+        return path, f
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pose(self, tmp_path, bad):
+        path, blob = self.poke(tmp_path, "train_poses.f32", [0.5, bad])
+        with pytest.raises(ConfigError) as e:
+            ds.load_dataset(path)
+        assert str(e.value) == f"{path}: blob {blob} holds a non-finite pose"
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, 1.0001, -1e-6])
+    def test_bad_image_value(self, tmp_path, bad):
+        path, blob = self.poke(tmp_path, "train_images.f32", [0.5, bad])
+        with pytest.raises(ConfigError) as e:
+            ds.load_dataset(path)
+        assert str(e.value) == (f"{path}: blob {blob} holds an image value that is not "
+                                "finite or lies outside [0, 1]")
+
+    def test_range_ends_load(self, tmp_path):
+        path, _ = self.poke(tmp_path, "train_images.f32", [0.0, 1.0])
+        d = ds.load_dataset(path)
+        assert d.images.reshape(-1)[:2].tolist() == [0.0, 1.0]

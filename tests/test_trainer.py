@@ -279,6 +279,33 @@ class TestTrainStep:
             fixed_step(m, nd.Adam(m.params), poses, imgs,
                        tr.TrainConfig(epochs=2, batch=4), 0)
 
+    @pytest.mark.parametrize("fault", ["nan_image", "lv_bias_overflow"])
+    def test_nonfinite_loss_raises_before_backward(self, fault):
+        m = tiny_model()
+        poses, imgs = tiny_data(4)
+        cfg = tr.TrainConfig(epochs=2, batch=4)
+        opt = nd.Adam(m.params)
+        fixed_step(m, opt, poses, imgs, cfg, 0)  # the moments and t exist
+        if fault == "nan_image":
+            imgs = imgs.copy()
+            imgs[1, 2, 3, 0] = np.nan
+        else:  # exp(logvar / 2) overflows in the reparameterised sample
+            m.params["vae.enc.lv.b"].data = np.full_like(m.params["vae.enc.lv.b"].data, 2000.0)
+
+        def state():
+            return ([p.data.tobytes() for p in m.params.values()]
+                    + [a.tobytes() for a in opt.state_arrays().values()] + [opt.state["t"]])
+
+        before = state()
+        with pytest.raises(NonFiniteError) as e:
+            fixed_step(m, opt, poses, imgs, cfg, 1)
+        msg = str(e.value)
+        assert msg.startswith("non-finite training loss: recon=")
+        for name in ("recon", "kl", "fwd", "rev_pos", "rev_rot", "rev_enc", "fwd_mmd",
+                     "rev_mmd", "total"):
+            assert f" {name}=" in msg
+        assert state() == before
+
     def test_step_after_a_failed_localize_fills_every_gradient(self):
         m = tiny_model()
         w = m.params["flow.block0.s.w0"]
