@@ -28,7 +28,8 @@ from . import sampler as sp
 from . import scenegen as sg
 from . import trainer as tr
 from .errors import ConditioningError, ConfigError, PoseInnError, TrackingError
-from .geometry import Aabb, Pose, euler_to_matrix, geodesic_distance, wrap_angle
+from .geometry import Aabb, Pose, euler_to_matrix, geodesic_distance, position_width, \
+    wrap_angle
 from .kvconfig import as_float, as_floats, as_int, as_str, ensure_keys, \
     parse_kv_text, write_kv
 from .model import ModelConfig, PoseRegressor
@@ -157,7 +158,7 @@ def pose_errors(pred: np.ndarray, gt: np.ndarray, dim: int) -> tuple[float, floa
     """(translation error m, rotation error deg) between two pose vectors."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    k = 2 if dim == 3 else 3
+    k = position_width(dim)
     t = float(np.linalg.norm(pred[:k] - gt[:k]))
     if dim == 3:
         r = abs(float(wrap_angle(pred[2] - gt[2])))
@@ -225,9 +226,10 @@ def _frames_table(rep: MetricsReport) -> str:
 def cmd_gen_scene(args) -> None:
     pairs, _ = _read_config(args.config, "scene_config",
                             optional={"bounds", "primitives", "symmetric"})
-    b = as_floats(pairs, "bounds", 6) if "bounds" in pairs \
-        else np.array([-2.0, -2.0, -1.0, 2.0, 2.0, 1.0])
-    bounds = Aabb(b[:3], b[3:])
+    bounds = None
+    if "bounds" in pairs:
+        b = as_floats(pairs, "bounds", 6)
+        bounds = Aabb(b[:3], b[3:])
     if _gi(pairs, "symmetric", 0):
         _reject_unread(pairs, {"primitives"}, args.config, "when symmetric = 1")
         scene = sg.generate_symmetric_scene(args.seed, bounds)

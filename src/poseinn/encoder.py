@@ -19,7 +19,7 @@ before the flow trains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,35 +27,23 @@ from . import ndiff as nd
 from .errors import DimensionError, DomainError
 from .ndiff import Tensor
 
+if TYPE_CHECKING:
+    from .model import ModelConfig
+
 CONV_CHANNELS = (16, 32, 64)
 KERNEL = 4
 
 
-@dataclass(frozen=True)
-class VaeConfig:
-    image_hw: int = 32
-    latent: int = 60
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.image_hw < 16 or self.image_hw % 16 != 0:
-            raise DimensionError(
-                f"image side must be a positive multiple of 16 (4 halvings), got {self.image_hw}")
-        if self.latent < 1:
-            raise DimensionError("latent width must be positive")
-
-    @property
-    def grid(self) -> int:
-        """Spatial side after the four stride-2 layers."""
-        return self.image_hw // 16
-
-
 class Vae:
-    """Encoder + decoder with a shared parameter dict for the optimizer."""
+    """Encoder + decoder with a shared parameter dict for the optimizer,
+    shaped by a ``ModelConfig``: images of side ``image_hw``, a latent of
+    width ``latent``. Initial weights are drawn from ``seed + 1``."""
 
-    def __init__(self, config: VaeConfig):
+    def __init__(self, config: ModelConfig):
         self.config = config
-        rng = np.random.default_rng(config.seed)
+        # spatial side after the four stride-2 layers
+        self.grid = config.image_hw // 16
+        rng = np.random.default_rng(config.seed + 1)
         self.params: dict[str, Tensor] = {}
 
         chans = [3, *CONV_CHANNELS, config.latent]
@@ -64,7 +52,7 @@ class Vae:
             w = rng.normal(size=(KERNEL, KERNEL, chans[i], chans[i + 1])) * np.sqrt(2.0 / fan_in)
             self._add(f"enc.conv{i}.w", w)
             self._add(f"enc.conv{i}.b", np.zeros(chans[i + 1]))
-        g = config.grid
+        g = self.grid
         flat = g * g * config.latent
         for head in ("mu", "lv"):
             w = rng.normal(size=(flat, config.latent)) * np.sqrt(1.0 / flat)
@@ -124,7 +112,7 @@ class Vae:
         latent = nd._wrap(latent)
         if latent.data.ndim != 2 or latent.data.shape[1] != self.config.latent:
             raise DimensionError(f"latent must be (n, {self.config.latent}), got {latent.data.shape}")
-        g = self.config.grid
+        g = self.grid
         h = nd.linear(latent, self.params["dec.lin.w"], self.params["dec.lin.b"])
         h = nd.leaky_relu(h)
         h = nd.reshape(h, (latent.data.shape[0], g, g, self.config.latent))
@@ -134,13 +122,6 @@ class Vae:
             if i < 3:
                 h = nd.leaky_relu(h)
         return nd.sigmoid(h)
-
-    # ------------------------------------------------------------------
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        return {k: t.data for k, t in self.params.items()}
-
-    def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        nd.load_params(self.params, arrays, "vae")
 
 
 def kl_divergence(mu: Tensor, logvar: Tensor) -> Tensor:

@@ -29,51 +29,16 @@ row. The working vector never carries it, so invertibility is untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import ndiff as nd
-from .errors import ConditioningError, DimensionError, DomainError
+from .errors import ConditioningError, DimensionError
 from .ndiff import Tensor
 
-
-@dataclass(frozen=True)
-class FlowConfig:
-    """Shape and initialization of a flow model.
-
-    dim is the pose dimension d (3 planar, 6 full); enc_L the number of
-    encoding frequencies. cond_dim = 0 builds an unconditional model.
-    zero_init=False gives fully random subnets (used by stress tests).
-    """
-
-    dim: int
-    enc_L: int = 5
-    blocks: int = 6
-    hidden: int = 128
-    layers: int = 2
-    clamp: float = 2.0
-    cond_dim: int = 0
-    cond_width: int = 32
-    zero_init: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.dim < 1 or self.enc_L < 1 or self.blocks < 1 or self.layers < 1 or self.hidden < 1:
-            raise DimensionError("flow config requires positive dim, enc_L, blocks, layers, hidden")
-        if self.cond_dim and self.cond_width < 1:
-            raise DimensionError("a conditional flow requires a positive cond_width")
-        if not (np.isfinite(self.clamp) and self.clamp > 0):
-            raise DomainError(f"flow clamp must be finite and positive, got {self.clamp}")
-
-    @property
-    def x_len(self) -> int:
-        return 2 * self.dim * self.enc_L + self.dim
-
-    @property
-    def latent_len(self) -> int:
-        """Length of the image-latent part y_hat."""
-        return 2 * self.dim * self.enc_L
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
 def _he_normal(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -93,9 +58,13 @@ def _init_mlp(rng: np.random.Generator, sizes: list[int], zero_last: bool) -> li
 
 
 class FlowModel:
-    """Stack of (permutation, affine coupling) pairs over the encoded pose."""
+    """Stack of (permutation, affine coupling) pairs over the encoded pose,
+    shaped by a ``ModelConfig``: ``blocks`` couplings, subnets of ``layers``
+    hidden layers of width ``hidden``, log-scales clamped at ``clamp``,
+    and on a conditional model a ``cond_width`` condition embedding.
+    Initial weights and permutations are drawn from ``seed``."""
 
-    def __init__(self, config: FlowConfig):
+    def __init__(self, config: ModelConfig):
         self.config = config
         self.padded = config.x_len % 2 == 1
         self.width = config.x_len + (1 if self.padded else 0)
@@ -113,14 +82,14 @@ class FlowModel:
             self.inv_perms.append(np.argsort(p).astype(np.intp))
 
         self.params: dict[str, Tensor] = {}
-        sub_in = self.half + (config.cond_width if config.cond_dim else 0)
+        sub_in = self.half + (config.cond_width if config.conditional else 0)
         sizes = [sub_in] + [config.hidden] * config.layers + [self.width - self.half]
         for k in range(config.blocks):
             for net in ("s", "t"):
-                for i, (w, b) in enumerate(_init_mlp(rng, sizes, config.zero_init)):
+                for i, (w, b) in enumerate(_init_mlp(rng, sizes, zero_last=True)):
                     self.params[f"block{k}.{net}.w{i}"] = Tensor(w, requires_grad=True)
                     self.params[f"block{k}.{net}.b{i}"] = Tensor(b, requires_grad=True)
-        if config.cond_dim:
+        if config.conditional:
             csizes = [config.cond_dim, 2 * config.cond_width, config.cond_width]
             for i, (w, b) in enumerate(_init_mlp(rng, csizes, zero_last=False)):
                 self.params[f"cond.w{i}"] = Tensor(w, requires_grad=True)
@@ -137,7 +106,7 @@ class FlowModel:
         return h
 
     def embed_condition(self, c) -> Tensor:
-        if not self.config.cond_dim:
+        if not self.config.conditional:
             raise ConditioningError("model is unconditional but a condition was given")
         c = nd._wrap(c)
         if c.data.ndim != 2 or c.data.shape[1] != self.config.cond_dim:
@@ -145,9 +114,9 @@ class FlowModel:
         return self._mlp("cond", c, 2)
 
     def _check_condition(self, x: Tensor, c):
-        if self.config.cond_dim and c is None:
+        if self.config.conditional and c is None:
             raise ConditioningError("conditional model requires a condition vector")
-        if not self.config.cond_dim and c is not None:
+        if not self.config.conditional and c is not None:
             raise ConditioningError("model is unconditional but a condition was given")
         if c is None:
             return None
@@ -220,7 +189,7 @@ class FlowModel:
             raise DimensionError(f"flow input must be (n, {self.config.x_len}), got {x.data.shape}")
         ce = self._check_condition(x, c)
         out, logdet = self._forward_working(self._pad(x), ce)
-        y, z = nd.split(self._unpad(out), [self.config.latent_len, self.config.dim])
+        y, z = nd.split(self._unpad(out), [self.config.latent, self.config.dim])
         return y, z, logdet
 
     def forward(self, x, c=None) -> tuple[Tensor, Tensor]:
@@ -232,8 +201,8 @@ class FlowModel:
         """(image latent, residual latent) -> encoded pose; ``c`` as in
         ``forward_log_det``."""
         y, z = nd._wrap(y), nd._wrap(z)
-        if y.data.ndim != 2 or y.data.shape[1] != self.config.latent_len:
-            raise DimensionError(f"latent must be (n, {self.config.latent_len}), got {y.data.shape}")
+        if y.data.ndim != 2 or y.data.shape[1] != self.config.latent:
+            raise DimensionError(f"latent must be (n, {self.config.latent}), got {y.data.shape}")
         if z.data.ndim != 2 or z.data.shape[1] != self.config.dim:
             raise DimensionError(f"z must be (n, {self.config.dim}), got {z.data.shape}")
         if y.data.shape[0] != z.data.shape[0]:
@@ -241,21 +210,3 @@ class FlowModel:
         w = self._pad(nd.concat([y, z]))
         ce = self._check_condition(w, c)
         return self._unpad(self._inverse_working(w, ce))
-
-    # ------------------------------------------------------------------
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        """Parameters plus permutations, for checkpointing."""
-        out = {k: t.data for k, t in self.params.items()}
-        for i, p in enumerate(self.perms):
-            out[f"perm{i}"] = p.astype(np.float64)
-        return out
-
-    def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        nd.load_params(self.params, arrays, "flow")
-        for i in range(self.config.blocks):
-            a = arrays.get(f"perm{i}")
-            if a is None:
-                raise DimensionError(f"missing flow permutation 'perm{i}'")
-            p = a.astype(np.intp)
-            self.perms[i] = p
-            self.inv_perms[i] = np.argsort(p).astype(np.intp)

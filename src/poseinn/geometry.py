@@ -29,6 +29,12 @@ def wrap_angle(a):
     return np.mod(np.asarray(a, dtype=np.float64) + np.pi, TWO_PI) - np.pi
 
 
+def position_width(dim: int) -> int:
+    """Leading position entries of a pose vector of dimension ``dim``:
+    (x, y) for planar poses, (x, y, z) for full ones."""
+    return 2 if dim == 3 else 3
+
+
 @dataclass(frozen=True)
 class Pose:
     """Camera pose: position in meters, Euler angles (theta_z, theta_x, theta_y).

@@ -15,7 +15,7 @@ import numpy as np
 from . import ndiff as nd
 from .errors import (ConditioningError, DimensionError, DomainError, NonFiniteError,
                      TrackingError)
-from .geometry import Pose, wrap_angle
+from .geometry import Pose, position_width, wrap_angle
 from .model import PoseRegressor
 
 # eigenvalues may dip this far below zero before a covariance counts as broken
@@ -47,7 +47,7 @@ class PosePosterior:
 
     def scalar_uncertainty(self) -> float:
         """Sum of position variances."""
-        k = 2 if self.dim == 3 else 3
+        k = position_width(self.dim)
         return float(np.sum(self.variance[:k]))
 
 
@@ -56,7 +56,7 @@ def summarize_samples(samples: np.ndarray, dim: int) -> PosePosterior:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] != dim or len(samples) < 1:
         raise DimensionError(f"need (n, {dim}) samples, got {samples.shape}")
-    k = 2 if dim == 3 else 3
+    k = position_width(dim)
     mean = np.empty(dim)
     mean[:k] = samples[:, :k].mean(axis=0)
     for j in range(k, dim):

@@ -1,8 +1,10 @@
 """Combined pose-regression model: coupling flow + image VAE + conditioning.
 
-Glues the invertible flow over encoded poses to the convolutional VAE over
-images, owns the pose normalization bounds, and encodes the optional
-rounded-previous-state condition for sequential localization.
+``ModelConfig`` is the one definition of the architecture: the flow and
+the VAE are built from it. ``PoseRegressor`` glues the invertible flow over
+encoded poses to the convolutional VAE over images, owns the pose
+normalization bounds and the checkpoint parameter table, and encodes the
+optional rounded-previous-state condition for sequential localization.
 """
 
 from __future__ import annotations
@@ -12,20 +14,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ndiff as nd
-from .encoder import Vae, VaeConfig
-from .errors import ConditioningError, DimensionError, DomainError
-from .flow import FlowConfig, FlowModel
-from .geometry import Aabb, Pose, positional_encode_batch, wrap_angle
+from .encoder import Vae
+from .errors import (CheckpointError, ConditioningError, DimensionError, DomainError,
+                     NonFiniteError)
+from .flow import FlowModel
+from .geometry import Aabb, Pose, position_width, positional_encode_batch, wrap_angle
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture of a full pose-regression model.
+    """Architecture of a full pose-regression model: the flow and the VAE.
 
-    dim is the pose dimension (3 planar, 6 full). The image latent width is
-    fixed at 2 * dim * enc_L so the flow's two sides line up exactly.
-    Conditional models (planar only) take a grid-rounded previous pose,
-    positionally encoded, as side input to every coupling block.
+    dim is the pose dimension (3 planar, 6 full) and enc_L the number of
+    positional-encoding frequencies. The image latent width is fixed at
+    2 * dim * enc_L so the flow's two sides line up exactly. The flow has
+    `blocks` couplings whose subnets have `layers` hidden layers of width
+    `hidden`, log-scales soft-clamped at `clamp`. Conditional models
+    (planar only) take a grid-rounded previous pose, positionally encoded,
+    as side input to every coupling block through a `cond_width`
+    embedding. image_hw is the VAE's square image side. The flow draws its
+    initial weights from `seed`, the VAE from `seed + 1`.
     """
 
     dim: int
@@ -48,9 +56,19 @@ class ModelConfig:
             raise ConditioningError("conditional models are planar only")
         if self.cond_cell_xy <= 0 or self.cond_cell_theta <= 0:
             raise DomainError("conditioning grid cells must be positive")
+        if self.enc_L < 1 or self.blocks < 1 or self.layers < 1 or self.hidden < 1:
+            raise DimensionError("model config requires positive enc_L, blocks, layers, hidden")
+        if self.conditional and self.cond_width < 1:
+            raise DimensionError("a conditional model requires a positive cond_width")
+        if not (np.isfinite(self.clamp) and self.clamp > 0):
+            raise DomainError(f"flow clamp must be finite and positive, got {self.clamp}")
+        if self.image_hw < 16 or self.image_hw % 16 != 0:
+            raise DimensionError(
+                f"image side must be a positive multiple of 16 (4 halvings), got {self.image_hw}")
 
     @property
     def latent(self) -> int:
+        """Width of the image latent: the VAE's output and the flow's y_hat."""
         return 2 * self.dim * self.enc_L
 
     @property
@@ -86,13 +104,8 @@ class PoseRegressor:
     def __init__(self, config: ModelConfig, bounds: Aabb):
         self.config = config
         self.bounds = bounds
-        self.flow = FlowModel(FlowConfig(
-            dim=config.dim, enc_L=config.enc_L, blocks=config.blocks,
-            hidden=config.hidden, layers=config.layers, clamp=config.clamp,
-            cond_dim=config.cond_dim, cond_width=config.cond_width,
-            seed=config.seed))
-        self.vae = Vae(VaeConfig(image_hw=config.image_hw, latent=config.latent,
-                                 seed=config.seed + 1))
+        self.flow = FlowModel(config)
+        self.vae = Vae(config)
         self.params: dict[str, nd.Tensor] = {}
         for k, t in self.flow.params.items():
             self.params[f"flow.{k}"] = t
@@ -102,15 +115,12 @@ class PoseRegressor:
     # ------------------------------------------------------------------
     # pose <-> flow coordinates
     # ------------------------------------------------------------------
-    def _pos_width(self) -> int:
-        return 2 if self.config.dim == 3 else 3
-
     def normalize_vectors(self, vs: np.ndarray) -> np.ndarray:
         """Pose vectors (n, d) in meters/radians -> normalized [-1, 1]."""
         vs = np.asarray(vs, dtype=np.float64)
         if vs.ndim != 2 or vs.shape[1] != self.config.dim:
             raise DimensionError(f"expected (n, {self.config.dim}) pose vectors, got {vs.shape}")
-        k = self._pos_width()
+        k = position_width(self.config.dim)
         pos, ang = vs[:, :k], vs[:, k:]
         lo, hi = self.bounds.lo[:k], self.bounds.hi[:k]
         if np.any(pos < lo - 1e-6) or np.any(pos > hi + 1e-6):
@@ -122,7 +132,7 @@ class PoseRegressor:
     def denormalize_vectors(self, vs: np.ndarray) -> np.ndarray:
         """Inverse of normalize_vectors; angles come back wrapped."""
         vs = np.asarray(vs, dtype=np.float64)
-        k = self._pos_width()
+        k = position_width(self.config.dim)
         pos = vs[:, :k] * self.bounds.half[:k] + self.bounds.center[:k]
         ang = wrap_angle(vs[:, k:] * np.pi)
         return np.concatenate([pos, ang], axis=1)
@@ -168,12 +178,46 @@ class PoseRegressor:
     # serialization
     # ------------------------------------------------------------------
     def param_arrays(self) -> dict[str, np.ndarray]:
-        out = {f"flow.{k}": a for k, a in self.flow.param_arrays().items()}
-        out.update({f"vae.{k}": a for k, a in self.vae.param_arrays().items()})
+        """Checkpoint records: the flow parameters, the flow permutations
+        ``flow.perm{i}`` as floats, then the VAE parameters."""
+        out = {k: t.data for k, t in self.params.items() if k.startswith("flow.")}
+        out.update({f"flow.perm{i}": p.astype(np.float64) for i, p in enumerate(self.flow.perms)})
+        out.update({k: t.data for k, t in self.params.items() if k.startswith("vae.")})
         return out
 
     def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.flow.load_param_arrays(
-            {k[len("flow."):]: a for k, a in arrays.items() if k.startswith("flow.")})
-        self.vae.load_param_arrays(
-            {k[len("vae."):]: a for k, a in arrays.items() if k.startswith("vae.")})
+        """Inverse of ``param_arrays``. A missing record or a shape mismatch
+        raises ``DimensionError``. A permutation record that is not a
+        permutation of the flow's working indices, or that moves the pad
+        channel of a padded flow, raises ``CheckpointError``.
+
+        A non-finite weight raises ``NonFiniteError``: no op checks the
+        values it computes, and an infinite weight inside a tanh-clamped
+        coupling scale saturates to a finite output that no later check
+        would catch.
+        """
+        width = self.flow.width
+        perms = []
+        for i in range(self.config.blocks):
+            a = arrays.get(f"flow.perm{i}")
+            if a is None:
+                raise DimensionError(f"missing flow permutation 'perm{i}'")
+            if a.shape != (width,) or not np.array_equal(np.sort(a), np.arange(width)):
+                raise CheckpointError(f"flow permutation 'perm{i}' is not a permutation of "
+                                      f"0..{width - 1}")
+            if self.flow.padded and a[0] != 0:
+                raise CheckpointError(f"flow permutation 'perm{i}' moves the pad channel 0")
+            perms.append(a.astype(np.intp))
+        for k, t in self.params.items():
+            part, name = k.split(".", 1)
+            a = arrays.get(k)
+            if a is None:
+                raise DimensionError(f"missing {part} parameter '{name}'")
+            if a.shape != t.data.shape:
+                raise DimensionError(
+                    f"{part} parameter '{name}' has shape {a.shape}, expected {t.data.shape}")
+            if not np.all(np.isfinite(a)):
+                raise NonFiniteError(f"{part} parameter '{name}' is not finite")
+            t.data = np.array(a)
+        self.flow.perms = perms
+        self.flow.inv_perms = [np.argsort(p).astype(np.intp) for p in perms]

@@ -16,7 +16,8 @@ runs there. No op checks its result for finiteness: a NaN or Inf flows
 through the ops as it does through numpy. Values are checked where they
 leave the engine: ``trainer.train_step`` checks every loss term before
 ``backward()``, ``localizer.localize`` checks the flow output,
-``Adam.step`` checks every gradient and ``load_params`` every weight.
+``Adam.step`` checks every gradient and ``PoseRegressor.load_param_arrays``
+every loaded weight.
 Callers run the ops under ``np.errstate(all="ignore")`` so that a
 non-finite value is reported by one of those checks, not by warnings.
 
@@ -35,7 +36,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NonFiniteError, OptimizerError, TapeError
+from .errors import DimensionError, DomainError, OptimizerError, TapeError
 
 _node_ids = itertools.count()
 _grad_enabled = True
@@ -555,27 +556,8 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int 
 
 
 # ---------------------------------------------------------------------------
-# parameters and optimizer
+# optimizer
 # ---------------------------------------------------------------------------
-
-def load_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray], kind: str) -> None:
-    """Copy ``arrays[name]`` into every named parameter; a missing name or a
-    shape mismatch raises ``DimensionError`` naming the ``kind`` of model.
-
-    A non-finite value raises ``NonFiniteError``: no op checks the values
-    it computes, and an infinite weight inside a tanh-clamped coupling
-    scale saturates to a finite output that no later check would catch.
-    """
-    for k, t in params.items():
-        a = arrays.get(k)
-        if a is None:
-            raise DimensionError(f"missing {kind} parameter '{k}'")
-        if a.shape != t.data.shape:
-            raise DimensionError(f"{kind} parameter '{k}' has shape {a.shape}, expected {t.data.shape}")
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteError(f"{kind} parameter '{k}' is not finite")
-        t.data = np.array(a)
-
 
 class Adam:
     """Bias-corrected Adam over a dict of named leaf tensors.

@@ -30,6 +30,8 @@ from .geometry import Aabb, Pose
 LIGHT_DIR = np.array([0.0, 0.0, 1.0])
 AMBIENT = 0.35
 DEPTH_FALLOFF = 0.08
+# a 4 m x 4 m x 2 m room, the box a scene gets when none is given
+DEFAULT_BOUNDS = Aabb(np.array([-2.0, -2.0, -1.0]), np.array([2.0, 2.0, 1.0]))
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ def generate_scene(seed: int, bounds: Aabb | None = None, n_primitives: int = 5)
     """Random asymmetric scene: distinct colors, primitives near the walls
     so the center stays navigable."""
     if bounds is None:
-        bounds = Aabb(np.array([-2.0, -2.0, -1.0]), np.array([2.0, 2.0, 1.0]))
+        bounds = DEFAULT_BOUNDS
     if n_primitives < 1 or n_primitives > len(_PALETTE):
         raise DomainError(f"n_primitives must be in [1, {len(_PALETTE)}], got {n_primitives}")
     rng = np.random.default_rng(seed)
@@ -163,7 +165,7 @@ def generate_symmetric_scene(seed: int, bounds: Aabb | None = None) -> Scene:
     every primitive has a mirrored twin with the same color, so opposite
     headings produce identical views and the pose posterior goes bimodal."""
     if bounds is None:
-        bounds = Aabb(np.array([-2.0, -2.0, -1.0]), np.array([2.0, 2.0, 1.0]))
+        bounds = DEFAULT_BOUNDS
     rng = np.random.default_rng(seed)
     c = bounds.center
     prims: list = []

@@ -35,7 +35,7 @@ import numpy as np
 from . import ndiff as nd
 from .encoder import kl_divergence
 from .errors import CheckpointError, DomainError, NonFiniteError
-from .geometry import Aabb, Pose, euler_to_matrix
+from .geometry import Aabb, Pose, euler_to_matrix, position_width
 from .model import ModelConfig, PoseRegressor
 from .ndiff import Tensor
 
@@ -207,7 +207,7 @@ def _pose_losses(model: PoseRegressor, x_pred: Tensor,
     """Inverse-flow outputs vs encoded ground truth: (position squared error
     in m^2, mean rotation angle, encoding MSE)."""
     d = model.config.dim
-    k = 2 if d == 3 else 3
+    k = position_width(d)
     latent = model.config.latent
     tail_pred = nd.narrow(x_pred, latent, latent + d)
     tail_gt = xhat_np[:, latent:]

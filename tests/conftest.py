@@ -44,6 +44,18 @@ SYM_SAMPLE_CFG = "kind = sampling_config\ntarget = 2000\n"
 SYM_TRAIN_CFG = TOY_TRAIN_CFG
 
 
+def randomize_output_layers(flow, rng: np.random.Generator) -> None:
+    """Draw He-normal weights for every coupling subnet's output layer.
+
+    A new flow starts with those layers at zero, so it is a bare stack of
+    permutations; tests of invertibility, log-det and gradients need the
+    couplings to act."""
+    last = f".w{flow.config.layers}"
+    for name, t in flow.params.items():
+        if name.startswith("block") and name.endswith(last):
+            t.data = rng.normal(size=t.data.shape) * np.sqrt(2.0 / t.data.shape[0])
+
+
 def run_cli(argv: list[str]) -> float:
     """Run one CLI command, assert success, return its wall time."""
     t0 = time.perf_counter()

@@ -20,7 +20,7 @@ import poseinn.ndiff as nd
 import poseinn.sampler as sm
 import poseinn.scenegen as sg
 import poseinn.trainer as tr
-from poseinn.flow import FlowConfig, FlowModel
+from poseinn.flow import FlowModel
 from poseinn.geometry import (
     Aabb,
     Pose,
@@ -31,7 +31,7 @@ from poseinn.geometry import (
 )
 from poseinn.model import ModelConfig, PoseRegressor
 
-from conftest import run_cli
+from conftest import randomize_output_layers, run_cli
 
 
 # ---------------------------------------------------------------------------
@@ -46,27 +46,26 @@ def test_invertibility_round_trips_under_1e9():
     worst = 0.0
     for i in range(1000):
         dim = 3 if i % 2 == 0 else 6
-        cond_dim = int(rng.integers(4, 13)) if i % 4 == 0 else 0
-        cfg = FlowConfig(
+        cfg = ModelConfig(
             dim=dim,
             enc_L=int(rng.integers(1, 4)),
             blocks=int(rng.integers(1, 4)),
             hidden=int(rng.integers(8, 25)),
             layers=int(rng.integers(1, 3)),
-            cond_dim=cond_dim,
+            conditional=i % 4 == 0,
             cond_width=8,
-            zero_init=False,
             seed=int(rng.integers(0, 2**31)),
         )
         flow = FlowModel(cfg)
+        randomize_output_layers(flow, rng)
         n = int(rng.integers(1, 4))
-        c = rng.uniform(-1.0, 1.0, size=(n, cond_dim)) if cond_dim else None
+        c = rng.uniform(-1.0, 1.0, size=(n, cfg.cond_dim)) if cfg.conditional else None
         x = rng.uniform(-1.0, 1.0, size=(n, cfg.x_len))
         y, z = flow.forward(x, c)
         x_back = flow.inverse(y.data, z.data, c).data
         worst = max(worst, float(np.max(np.abs(x_back - x))))
 
-        y0 = rng.standard_normal((n, cfg.latent_len))
+        y0 = rng.standard_normal((n, cfg.latent))
         z0 = rng.standard_normal((n, dim))
         x2 = flow.inverse(y0, z0, c).data
         y2, z2 = flow.forward(x2, c)

@@ -431,6 +431,18 @@ class TestOneErrorLine:
             f"ERROR config: {data / 'train.kv'}: blob {blob} holds an image value "
             "that is not finite or lies outside [0, 1]"]
 
+    def test_bad_flow_permutation(self, pipeline, tmp_path):
+        ck = tr.load_checkpoint(pipeline["ckpt"])
+        w = ck.model.flow.width
+        ck.model.flow.perms[0] = np.zeros(w, dtype=np.intp)
+        bad = tmp_path / "bad.ckpt"
+        tr.save_checkpoint(bad, ck.model)
+        proc = run_module(["eval", "--ckpt", bad, "--data", pipeline["test"], "--seed", "0",
+                           "--out", tmp_path / "o"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"ERROR checkpoint: flow permutation 'perm0' is not a permutation of 0..{w - 1}"]
+
 
 class TestConfigDefaults:
     def test_empty_train_config_keeps_dataclass_defaults(self):

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ class TestRoundTrip:
 
     def test_blob_bytes_little_endian_f32(self, tmp_path):
         path, poses, _ = make(tmp_path, name="t")
-        raw = open(os.path.join(tmp_path, "t_poses.f32"), "rb").read()
+        raw = (tmp_path / "t_poses.f32").read_bytes()
         assert raw == np.ascontiguousarray(poses, dtype="<f4").tobytes()
 
     def test_save_twice_identical_bytes(self, tmp_path):
@@ -55,17 +56,15 @@ class TestRoundTrip:
         a.mkdir(), b.mkdir()
         p1, _, _ = make(a)
         p2, _, _ = make(b)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-        assert (open(a / "train_images.f32", "rb").read()
-                == open(b / "train_images.f32", "rb").read())
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
+        assert (a / "train_images.f32").read_bytes() == (b / "train_images.f32").read_bytes()
 
 
 class TestValidation:
     def test_truncated_poses_blob(self, tmp_path):
         path, _, _ = make(tmp_path)
-        blob = os.path.join(tmp_path, "train_poses.f32")
-        raw = open(blob, "rb").read()
-        open(blob, "wb").write(raw[:-4])
+        blob = tmp_path / "train_poses.f32"
+        blob.write_bytes(blob.read_bytes()[:-4])
         with pytest.raises(ConfigError, match="bytes"):
             ds.load_dataset(path)
 
@@ -91,23 +90,23 @@ class TestValidation:
 
     def test_missing_manifest_key_rejected(self, tmp_path):
         path, _, _ = make(tmp_path)
-        lines = [ln for ln in open(path).read().splitlines()
+        lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines()
                  if not ln.startswith("seed")]
-        open(path, "w").write("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="seed"):
             ds.load_dataset(path)
 
     def test_bad_version(self, tmp_path):
         path, _, _ = make(tmp_path)
-        text = open(path).read().replace("version = 1", "version = 9")
-        open(path, "w").write(text)
+        text = Path(path).read_text(encoding="utf-8").replace("version = 1", "version = 9")
+        Path(path).write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match="version"):
             ds.load_dataset(path)
 
     def test_bad_kind(self, tmp_path):
         path, _, _ = make(tmp_path)
-        text = open(path).read().replace("kind = dataset", "kind = scene")
-        open(path, "w").write(text)
+        text = Path(path).read_text(encoding="utf-8").replace("kind = dataset", "kind = scene")
+        Path(path).write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match="not a dataset manifest"):
             ds.load_dataset(path)
 

@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 
 from poseinn import ndiff as nd
-from poseinn.encoder import Vae, VaeConfig, kl_divergence
+from poseinn.encoder import Vae, kl_divergence
 from poseinn.errors import DimensionError, DomainError
+from poseinn.geometry import Aabb
+from poseinn.model import ModelConfig, PoseRegressor
 
 
-def tiny_vae(latent=12, hw=16, seed=0) -> Vae:
-    return Vae(VaeConfig(image_hw=hw, latent=latent, seed=seed))
+def tiny_vae(dim=3, enc_L=2, hw=16, seed=0) -> Vae:
+    """A VAE with latent width 2 * dim * enc_L whose weights are drawn
+    from ``seed``: a model draws its VAE from its own seed + 1."""
+    return Vae(ModelConfig(dim=dim, enc_L=enc_L, image_hw=hw, seed=seed - 1))
 
 
 class TestShapes:
     def test_latent_width_60_for_default(self):
-        vae = Vae(VaeConfig(image_hw=32, latent=60, seed=1))
+        vae = tiny_vae(dim=6, enc_L=5, hw=32, seed=1)
         rng = np.random.default_rng(0)
         imgs = rng.uniform(size=(2, 32, 32, 3))
         out = vae.encode(imgs, mode="mean")
@@ -37,10 +41,9 @@ class TestShapes:
             vae.decode(np.zeros((1, 13)))
 
     def test_bad_config(self):
-        with pytest.raises(DimensionError):
-            VaeConfig(image_hw=24, latent=12)
-        with pytest.raises(DimensionError):
-            VaeConfig(image_hw=32, latent=0)
+        for kw in ({"image_hw": 24}, {"image_hw": 0}, {"enc_L": 0}):
+            with pytest.raises(DimensionError):
+                ModelConfig(dim=3, **kw)
 
 
 class TestEncodeModes:
@@ -99,10 +102,10 @@ class TestKl:
 
 class TestGradients:
     def test_encoder_grads_match_fd(self):
-        vae = Vae(VaeConfig(image_hw=16, latent=4, seed=7))
+        vae = tiny_vae(enc_L=1, seed=7)
         rng = np.random.default_rng(6)
         imgs = rng.uniform(0.2, 0.8, size=(2, 16, 16, 3))
-        target = rng.normal(size=(2, 4))
+        target = rng.normal(size=(2, 6))
 
         def loss_value():
             mu, lv = vae.encode_stats(imgs)
@@ -129,9 +132,9 @@ class TestGradients:
                 assert abs(got - num) <= 1e-4 * max(1.0, abs(num)), (name, i, got, num)
 
     def test_decoder_grads_match_fd(self):
-        vae = Vae(VaeConfig(image_hw=16, latent=4, seed=8))
+        vae = tiny_vae(enc_L=1, seed=8)
         rng = np.random.default_rng(7)
-        lat = rng.normal(size=(1, 4))
+        lat = rng.normal(size=(1, 6))
         target = rng.uniform(size=(1, 16, 16, 3))
 
         def loss_value():
@@ -160,7 +163,7 @@ class TestGradients:
 class TestTrainingBehavior:
     def test_reconstruction_improves(self):
         """VAE-only training on a small image set drives recon loss down."""
-        vae = Vae(VaeConfig(image_hw=16, latent=8, seed=9))
+        vae = tiny_vae(enc_L=1, seed=9)
         rng = np.random.default_rng(8)
         # structured images: random blocks, not pure noise
         imgs = np.zeros((20, 16, 16, 3))
@@ -179,9 +182,9 @@ class TestTrainingBehavior:
         assert losses[-1] < 0.5 * losses[0]
 
     def test_serialization_roundtrip(self):
-        src = tiny_vae(seed=10)
-        dst = tiny_vae(seed=11)
+        src, dst = (PoseRegressor(ModelConfig(dim=3, enc_L=2, image_hw=16, seed=s),
+                                  Aabb(-np.ones(3), np.ones(3))) for s in (10, 11))
         dst.load_param_arrays(src.param_arrays())
         imgs = np.random.default_rng(9).uniform(size=(1, 16, 16, 3))
-        np.testing.assert_array_equal(src.encode(imgs, mode="mean").data,
-                                      dst.encode(imgs, mode="mean").data)
+        np.testing.assert_array_equal(src.vae.encode(imgs, mode="mean").data,
+                                      dst.vae.encode(imgs, mode="mean").data)

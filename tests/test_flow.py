@@ -1,25 +1,38 @@
 """Coupling-flow tests: exact invertibility, permutation behavior at zero
 init, log-det against a finite-difference Jacobian oracle, gradients
-against finite differences."""
+against finite differences, and the architecture checks of ModelConfig."""
 
 import numpy as np
 import pytest
 
 from poseinn import ndiff as nd
 from poseinn.errors import ConditioningError, DimensionError, DomainError
-from poseinn.flow import FlowConfig, FlowModel
+from poseinn.flow import FlowModel
+from poseinn.geometry import Aabb
+from poseinn.model import ModelConfig, PoseRegressor
+
+from conftest import randomize_output_layers
 
 
-def rand_model(dim=3, enc_L=2, blocks=4, hidden=24, cond_dim=0, seed=0) -> FlowModel:
-    return FlowModel(FlowConfig(dim=dim, enc_L=enc_L, blocks=blocks, hidden=hidden,
-                                cond_dim=cond_dim, zero_init=False, seed=seed))
+def rand_model(dim=3, enc_L=2, blocks=4, hidden=24, conditional=False, seed=0) -> FlowModel:
+    m = FlowModel(ModelConfig(dim=dim, enc_L=enc_L, blocks=blocks, hidden=hidden,
+                              conditional=conditional, seed=seed))
+    randomize_output_layers(m, np.random.default_rng(seed))
+    return m
+
+
+def rand_regressor(seed: int) -> PoseRegressor:
+    m = PoseRegressor(ModelConfig(dim=3, enc_L=2, blocks=4, hidden=24, image_hw=16, seed=seed),
+                      Aabb(-np.ones(3), np.ones(3)))
+    randomize_output_layers(m.flow, np.random.default_rng(seed))
+    return m
 
 
 class TestInvertibility:
     def test_roundtrip_many_random_models(self):
         rng = np.random.default_rng(42)
         for trial in range(30):
-            dim = int(rng.choice([2, 3, 4, 6]))
+            dim = int(rng.choice([3, 6]))
             m = rand_model(dim=dim, enc_L=int(rng.integers(1, 4)),
                            blocks=int(rng.integers(1, 7)),
                            hidden=int(rng.choice([8, 16, 32])), seed=trial)
@@ -31,7 +44,7 @@ class TestInvertibility:
     def test_roundtrip_other_direction(self):
         rng = np.random.default_rng(1)
         m = rand_model(dim=6, enc_L=2, seed=5)
-        y0 = rng.normal(size=(10, m.config.latent_len))
+        y0 = rng.normal(size=(10, m.config.latent))
         z0 = rng.normal(size=(10, m.config.dim))
         x = m.inverse(y0, z0)
         y1, z1 = m.forward(x)
@@ -40,9 +53,9 @@ class TestInvertibility:
 
     def test_conditional_roundtrip(self):
         rng = np.random.default_rng(2)
-        m = rand_model(dim=3, cond_dim=3, seed=9)
+        m = rand_model(dim=3, conditional=True, seed=9)
         x = rng.normal(size=(6, m.config.x_len))
-        c = rng.normal(size=(6, 3))
+        c = rng.normal(size=(6, m.config.cond_dim))
         y, z = m.forward(x, c)
         back = m.inverse(y, z, c)
         assert np.max(np.abs(back.data - x)) < 1e-9
@@ -62,7 +75,7 @@ class TestInvertibility:
 
 class TestZeroInit:
     def test_forward_is_permutation_composition(self):
-        cfg = FlowConfig(dim=3, enc_L=2, blocks=4, hidden=16, zero_init=True, seed=7)
+        cfg = ModelConfig(dim=3, enc_L=2, blocks=4, hidden=16, seed=7)
         m = FlowModel(cfg)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(5, cfg.x_len))
@@ -74,10 +87,10 @@ class TestZeroInit:
         np.testing.assert_array_equal(np.concatenate([y.data, z.data], axis=1), expected)
 
     def test_inverse_is_inverse_permutation(self):
-        cfg = FlowConfig(dim=6, enc_L=1, blocks=3, hidden=16, zero_init=True, seed=8)
+        cfg = ModelConfig(dim=6, enc_L=1, blocks=3, hidden=16, seed=8)
         m = FlowModel(cfg)
         rng = np.random.default_rng(1)
-        y = rng.normal(size=(4, cfg.latent_len))
+        y = rng.normal(size=(4, cfg.latent))
         z = rng.normal(size=(4, cfg.dim))
         w = np.concatenate([y, z], axis=1)
         for ip in reversed(m.inv_perms):
@@ -86,27 +99,27 @@ class TestZeroInit:
         np.testing.assert_array_equal(back.data, w)
 
     def test_log_det_zero(self):
-        m = FlowModel(FlowConfig(dim=3, enc_L=2, blocks=4, zero_init=True, seed=2))
+        m = FlowModel(ModelConfig(dim=3, enc_L=2, blocks=4, seed=2))
         x = np.random.default_rng(4).normal(size=(3, 15))
         np.testing.assert_array_equal(m.forward_log_det(x)[2].data, np.zeros(3))
 
 
 class TestLogDet:
-    def test_matches_fd_jacobian_dim12(self):
-        # d=4, L=1 gives working dimension 12 with no padding
-        m = rand_model(dim=4, enc_L=1, blocks=3, hidden=12, seed=11)
-        assert m.config.x_len == 12 and not m.padded
+    def test_matches_fd_jacobian_dim18(self):
+        # d=6, L=1 gives working dimension 18 with no padding
+        m = rand_model(dim=6, enc_L=1, blocks=3, hidden=12, seed=11)
+        assert m.config.x_len == 18 and not m.padded
         rng = np.random.default_rng(5)
-        x0 = rng.normal(size=12) * 0.5
+        x0 = rng.normal(size=18) * 0.5
 
         def f(v):
             y, z = m.forward(v[None, :])
             return np.concatenate([y.data[0], z.data[0]])
 
         h = 1e-6
-        jac = np.zeros((12, 12))
-        for j in range(12):
-            e = np.zeros(12)
+        jac = np.zeros((18, 18))
+        for j in range(18):
+            e = np.zeros(18)
             e[j] = h
             jac[:, j] = (f(x0 + e) - f(x0 - e)) / (2 * h)
         _, ref = np.linalg.slogdet(jac)
@@ -114,16 +127,14 @@ class TestLogDet:
         np.testing.assert_allclose(ours, ref, atol=1e-4)
 
     def test_additivity_across_blocks(self):
-        cfg2 = FlowConfig(dim=4, enc_L=1, blocks=2, hidden=12, zero_init=False, seed=17)
-        m2 = FlowModel(cfg2)
-        cfg1 = FlowConfig(dim=4, enc_L=1, blocks=1, hidden=12, zero_init=False, seed=17)
-        ma, mb = FlowModel(cfg1), FlowModel(cfg1)
-        arrays = m2.param_arrays()
-        ma.load_param_arrays({"block0.s.w0": arrays["block0.s.w0"]} | {
-            k: v for k, v in arrays.items() if k.startswith("block0")} | {"perm0": arrays["perm0"]})
-        mb.load_param_arrays({k.replace("block1", "block0"): v for k, v in arrays.items()
-                              if k.startswith("block1")} | {"perm0": arrays["perm1"]})
-        x = np.random.default_rng(7).normal(size=(3, 12))
+        m2 = rand_model(dim=6, enc_L=1, blocks=2, hidden=12, seed=17)
+        # one-block flows holding block 0 and block 1 of m2
+        ma, mb = rand_model(dim=6, enc_L=1, blocks=1), rand_model(dim=6, enc_L=1, blocks=1)
+        for one, k in ((ma, 0), (mb, 1)):
+            for name, t in one.params.items():
+                t.data = m2.params[name.replace("block0", f"block{k}")].data
+            one.perms, one.inv_perms = [m2.perms[k]], [m2.inv_perms[k]]
+        x = np.random.default_rng(7).normal(size=(3, 18))
         ya, za = ma.forward(x)
         mid = np.concatenate([ya.data, za.data], axis=1)
         total = ma.forward_log_det(x)[2].data + mb.forward_log_det(mid)[2].data
@@ -135,7 +146,7 @@ class TestGradients:
         m = rand_model(dim=3, enc_L=1, blocks=2, hidden=8, seed=21)
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, m.config.x_len)) * 0.5
-        target = rng.normal(size=(4, m.config.latent_len))
+        target = rng.normal(size=(4, m.config.latent))
 
         def loss_value():
             y, _ = m.forward(x)
@@ -174,7 +185,7 @@ class TestGradients:
     def test_param_gradients_match_fd_through_inverse(self):
         m = rand_model(dim=3, enc_L=1, blocks=2, hidden=8, seed=23)
         rng = np.random.default_rng(9)
-        y = rng.normal(size=(4, m.config.latent_len)) * 0.5
+        y = rng.normal(size=(4, m.config.latent)) * 0.5
         z = rng.normal(size=(4, m.config.dim)) * 0.5
         target = rng.normal(size=(4, m.config.x_len))
 
@@ -222,17 +233,17 @@ class TestGradients:
 
 class TestConditioning:
     def test_condition_changes_output(self):
-        m = rand_model(dim=3, cond_dim=3, seed=31)
+        m = rand_model(dim=3, conditional=True, seed=31)
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, m.config.x_len))
-        c1 = np.zeros((2, 3))
-        c2 = np.ones((2, 3))
+        c1 = np.zeros((2, m.config.cond_dim))
+        c2 = np.ones((2, m.config.cond_dim))
         y1, _ = m.forward(x, c1)
         y2, _ = m.forward(x, c2)
         assert np.max(np.abs(y1.data - y2.data)) > 1e-6
 
     def test_missing_condition_rejected(self):
-        m = rand_model(dim=3, cond_dim=3)
+        m = rand_model(dim=3, conditional=True)
         x = np.zeros((1, m.config.x_len))
         with pytest.raises(ConditioningError):
             m.forward(x)
@@ -244,14 +255,15 @@ class TestConditioning:
             m.forward(x, np.zeros((1, 3)))
 
     def test_condition_shape_checked(self):
-        m = rand_model(dim=3, cond_dim=3)
+        m = rand_model(dim=3, conditional=True)
         x = np.zeros((2, m.config.x_len))
+        cd = m.config.cond_dim
         with pytest.raises(DimensionError):
             m.forward(x, np.zeros((2, 5)))
         with pytest.raises(DimensionError):
-            m.forward(x, np.zeros((3, 3)))
+            m.forward(x, np.zeros((3, cd)))
         with pytest.raises(DimensionError):
-            m.inverse(np.zeros((3, m.config.latent_len)), np.zeros((3, 3)), np.zeros((2, 3)))
+            m.inverse(np.zeros((3, m.config.latent)), np.zeros((3, 3)), np.zeros((2, cd)))
 
 
 class TestSplitCondition:
@@ -259,13 +271,13 @@ class TestSplitCondition:
 
     @pytest.mark.parametrize("rows", [1, 5])
     def test_subnet_is_the_mlp_of_passive_and_embedding_side_by_side(self, rows):
-        m = rand_model(dim=3, cond_dim=3, seed=32)
+        m = rand_model(dim=3, conditional=True, seed=32)
         rng = np.random.default_rng(13)
         for name, t in m.params.items():
             if ".b" in name:  # biases start at zero; make each one count
                 t.data = rng.normal(size=t.data.shape)
         passive = rng.normal(size=(5, m.half))
-        ce = m.embed_condition(rng.normal(size=(rows, 3))).data
+        ce = m.embed_condition(rng.normal(size=(rows, m.config.cond_dim))).data
         h = np.concatenate([passive, np.broadcast_to(ce, (5, ce.shape[1]))], axis=1)
         n_layers = m.config.layers + 1
         for i in range(n_layers):
@@ -276,31 +288,31 @@ class TestSplitCondition:
         np.testing.assert_allclose(got, h, rtol=0, atol=1e-12)
 
     def test_one_row_matches_tiled_rows(self):
-        m = rand_model(dim=3, cond_dim=3, seed=33)
+        m = rand_model(dim=3, conditional=True, seed=33)
         rng = np.random.default_rng(14)
         x = rng.normal(size=(7, m.config.x_len))
-        c = rng.normal(size=(1, 3))
+        c = rng.normal(size=(1, m.config.cond_dim))
         tiled = np.tile(c, (7, 1))
         for a, b in zip(m.forward_log_det(x, c), m.forward_log_det(x, tiled)):
             assert np.max(np.abs(a.data - b.data)) < 1e-9
-        y, z = rng.normal(size=(7, m.config.latent_len)), rng.normal(size=(7, 3))
+        y, z = rng.normal(size=(7, m.config.latent)), rng.normal(size=(7, 3))
         assert np.max(np.abs(m.inverse(y, z, c).data - m.inverse(y, z, tiled).data)) < 1e-9
 
     def test_roundtrip_with_one_row(self):
-        m = rand_model(dim=3, cond_dim=3, seed=34)
+        m = rand_model(dim=3, conditional=True, seed=34)
         rng = np.random.default_rng(15)
         x = rng.normal(size=(9, m.config.x_len))
-        c = rng.normal(size=(1, 3))
+        c = rng.normal(size=(1, m.config.cond_dim))
         y, z = m.forward(x, c)
         assert np.max(np.abs(m.inverse(y, z, c).data - x)) < 1e-9
 
     @pytest.mark.parametrize("rows", [1, 4])
     def test_condition_rows_of_first_layer_and_embedding_match_fd(self, rows):
-        m = rand_model(dim=3, enc_L=1, blocks=2, hidden=8, cond_dim=3, seed=35)
+        m = rand_model(dim=3, enc_L=1, blocks=2, hidden=8, conditional=True, seed=35)
         rng = np.random.default_rng(16)
         x = rng.normal(size=(4, m.config.x_len)) * 0.5
-        c = rng.normal(size=(rows, 3))
-        target = rng.normal(size=(4, m.config.latent_len))
+        c = rng.normal(size=(rows, m.config.cond_dim))
+        target = rng.normal(size=(4, m.config.latent))
 
         def loss():
             y, _ = m.forward(x, c)
@@ -333,7 +345,7 @@ class TestAmbiguityChannel:
     def test_two_z_two_poses(self):
         m = rand_model(dim=3, seed=41)
         rng = np.random.default_rng(12)
-        y = rng.normal(size=(1, m.config.latent_len))
+        y = rng.normal(size=(1, m.config.latent))
         xa = m.inverse(y, rng.normal(size=(1, 3)))
         xb = m.inverse(y, rng.normal(size=(1, 3)))
         assert np.max(np.abs(xa.data - xb.data)) > 1e-6
@@ -358,32 +370,32 @@ class TestShapesAndSerialization:
             np.testing.assert_array_equal(pa, pb)
 
     def test_param_roundtrip_bitwise(self):
-        src = rand_model(dim=3, enc_L=2, seed=6)
-        dst = rand_model(dim=3, enc_L=2, seed=999)
+        src = rand_regressor(seed=6)
+        dst = rand_regressor(seed=999)
         dst.load_param_arrays(src.param_arrays())
         x = np.random.default_rng(13).normal(size=(3, src.config.x_len))
-        ys, zs = src.forward(x)
-        yd, zd = dst.forward(x)
+        ys, zs = src.flow.forward(x)
+        yd, zd = dst.flow.forward(x)
         np.testing.assert_array_equal(ys.data, yd.data)
         np.testing.assert_array_equal(zs.data, zd.data)
 
     @pytest.mark.parametrize("kw", [{"hidden": 0}, {"hidden": -3},
-                                    {"cond_dim": 3, "cond_width": 0}])
+                                    {"conditional": True, "cond_width": 0},
+                                    {"enc_L": 0}, {"blocks": 0}, {"layers": 0}])
     def test_nonpositive_width_rejected(self, kw):
         with pytest.raises(DimensionError):
-            FlowConfig(dim=3, **kw)
+            ModelConfig(dim=3, **kw)
 
     @pytest.mark.parametrize("clamp", [0.0, -1.0, np.inf, np.nan])
     def test_clamp_must_be_finite_and_positive(self, clamp):
         with pytest.raises(DomainError):
-            FlowConfig(dim=3, clamp=clamp)
+            ModelConfig(dim=3, clamp=clamp)
 
     def test_unconditional_ignores_cond_width(self):
-        assert FlowConfig(dim=3, cond_width=0).cond_width == 0
+        assert ModelConfig(dim=3, cond_width=0).cond_width == 0
 
     def test_missing_param_rejected(self):
-        src = rand_model(seed=1)
-        arrays = src.param_arrays()
-        del arrays["block0.s.w0"]
+        arrays = rand_regressor(seed=1).param_arrays()
+        del arrays["flow.block0.s.w0"]
         with pytest.raises(DimensionError):
-            rand_model(seed=2).load_param_arrays(arrays)
+            rand_regressor(seed=2).load_param_arrays(arrays)

@@ -2,6 +2,7 @@
 finite differences before anything downstream trusts it."""
 
 import contextlib
+import os
 
 import numpy as np
 import pytest
@@ -639,3 +640,13 @@ class TestAdam:
         assert opt2.state["t"] == 1
         np.testing.assert_array_equal(opt2.state["m"]["w"], opt.state["m"]["w"])
         np.testing.assert_array_equal(opt2.state["v"]["w"], opt.state["v"]["w"])
+
+
+def test_blas_runs_on_one_thread():
+    """The root conftest.py pins BLAS to one thread before numpy loads, so
+    the matmuls here run single-threaded and reruns sum in one order.
+    A BLAS that does not report its thread count passes unchecked."""
+    from perfbench.envinfo import environment
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    assert environment(root, 0)["blas_threads"] in (1, "unknown")

@@ -436,6 +436,23 @@ class TestCheckpoint:
             tr.load_checkpoint(p)
         assert "\n" not in str(ei.value)
 
+    @pytest.mark.parametrize("case", ["not_a_permutation", "moves_pad"])
+    def test_bad_flow_permutation_rejected(self, tmp_path, case):
+        m = tiny_model()
+        w = m.flow.width
+        assert m.flow.padded  # a planar working vector has odd length
+        if case == "not_a_permutation":
+            m.flow.perms[0] = np.zeros(w, dtype=np.intp)
+            why = f"is not a permutation of 0..{w - 1}"
+        else:
+            m.flow.perms[0] = np.roll(np.arange(w), 1)
+            why = "moves the pad channel 0"
+        p = tmp_path / "perm.ckpt"
+        tr.save_checkpoint(p, m)
+        with pytest.raises(CheckpointError) as ei:
+            tr.load_checkpoint(p)
+        assert str(ei.value) == f"flow permutation 'perm0' {why}"
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "m.ckpt"
         p.write_bytes(b"NOPE" + b"\x00" * 64)
