@@ -1,5 +1,6 @@
 """Command-line pipeline: scene generation, dataset rendering, pose
-augmentation, training, evaluation and sequential tracking.
+augmentation, training, evaluation and sequential tracking, which fuses
+odometry through an EKF exactly when --odom is given.
 
 Every artifact a command writes is a pure function of its inputs and the
 root --seed, so a rerun at the same BLAS thread count produces
@@ -285,16 +286,12 @@ def cmd_sample_poses(args) -> None:
     scene = sg.load_scene(data.scene_path)
     cfg = _sampling_config(pairs, args.seed)
     t0 = time.perf_counter()
-    if cfg is None:
-        poses = np.zeros((0, data.pose_dim))
-        images = np.zeros((0, data.intrinsics.height, data.intrinsics.width, 3))
-    else:
-        cloud = sg.export_point_cloud(scene, _gi(pairs, "cloud_points", 20000),
-                                      np.random.default_rng([args.seed, 2]))
-        training = [Pose.from_vector(v, data.pose_dim) for v in data.poses]
-        accepted = sp.sample_poses(scene, cloud, training, data.intrinsics, cfg)
-        poses = np.array([p.as_vector() for p, _ in accepted])
-        images = sg.render_batch(scene, data.intrinsics, [p for p, _ in accepted])
+    cloud = sg.export_point_cloud(scene, _gi(pairs, "cloud_points", 20000),
+                                  np.random.default_rng([args.seed, 2]))
+    training = [Pose.from_vector(v, data.pose_dim) for v in data.poses]
+    accepted = sp.sample_poses(scene, cloud, training, data.intrinsics, cfg)
+    poses = np.array([p.as_vector() for p, _ in accepted])
+    images = sg.render_batch(scene, data.intrinsics, [p for p, _ in accepted])
     with _OutputDir(args.out) as out:
         _copy_scene(data.scene_path, out)
         manifest = ds.save_dataset(out, "synth", poses, images, "scene.kv",
@@ -324,10 +321,9 @@ def _config_fields(pairs: dict[str, str], cls, skip: set[str],
     return kw
 
 
-def _sampling_config(pairs: dict[str, str], seed: int) -> sp.SamplingConfig | None:
-    """None for ``target = 0``, which asks for an empty synthetic split."""
-    kw = _config_fields(pairs, sp.SamplingConfig, {"seed"}, _SAMPLING_KEY_UNITS)
-    return None if kw.get("target") == 0 else sp.SamplingConfig(**kw, seed=seed)
+def _sampling_config(pairs: dict[str, str], seed: int) -> sp.SamplingConfig:
+    return sp.SamplingConfig(**_config_fields(pairs, sp.SamplingConfig, {"seed"},
+                                              _SAMPLING_KEY_UNITS), seed=seed)
 
 
 def _train_config(pairs: dict[str, str], seed: int) -> tr.TrainConfig:
@@ -361,17 +357,21 @@ def cmd_train(args) -> None:
     if data.count == 0:
         raise ConfigError("empty training split")
     synth = ds.load_dataset(args.synth) if args.synth else None
-    if synth is not None and synth.count > 0:
-        if synth.pose_dim != data.pose_dim or synth.intrinsics != data.intrinsics:
-            raise ConfigError("synthetic split does not match training split")
-    elif synth is not None:
-        synth = None  # an empty synthetic split contributes nothing
+    if synth is not None and (synth.pose_dim != data.pose_dim
+                              or synth.intrinsics != data.intrinsics):
+        raise ConfigError("synthetic split does not match training split")
 
     cfg = _train_config(pairs, args.seed)
     if args.resume:
         ck = tr.load_checkpoint(args.resume)
         model, start = ck.model, ck.epoch
         _check_model_data(model.config, data, f"resume {args.resume}")
+        for name, value in _config_fields(pairs, ModelConfig, _MODEL_FROM_DATA,
+                                          _MODEL_KEY_UNITS).items():
+            have = getattr(model.config, name)
+            if value != have:
+                raise ConfigError(f"resume {args.resume}: {name} is {value} in "
+                                  f"{args.config} but {have} in the checkpoint")
         if start >= cfg.epochs:
             raise ConfigError(
                 f"checkpoint is already at epoch {start}; set epochs > {start}")
@@ -455,15 +455,16 @@ def cmd_track(args) -> None:
         args.config, "track_config", required={"init"},
         optional={"n_samples", "var_ceiling", "lost_after", "measure",
                   "fuse_heading", "init_var", "odom_var"})
-    measure = args.ekf and bool(_gi(pairs, "measure", 1))
-    if not args.ekf:
+    ekf = args.odom is not None
+    measure = ekf and bool(_gi(pairs, "measure", 1))
+    if not ekf:
         _reject_unread(pairs, {"measure", "fuse_heading", "init_var", "odom_var"},
-                       args.config, "by track without --ekf")
+                       args.config, "by track without --odom")
     elif measure:
-        _reject_unread(pairs, {"var_ceiling", "lost_after"}, args.config, "by track --ekf")
+        _reject_unread(pairs, {"var_ceiling", "lost_after"}, args.config, "by track --odom")
     else:
         _reject_unread(pairs, {"var_ceiling", "lost_after", "n_samples", "fuse_heading"},
-                       args.config, "by track --ekf with measure = 0")
+                       args.config, "by track --odom with measure = 0")
     ck = tr.load_checkpoint(args.ckpt)
     model = ck.model
     if model.config.dim != 3:
@@ -475,16 +476,12 @@ def cmd_track(args) -> None:
 
     init = as_floats(pairs, "init", 3)
     n_samples = _gi(pairs, "n_samples", 50)
-    if args.ekf and not args.odom:
-        raise ConfigError("--ekf needs an odometry file (--odom)")
-    if args.odom and not args.ekf:
-        raise ConfigError("--odom only applies with --ekf")
 
     t0 = time.perf_counter()
     means = np.zeros((data.count, 3))
     variances = np.zeros((data.count, 3))
     lost_flags = np.zeros(data.count, dtype=int)
-    if args.ekf:
+    if ekf:
         odom_var = as_floats(pairs, "odom_var", 3) if "odom_var" in pairs \
             else np.array([1e-4, 1e-4, 7.6e-5])
         init_var = as_floats(pairs, "init_var", 3) if "init_var" in pairs \
@@ -526,7 +523,7 @@ def cmd_track(args) -> None:
         write_kv(os.path.join(out, "report.kv"), {
             "kind": "track_report", "version": "1",
             "seed": str(args.seed), "n_frames": str(data.count),
-            "ekf": str(int(args.ekf)), "n_lost": str(int(lost_flags.sum())),
+            "ekf": str(int(ekf)), "n_lost": str(int(lost_flags.sum())),
             "median_trans_m": repr(float(np.median(errs[:, 0]))),
             "mean_trans_m": repr(float(np.mean(errs[:, 0]))),
             "median_rot_deg": repr(float(np.median(errs[:, 1]))),
@@ -590,8 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--config", required=True)
     q.add_argument("--ckpt", required=True)
     q.add_argument("--data", required=True, help="ordered frames manifest")
-    q.add_argument("--ekf", action="store_true", help="fuse with odometry")
-    q.add_argument("--odom", help="odometry file, one 'df dl dtheta' line per frame")
+    q.add_argument("--odom", help="odometry to fuse, one 'df dl dtheta' line per frame")
     return p
 
 

@@ -94,18 +94,11 @@ class Vae:
         logvar = nd.linear(flat, self.params["enc.lv.w"], self.params["enc.lv.b"])
         return mu, logvar
 
-    def encode(self, y, mode: str = "mean", rng: np.random.Generator | None = None) -> Tensor:
-        """Images -> latent; mode 'sample' reparameterizes, 'mean' returns mu."""
-        mu, logvar = self.encode_stats(y)
-        if mode == "mean":
-            return mu
-        if mode == "sample":
-            if rng is None:
-                raise DomainError("encode(mode='sample') needs an rng")
-            eps = rng.standard_normal(size=mu.data.shape)
-            sigma = nd.exp(nd.mul(logvar, 0.5))
-            return mu + nd.mul(sigma, Tensor(eps))
-        raise DomainError(f"unknown encode mode '{mode}'")
+    def encode(self, y, mode: str = "mean") -> Tensor:
+        """Images -> the latent mean mu; ``mode`` must be 'mean'."""
+        if mode != "mean":
+            raise DomainError(f"unknown encode mode '{mode}'")
+        return self.encode_stats(y)[0]
 
     def decode(self, latent) -> Tensor:
         """Latent (n, latent) -> images (n, hw, hw, 3) in [0, 1]."""
@@ -125,13 +118,11 @@ class Vae:
 
 
 def kl_divergence(mu: Tensor, logvar: Tensor) -> Tensor:
-    """Mean over the batch of KL(N(mu, sigma^2) || N(0, 1)) summed over dims."""
+    """Mean over the batch of KL(N(mu, sigma^2) || N(0, 1)) summed over dims;
+    mu and logvar are (n, k)."""
     mu, logvar = nd._wrap(mu), nd._wrap(logvar)
     if mu.data.shape != logvar.data.shape:
         raise DimensionError(f"kl shapes differ: {mu.data.shape} vs {logvar.data.shape}")
-    if mu.data.ndim == 1:
-        mu = nd.reshape(mu, (1, mu.data.size))
-        logvar = nd.reshape(logvar, (1, logvar.data.size))
     per_dim = nd.mul(mu, mu) + nd.exp(logvar) - 1.0 - logvar
     per_sample = nd.tsum(nd.mul(per_dim, 0.5), axis=1)
     return nd.tmean(per_sample)

@@ -562,12 +562,12 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int 
 class Adam:
     """Bias-corrected Adam over a dict of named leaf tensors.
 
+    It starts at step ``t`` 0 with zero moments ``state["m"]``/``state["v"]``.
     ``step`` checks every gradient (finite, same shape as its parameter)
     before its first write, so a bad gradient raises ``OptimizerError`` and
     leaves the parameters, the moments and ``t`` untouched. A missing
-    gradient counts as zero (the moments still decay). The moments
-    ``state["m"]``/``state["v"]`` are updated in place; each parameter's
-    ``.data`` is rebound to a new array, never written into.
+    gradient counts as zero (the moments still decay). The moments are
+    updated in place; each parameter's ``.data`` is rebound to a new array.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
@@ -575,7 +575,9 @@ class Adam:
         self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.state: dict = {}
+        self.state: dict = {"m": {k: np.zeros_like(p.data) for k, p in params.items()},
+                            "v": {k: np.zeros_like(p.data) for k, p in params.items()},
+                            "t": 0}
 
     def step(self, lr: float | None = None) -> None:
         grads = {}
@@ -589,10 +591,6 @@ class Adam:
                 raise OptimizerError(
                     f"gradient shape {g.shape} != param shape {p.data.shape} for '{name}'")
             grads[name] = g
-        if not self.state:
-            self.state = {"m": {k: np.zeros_like(p.data) for k, p in self.params.items()},
-                          "v": {k: np.zeros_like(p.data) for k, p in self.params.items()},
-                          "t": 0}
         lr = self.lr if lr is None else lr
         b1, b2 = self.beta1, self.beta2
         t = self.state["t"] + 1
@@ -613,18 +611,10 @@ class Adam:
             t.grad = None
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Flatten optimizer state for checkpointing."""
-        out = {}
-        if self.state:
-            for k in self.params:
-                out[f"adam.m.{k}"] = self.state["m"][k]
-                out[f"adam.v.{k}"] = self.state["v"][k]
-        return out
+        """Flatten optimizer state for checkpointing: each parameter's m, then its v."""
+        return {f"adam.{s}.{k}": self.state[s][k] for k in self.params for s in "mv"}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int) -> None:
-        if t == 0:
-            self.state = {}
-            return
         self.state = {
             "m": {k: np.array(arrays[f"adam.m.{k}"]) for k in self.params},
             "v": {k: np.array(arrays[f"adam.v.{k}"]) for k in self.params},

@@ -100,25 +100,18 @@ def _frustum_stats(pose: Pose, intr: CameraIntrinsics, cloud: np.ndarray) -> tup
     return n, (_nearest(rel[mask]) if n else float("nan"))
 
 
-def view_stats(pose: Pose, intr: CameraIntrinsics, cloud: np.ndarray,
-               training_positions: np.ndarray) -> ViewStats:
-    n, d_in_view = _frustum_stats(pose, intr, cloud)
-    return ViewStats(n, d_in_view, _nearest(training_positions - pose.position))
-
-
 def compute_ranges(training_poses: list[Pose], intr: CameraIntrinsics,
                    cloud: np.ndarray, widen: float = 1.0) -> AcceptanceRanges:
     """Training-set [min, max] of N_in_view and delta_in_view, optionally
     widened multiplicatively (lo / widen, hi * widen)."""
     if not training_poses:
         raise SamplingError("cannot compute acceptance ranges from an empty training set")
-    positions = np.array([p.position for p in training_poses])
     ns, ds = [], []
     for p in training_poses:
-        s = view_stats(p, intr, cloud, positions)
-        ns.append(s.n_in_view)
-        if s.n_in_view > 0:
-            ds.append(s.delta_in_view)
+        n, d = _frustum_stats(p, intr, cloud)
+        ns.append(n)
+        if n > 0:
+            ds.append(d)
     if not ds:
         raise SamplingError("no training pose sees any cloud point; check scene and cloud")
 

@@ -16,7 +16,6 @@ to ray direction f - a*tan(hfov/2)*left - b*tan(hfov/2)*(H/W)*up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 

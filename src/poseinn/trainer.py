@@ -334,7 +334,7 @@ def train(model: PoseRegressor, poses: np.ndarray, images: np.ndarray,
     images = np.asarray(images, dtype=np.float64)
     if len(poses) != len(images) or len(poses) == 0:
         raise DomainError("poses and images must be non-empty and equal length")
-    have_synth = synth_poses is not None and len(synth_poses) > 0
+    have_synth = synth_poses is not None
     if have_synth:
         synth_poses = np.asarray(synth_poses, dtype=np.float64)
         synth_images = np.asarray(synth_images, dtype=np.float64)
@@ -441,7 +441,7 @@ def save_checkpoint(path, model: PoseRegressor, epoch: int = 0,
         "bounds_lo": [float(v) for v in model.bounds.lo],
         "bounds_hi": [float(v) for v in model.bounds.hi],
         "epoch": int(epoch),
-        "adam_t": int(opt.state["t"]) if opt is not None and opt.state else 0,
+        "adam_t": int(opt.state["t"]) if opt is not None else 0,
         "train": asdict(train_cfg) if train_cfg is not None else None,
     }
     arrays = model.param_arrays()
@@ -462,9 +462,22 @@ def save_checkpoint(path, model: PoseRegressor, epoch: int = 0,
         f.write(b"".join(out))
 
 
+def _meta_value(meta, key: str, decode):
+    """``decode(meta[key])``; a missing key, or a value that ``decode``
+    refuses, raises one ``CheckpointError`` line naming the key."""
+    try:
+        return decode(meta[key])
+    except KeyError:
+        raise CheckpointError(f"checkpoint meta block has no key '{key}'") from None
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"checkpoint meta key '{key}' does not decode: {e}") from None
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Rebuild the model (architecture from the meta block, parameters and
-    optimizer moments bitwise from the records)."""
+    optimizer moments bitwise from the records). The meta block fixes the
+    record set: the parameters, the flow permutations and every Adam
+    moment, which only a file at ``adam_t`` 0 may leave out (they are 0)."""
     with open(path, "rb") as f:
         r = _Reader(f.read())
     if r.take(4) != MAGIC:
@@ -486,15 +499,28 @@ def load_checkpoint(path) -> Checkpoint:
         n = int(np.prod(shape)) if rank else 1
         arrays[name] = np.frombuffer(r.take(8 * n), dtype="<f8").reshape(shape).copy()
 
-    model = PoseRegressor(ModelConfig(**meta["model"]),
-                          Aabb(np.array(meta["bounds_lo"]), np.array(meta["bounds_hi"])))
-    model.load_param_arrays({k: v for k, v in arrays.items()
-                             if not k.startswith("adam.")})
-    train_cfg = TrainConfig(**meta["train"]) if meta["train"] is not None else None
-    opt_arrays = {k: v for k, v in arrays.items() if k.startswith("adam.")}
-    return Checkpoint(model=model, epoch=int(meta["epoch"]),
-                      adam_t=int(meta["adam_t"]), opt_arrays=opt_arrays,
-                      train=train_cfg)
+    bounds = Aabb(*(_meta_value(meta, k, lambda v: np.array(v, dtype=np.float64))
+                    for k in ("bounds_lo", "bounds_hi")))
+    model = _meta_value(meta, "model", lambda v: PoseRegressor(ModelConfig(**v), bounds))
+    epoch, adam_t = _meta_value(meta, "epoch", int), _meta_value(meta, "adam_t", int)
+    if epoch < 0 or adam_t < 0:
+        raise CheckpointError(f"checkpoint meta epoch {epoch} and adam_t {adam_t} must be >= 0")
+    train_cfg = _meta_value(meta, "train", lambda v: None if v is None else TrainConfig(**v))
+
+    model.load_param_arrays(arrays)
+    moments = {f"adam.{m}.{k}": t.data for k, t in model.params.items() for m in "mv"}
+    if adam_t == 0 and not arrays.keys() & moments.keys():
+        arrays.update((k, np.zeros_like(a)) for k, a in moments.items())
+    odd = sorted(arrays.keys() ^ (model.param_arrays().keys() | moments.keys()))
+    if odd:
+        why = "unexpected" if odd[0] in arrays else "missing"
+        raise CheckpointError(f"{why} checkpoint record '{odd[0]}'")
+    for k, a in moments.items():
+        if arrays[k].shape != a.shape:
+            raise CheckpointError(
+                f"checkpoint record '{k}' has shape {arrays[k].shape}, expected {a.shape}")
+    return Checkpoint(model=model, epoch=epoch, adam_t=adam_t,
+                      opt_arrays={k: arrays[k] for k in moments}, train=train_cfg)
 
 
 def restore_optimizer(ck: Checkpoint) -> nd.Adam:

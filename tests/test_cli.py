@@ -1,7 +1,9 @@
+import json
 import os
 import re
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -165,15 +167,14 @@ class TestGenData:
 
 
 class TestSamplePoses:
-    def test_target_zero_adds_nothing(self, pipeline, tmp_path):
+    def test_target_zero_one_error_line(self, pipeline, tmp_path, capsys):
         cfg = write(tmp_path / "s0.cfg", "kind = sampling_config\ntarget = 0\n")
-        before = open(pipeline["train"], "rb").read()
         out = tmp_path / "zero"
         assert cli.main(["sample-poses", "--config", cfg,
                          "--data", pipeline["train"], "--seed", "5",
-                         "--out", str(out)]) == 0
-        assert ds.load_dataset(str(out / "synth.kv")).count == 0
-        assert open(pipeline["train"], "rb").read() == before
+                         "--out", str(out)]) == 1
+        assert "must be positive" in one_error_line(capsys, "domain")
+        assert not out.exists()
 
     def test_synth_poses_within_delta_of_training(self, pipeline):
         train = ds.load_dataset(pipeline["train"])
@@ -194,6 +195,24 @@ class TestTrainResume:
         assert (out / "model.ckpt").read_bytes() == straight
         rows = (out / "loss.tsv").read_text().strip().splitlines()
         assert [r.split("\t")[0] for r in rows[1:]] == ["1"]  # continues numbering
+
+    @pytest.mark.parametrize("old, new, why", [
+        ("blocks = 2", "blocks = 5", "blocks is 5 in {cfg} but 2 in the checkpoint"),
+        ("hidden = 16", "hidden = 16\ncond_cell_theta_deg = 45",
+         f"cond_cell_theta is {np.deg2rad(45.0)} in {{cfg}} but {np.pi / 6}"),
+        ("hidden = 16", "hidden = 16\ncond_cell_theta_deg = 30", None),
+    ])
+    def test_resume_compares_model_keys(self, pipeline, tmp_path, capsys, old, new, why):
+        cfg = write(tmp_path / "t.cfg", TRAIN_CFG.replace(old, new))
+        rc = cli.main(["train", "--config", cfg, "--data", pipeline["train"],
+                       "--synth", pipeline["synth"],
+                       "--resume", str(pipeline["root"] / "run" / "epoch_0001.ckpt"),
+                       "--seed", "3", "--out", str(tmp_path / "o")])
+        if why is None:  # equal after the degree-to-radian conversion
+            assert rc == 0
+        else:
+            assert rc == 1
+            assert why.format(cfg=cfg) in one_error_line(capsys, "config")
 
     def test_resume_dim_mismatch(self, pipeline, tmp_path, capsys):
         cfg6 = write(tmp_path / "d6.cfg",
@@ -234,7 +253,7 @@ class TestTrackEkf:
                         *(repr(float(v)) for v in gt[0])))
         out = tmp_path / "pred"
         assert cli.main(["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
-                         "--data", pipeline["test"], "--ekf", "--odom", odom,
+                         "--data", pipeline["test"], "--odom", odom,
                          "--seed", "0", "--out", str(out)]) == 0
         rows = (out / "track.tsv").read_text().strip().splitlines()[1:]
         for i, row in enumerate(rows):
@@ -249,7 +268,7 @@ class TestTrackEkf:
         cfg = write(tmp_path / "t.cfg",
                     "kind = track_config\ninit = 1.0 0.0 0.0\nn_samples = 10\n")
         assert cli.main(["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
-                         "--data", pipeline["test"], "--ekf", "--odom", odom,
+                         "--data", pipeline["test"], "--odom", odom,
                          "--seed", "4", "--out", str(tmp_path / "fuse")]) == 0
 
 
@@ -285,19 +304,21 @@ class TestErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR config:")
 
-    def test_ekf_without_odom(self, pipeline, tmp_path, capsys):
+    def test_ekf_flag_is_a_usage_error(self, pipeline, tmp_path, capsys):
+        # track fuses with odometry exactly when --odom is given
         cfg = write(tmp_path / "t.cfg", "kind = track_config\ninit = 0 0 0\n")
-        rc = cli.main(["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
-                       "--data", pipeline["test"], "--ekf",
-                       "--seed", "0", "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "--odom" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
+                      "--data", pipeline["test"], "--ekf",
+                      "--seed", "0", "--out", str(tmp_path / "o")])
+        assert ei.value.code == 2
+        assert "--ekf" in one_error_line(capsys, "usage")
 
     def test_odom_line_count_mismatch(self, pipeline, tmp_path, capsys):
         cfg = write(tmp_path / "t.cfg", "kind = track_config\ninit = 0 0 0\n")
         odom = write(tmp_path / "o.txt", "0 0 0\n")  # 1 line for 4 frames
         rc = cli.main(["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
-                       "--data", pipeline["test"], "--ekf", "--odom", odom,
+                       "--data", pipeline["test"], "--odom", odom,
                        "--seed", "0", "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "odometry lines" in capsys.readouterr().err
@@ -344,7 +365,7 @@ class TestErrors:
         assert "voids bitwise determinism" in capsys.readouterr().err
 
 
-# track mode: (--ekf given, config lines, the keys that mode does not read)
+# track mode: (--odom given, config lines, the keys that mode does not read)
 TRACK_MODES = {
     "sequential": (False, "", ["measure", "fuse_heading", "init_var", "odom_var"]),
     "ekf": (True, "", ["var_ceiling", "lost_after"]),
@@ -368,13 +389,13 @@ class TestModeKeys:
     @pytest.mark.parametrize("mode, key", [(m, k) for m, (_, _, keys) in TRACK_MODES.items()
                                            for k in keys])
     def test_track_rejects_unread_key(self, pipeline, tmp_path, capsys, mode, key):
-        ekf, lines, _ = TRACK_MODES[mode]
+        odom, lines, _ = TRACK_MODES[mode]
         cfg = write(tmp_path / "t.cfg",
                     f"kind = track_config\ninit = 0 0 0\n{lines}{key} = {KEY_VALUES[key]}\n")
         argv = ["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
                 "--data", pipeline["test"], "--out", str(tmp_path / "o")]
-        if ekf:
-            argv += ["--ekf", "--odom", write(tmp_path / "o.txt", "0 0 0\n" * 4)]
+        if odom:
+            argv += ["--odom", write(tmp_path / "o.txt", "0 0 0\n" * 4)]
         assert cli.main(argv) == 1
         assert f"'{key}'" in one_error_line(capsys, "config")
         assert not (tmp_path / "o").exists()
@@ -442,6 +463,31 @@ class TestOneErrorLine:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
             f"ERROR checkpoint: flow permutation 'perm0' is not a permutation of 0..{w - 1}"]
+
+    def test_bad_meta_block(self, pipeline, tmp_path):
+        blob = Path(pipeline["ckpt"]).read_bytes()
+        end = 16 + struct.unpack_from("<Q", blob, 8)[0]
+        meta = json.loads(blob[16:end])
+        del meta["epoch"]
+        meta_b = json.dumps(meta).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:8] + struct.pack("<Q", len(meta_b)) + meta_b + blob[end:])
+        proc = run_module(["eval", "--ckpt", bad, "--data", pipeline["test"], "--seed", "0",
+                           "--out", tmp_path / "o"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "ERROR checkpoint: checkpoint meta block has no key 'epoch'"]
+
+    def test_resume_with_other_architecture(self, pipeline, tmp_path):
+        cfg = write(tmp_path / "t.cfg", TRAIN_CFG.replace("blocks = 2", "blocks = 5")
+                    .replace("hidden = 16", "hidden = 64"))
+        ck = pipeline["root"] / "run" / "epoch_0001.ckpt"
+        proc = run_module(["train", "--config", cfg, "--data", pipeline["train"],
+                           "--resume", ck, "--out", tmp_path / "o"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"ERROR config: resume {ck}: blocks is 5 in {cfg} but 2 in the checkpoint"]
+        assert not (tmp_path / "o").exists()
 
 
 class TestConfigDefaults:

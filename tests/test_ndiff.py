@@ -613,7 +613,9 @@ class TestAdam:
         opt.params["b"].grad = bad
         with pytest.raises(OptimizerError):
             opt.step(lr=0.1)
-        assert opt.state == {}
+        assert opt.state["t"] == 0
+        for a in opt.state_arrays().values():
+            np.testing.assert_array_equal(a, np.zeros(2))
         np.testing.assert_array_equal(opt.params["a"].data, [1.0, 2.0])
         opt.params["b"].grad = np.array([0.25, 1.0])
         opt.step(lr=0.1)

@@ -76,14 +76,14 @@ class TestInView:
     def test_facing_away_sees_nothing(self):
         cloud = np.array([[2.0, 0.0, 0.0], [1.5, 0.3, 0.1]])
         pose = Pose(np.zeros(3), np.array([np.pi, 0.0, 0.0]), dim=3)  # looking -x
-        assert sp.view_stats(pose, INTR, cloud, np.zeros((1, 3))).n_in_view == 0
+        assert sp._frustum_stats(pose, INTR, cloud)[0] == 0
 
     def test_single_axis_point(self):
         cloud = np.array([[2.0, 0.0, 0.0]])
         pose = Pose(np.zeros(3), np.zeros(3), dim=3)
-        stats = sp.view_stats(pose, INTR, cloud, np.zeros((1, 3)))
-        assert stats.n_in_view == 1
-        np.testing.assert_allclose(stats.delta_in_view, 2.0, atol=1e-12)
+        n, d_view = sp._frustum_stats(pose, INTR, cloud)
+        assert n == 1
+        np.testing.assert_allclose(d_view, 2.0, atol=1e-12)
 
     def test_matches_brute_force_randomized(self):
         rng = np.random.default_rng(42)
@@ -93,14 +93,13 @@ class TestInView:
             pose = Pose(
                 np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), 0.0]),
                 np.array([rng.uniform(-np.pi, np.pi), 0.0, 0.0]), dim=3)
-            got = sp.view_stats(pose, INTR, cloud[:200], positions)
-            n, d_view, d_train = brute_force_stats(pose, INTR, cloud[:200], positions)
-            assert got.n_in_view == n
+            got_n, got_d = sp._frustum_stats(pose, INTR, cloud[:200])
+            n, d_view, _ = brute_force_stats(pose, INTR, cloud[:200], positions)
+            assert got_n == n
             if n:
-                np.testing.assert_allclose(got.delta_in_view, d_view, atol=1e-12)
+                np.testing.assert_allclose(got_d, d_view, atol=1e-12)
             else:
-                assert np.isnan(got.delta_in_view)
-            np.testing.assert_allclose(got.delta_training, d_train, atol=1e-12)
+                assert np.isnan(got_d)
 
 
 class TestSampleOrientation:

@@ -1,6 +1,8 @@
 """Trainer, model wrapper, and checkpoint tests."""
 
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -377,7 +379,107 @@ class TestTrain:
             tr.train(m, poses, imgs, tr.TrainConfig(epochs=1, batch=5))
 
 
+def saved_meta(path) -> dict:
+    """The JSON meta block of a checkpoint file."""
+    blob = path.read_bytes()
+    return json.loads(blob[16:16 + struct.unpack_from("<Q", blob, 8)[0]])
+
+
+def write_parts(path, meta: dict, records: list) -> None:
+    """A checkpoint file from a meta dict and (name, array) records, which
+    may leave out or add names."""
+    meta_b = json.dumps(meta).encode()
+    out = [tr.MAGIC, struct.pack("<IQ", tr.VERSION, len(meta_b)), meta_b,
+           struct.pack("<I", len(records))]
+    for name, a in records:
+        out += [struct.pack("<I", len(name)), name.encode(), struct.pack("<I", a.ndim),
+                struct.pack(f"<{a.ndim}I", *a.shape), np.ascontiguousarray(a, "<f8").tobytes()]
+    path.write_bytes(b"".join(out))
+
+
+def stepped_checkpoint(path) -> tuple[dict, list]:
+    """Save a tiny model after one Adam step and return its parts."""
+    m = tiny_model()
+    opt = nd.Adam(m.params)
+    for t in m.params.values():
+        t.grad = np.ones_like(t.data)
+    opt.step(lr=1e-3)
+    tr.save_checkpoint(path, m, epoch=1, opt=opt)
+    return saved_meta(path), list({**m.param_arrays(), **opt.state_arrays()}.items())
+
+
 class TestCheckpoint:
+    def test_parts_round_trip_bitwise(self, tmp_path):
+        p, q = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        write_parts(q, *stepped_checkpoint(p))
+        assert p.read_bytes() == q.read_bytes()
+
+    @pytest.mark.parametrize("case", ["stray", "missing_moment", "moment_shape",
+                                      "no_moments_after_a_step", "some_moments_at_step_0"])
+    def test_record_set_fixed_by_meta(self, tmp_path, case):
+        p = tmp_path / "m.ckpt"
+        meta, records = stepped_checkpoint(p)
+        first = records[0][0]
+        params = [(k, a) for k, a in records if not k.startswith("adam.")]
+        if case == "stray":
+            records += [("flow.block7.s.w0", np.zeros((2, 2))), ("vae.bogus", np.zeros(3))]
+            why = "unexpected checkpoint record 'flow.block7.s.w0'"
+        elif case == "missing_moment":
+            records = [r for r in records if r[0] != f"adam.m.{first}"]
+            why = f"missing checkpoint record 'adam.m.{first}'"
+        elif case == "moment_shape":
+            records = [(k, a.reshape(-1) if k == f"adam.v.{first}" else a) for k, a in records]
+            why = f"checkpoint record 'adam.v.{first}' has shape"
+        elif case == "no_moments_after_a_step":
+            records = params
+            why = "missing checkpoint record 'adam.m."
+        else:
+            meta["adam_t"] = 0
+            records = params + [(f"adam.m.{first}", dict(records)[f"adam.m.{first}"])]
+            why = "missing checkpoint record 'adam.m."
+        write_parts(p, meta, records)
+        with pytest.raises(CheckpointError, match=why) as ei:
+            tr.load_checkpoint(p)
+        assert "\n" not in str(ei.value)
+
+    def test_moments_left_out_only_at_step_0(self, tmp_path):
+        m = tiny_model()
+        for i, opt in enumerate([None, nd.Adam(m.params)]):
+            p = tmp_path / f"{i}.ckpt"
+            tr.save_checkpoint(p, m, opt=opt)
+            ck = tr.load_checkpoint(p)
+            assert ck.adam_t == 0 and len(ck.opt_arrays) == 2 * len(m.params)
+            restored = tr.restore_optimizer(ck)
+            assert restored.state["t"] == 0
+            for a in restored.state_arrays().values():
+                assert not np.any(a)
+
+    @pytest.mark.parametrize("case", ["no_epoch", "model_key", "train_key", "model_not_mapping",
+                                      "epoch_not_int", "negative_epoch"])
+    def test_bad_meta_block_rejected(self, tmp_path, case):
+        p = tmp_path / "m.ckpt"
+        meta, records = stepped_checkpoint(p)
+        meta["train"] = {}
+        edits = {
+            "no_epoch": (lambda: meta.pop("epoch"), "meta block has no key 'epoch'"),
+            "model_key": (lambda: meta["model"].update(bogus=1),
+                          "meta key 'model' does not decode: .*'bogus'"),
+            "train_key": (lambda: meta["train"].update(bogus=1),
+                          "meta key 'train' does not decode: .*'bogus'"),
+            "model_not_mapping": (lambda: meta.update(model=[3]),
+                                  "meta key 'model' does not decode"),
+            "epoch_not_int": (lambda: meta.update(epoch="one"),
+                              "meta key 'epoch' does not decode"),
+            "negative_epoch": (lambda: meta.update(epoch=-2),
+                               "meta epoch -2 and adam_t 1 must be >= 0"),
+        }
+        edit, why = edits[case]
+        edit()
+        write_parts(p, meta, records)
+        with pytest.raises(CheckpointError, match=why) as ei:
+            tr.load_checkpoint(p)
+        assert "\n" not in str(ei.value)
+
     def test_non_finite_parameter_rejected(self, tmp_path):
         # a single infinite scale-net weight would saturate the coupling's
         # tanh clamp and leave localize's output finite
