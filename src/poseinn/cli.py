@@ -450,21 +450,30 @@ def _read_odom(path, n_frames: int, noise_var: np.ndarray) -> list[loc.OdometryS
     return steps
 
 
+def _finite_floats(pairs: dict[str, str], key: str, path,
+                   default: np.ndarray | None = None) -> np.ndarray:
+    """Three finite floats from ``key``, or ``default`` when it is absent."""
+    if key not in pairs:
+        return default
+    vals = as_floats(pairs, key, 3)
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"{path}: key '{key}' must be finite, got {pairs[key]!r}")
+    return vals
+
+
 def cmd_track(args) -> None:
     pairs, _ = _read_config(
         args.config, "track_config", required={"init"},
-        optional={"n_samples", "var_ceiling", "lost_after", "measure",
-                  "fuse_heading", "init_var", "odom_var"})
+        optional={"n_samples", "var_ceiling", "lost_after", "init_var", "odom_var"})
     ekf = args.odom is not None
-    measure = ekf and bool(_gi(pairs, "measure", 1))
-    if not ekf:
-        _reject_unread(pairs, {"measure", "fuse_heading", "init_var", "odom_var"},
-                       args.config, "by track without --odom")
-    elif measure:
+    if ekf:
         _reject_unread(pairs, {"var_ceiling", "lost_after"}, args.config, "by track --odom")
     else:
-        _reject_unread(pairs, {"var_ceiling", "lost_after", "n_samples", "fuse_heading"},
-                       args.config, "by track --odom with measure = 0")
+        _reject_unread(pairs, {"init_var", "odom_var"}, args.config, "by track without --odom")
+    init = _finite_floats(pairs, "init", args.config)
+    init_var = _finite_floats(pairs, "init_var", args.config, np.array([1e-2, 1e-2, 1e-2]))
+    odom_var = _finite_floats(pairs, "odom_var", args.config, np.array([1e-4, 1e-4, 7.6e-5]))
+    n_samples = _gi(pairs, "n_samples", 50)
     ck = tr.load_checkpoint(args.ckpt)
     model = ck.model
     if model.config.dim != 3:
@@ -474,29 +483,19 @@ def cmd_track(args) -> None:
         raise ConfigError("empty test split: nothing to track")
     _check_model_data(model.config, data, str(args.ckpt))
 
-    init = as_floats(pairs, "init", 3)
-    n_samples = _gi(pairs, "n_samples", 50)
-
     t0 = time.perf_counter()
     means = np.zeros((data.count, 3))
     variances = np.zeros((data.count, 3))
     lost_flags = np.zeros(data.count, dtype=int)
     if ekf:
-        odom_var = as_floats(pairs, "odom_var", 3) if "odom_var" in pairs \
-            else np.array([1e-4, 1e-4, 7.6e-5])
-        init_var = as_floats(pairs, "init_var", 3) if "init_var" in pairs \
-            else np.array([1e-2, 1e-2, 1e-2])
         steps = _read_odom(args.odom, data.count, odom_var)
         state = loc.EkfState(init, np.diag(init_var))
-        fuse_heading = bool(_gi(pairs, "fuse_heading", 1))
         for i in range(data.count):
             state = loc.ekf_predict(state, steps[i])
-            if measure:
-                cond = Pose.from_vector(state.mean, 3) if model.config.conditional else None
-                post = loc.localize(model, data.images[i], n_samples, condition=cond,
-                                    rng=np.random.default_rng([args.seed, i]))
-                meas_mean, meas_cov = loc.posterior_measurement(post)
-                state = loc.ekf_update(state, meas_mean, meas_cov, fuse_heading=fuse_heading)
+            cond = Pose.from_vector(state.mean, 3) if model.config.conditional else None
+            post = loc.localize(model, data.images[i], n_samples, condition=cond,
+                                rng=np.random.default_rng([args.seed, i]))
+            state = loc.ekf_update(state, *loc.posterior_measurement(post))
             means[i] = state.mean
             variances[i] = np.diag(state.cov)
     else:

@@ -76,20 +76,20 @@ def summarize_samples(samples: np.ndarray, dim: int) -> PosePosterior:
 
 
 def localize(model: PoseRegressor, image: np.ndarray, n_samples: int = 50,
-             condition: Pose | None = None,
-             rng: np.random.Generator | None = None) -> PosePosterior:
+             condition: Pose | None = None, *,
+             rng: np.random.Generator) -> PosePosterior:
     """Image -> pose posterior from n_samples draws of the residual latent.
 
     The image is encoded once with the VAE mean; each sample inverts the flow
-    at a fresh z ~ N(0, 1). Conditional models require ``condition`` (the
-    previous-state estimate); unconditional models reject one. The flow gets
-    the condition as one row that serves all n_samples draws, so it is
-    embedded, and multiplied into each subnet's first layer, once per call.
+    at a fresh z ~ N(0, 1) drawn from ``rng``, a required keyword that the
+    caller seeds (e.g. ``np.random.default_rng(seed)``). Conditional models
+    require ``condition`` (the previous-state estimate); unconditional
+    models reject one. The flow gets the condition as one row that serves
+    all n_samples draws, so it is embedded, and multiplied into each
+    subnet's first layer, once per call.
     No autodiff graph is built; non-finite flow outputs raise
     ``NonFiniteError``.
     """
-    if rng is None:
-        raise DomainError("localize needs an rng (pass np.random.default_rng(seed))")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     image = np.asarray(image, dtype=np.float64)
@@ -235,6 +235,8 @@ class EkfState:
         mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
         if mean.shape != (3,):
             raise DimensionError(f"EKF mean must be (3,), got {mean.shape}")
+        if not np.all(np.isfinite(mean)):
+            raise DomainError(f"EKF mean must be finite, got {mean}")
         cov = _check_psd(self.cov, "EKF covariance")
         if cov.shape != (3, 3):
             raise DimensionError(f"EKF covariance must be (3, 3), got {cov.shape}")
@@ -277,30 +279,27 @@ def ekf_predict(state: EkfState, odom: OdometryStep) -> EkfState:
     return EkfState(mean=mean, cov=cov)
 
 
-def ekf_update(state: EkfState, meas_mean: np.ndarray, meas_cov: np.ndarray,
-               fuse_heading: bool = True) -> EkfState:
-    """Fuse a pose measurement; the heading innovation is wrapped so a
-    measurement across the +-pi seam pulls the short way around."""
+def ekf_update(state: EkfState, meas_mean: np.ndarray, meas_cov: np.ndarray) -> EkfState:
+    """Fuse a full-pose measurement; the heading innovation is wrapped so a
+    measurement across the +-pi seam pulls the short way around. A singular
+    innovation covariance state.cov + meas_cov raises ConditioningError."""
     meas_mean = np.asarray(meas_mean, dtype=np.float64).reshape(-1)
     if meas_mean.shape != (3,):
         raise DimensionError(f"measurement mean must be (3,), got {meas_mean.shape}")
     R = _check_psd(meas_cov, "measurement covariance")
     if R.shape != (3, 3):
         raise DimensionError(f"measurement covariance must be (3, 3), got {R.shape}")
-    if fuse_heading:
-        H = np.eye(3)
-    else:
-        H = np.eye(3)[:2]
-        R = R[:2, :2]
-    nu = meas_mean[: len(H)] - H @ state.mean
-    if fuse_heading:
-        nu[2] = wrap_angle(nu[2])
-    S = H @ state.cov @ H.T + R
-    K = np.linalg.solve(S.T, (state.cov @ H.T).T).T
+    P = state.cov
+    nu = meas_mean - state.mean
+    nu[2] = wrap_angle(nu[2])
+    try:
+        K = np.linalg.solve((P + R).T, P.T).T
+    except np.linalg.LinAlgError:
+        raise ConditioningError("EKF innovation covariance is singular") from None
     mean = state.mean + K @ nu
     mean[2] = wrap_angle(mean[2])
-    ikh = np.eye(3) - K @ H
-    cov = ikh @ state.cov @ ikh.T + K @ R @ K.T  # Joseph form keeps PSD
+    ikh = np.eye(3) - K
+    cov = ikh @ P @ ikh.T + K @ R @ K.T  # Joseph form keeps PSD
     return EkfState(mean=mean, cov=cov)
 
 
@@ -318,8 +317,7 @@ def posterior_measurement(post: PosePosterior) -> tuple[np.ndarray, np.ndarray]:
     return post.mean.copy(), cov
 
 
-def ekf_fuse(state: EkfState, odom: OdometryStep, post: PosePosterior,
-             fuse_heading: bool = True) -> EkfState:
+def ekf_fuse(state: EkfState, odom: OdometryStep, post: PosePosterior) -> EkfState:
     """Predict with odometry, then update with the posterior measurement."""
     mean, cov = posterior_measurement(post)
-    return ekf_update(ekf_predict(state, odom), mean, cov, fuse_heading=fuse_heading)
+    return ekf_update(ekf_predict(state, odom), mean, cov)

@@ -44,6 +44,8 @@ _grad_enabled = True
 # negative-side slope of leaky_relu; 0 < LEAKY_ALPHA < 1 lets its forward
 # take the larger of x and LEAKY_ALPHA * x
 LEAKY_ALPHA = 0.01
+# Adam's moment decay rates and denominator guard (Kingma & Ba's values)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _as_f64(x) -> np.ndarray:
@@ -560,7 +562,8 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int 
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Bias-corrected Adam over a dict of named leaf tensors.
+    """Bias-corrected Adam over a dict of named leaf tensors, with the
+    ``ADAM_*`` constants; ``step(lr)`` takes that step's learning rate.
 
     It starts at step ``t`` 0 with zero moments ``state["m"]``/``state["v"]``.
     ``step`` checks every gradient (finite, same shape as its parameter)
@@ -570,16 +573,13 @@ class Adam:
     updated in place; each parameter's ``.data`` is rebound to a new array.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.state: dict = {"m": {k: np.zeros_like(p.data) for k, p in params.items()},
                             "v": {k: np.zeros_like(p.data) for k, p in params.items()},
                             "t": 0}
 
-    def step(self, lr: float | None = None) -> None:
+    def step(self, lr: float) -> None:
         grads = {}
         for name, p in self.params.items():
             g = p.grad
@@ -591,8 +591,7 @@ class Adam:
                 raise OptimizerError(
                     f"gradient shape {g.shape} != param shape {p.data.shape} for '{name}'")
             grads[name] = g
-        lr = self.lr if lr is None else lr
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         t = self.state["t"] + 1
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
@@ -603,7 +602,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         self.state["t"] = t
 
     def zero_grad(self) -> None:

@@ -80,8 +80,8 @@ class TrainConfig:
                 raise DomainError(f"loss weight {name} must be >= 0")
         if self.warmup_epochs < 0 or self.checkpoint_every < 0:
             raise DomainError("warmup_epochs and checkpoint_every must be >= 0")
-        if self.mix not in ("alternate", "pool"):
-            raise DomainError(f"mix must be 'alternate' or 'pool', got '{self.mix}'")
+        if self.mix != "alternate":
+            raise DomainError(f"mix must be 'alternate', got '{self.mix}'")
 
 
 @dataclass(frozen=True)
@@ -324,30 +324,23 @@ def train(model: PoseRegressor, poses: np.ndarray, images: np.ndarray,
           ) -> tuple[list[LossEntry], nd.Adam]:
     """Run the full schedule; returns per-epoch mean losses and the optimizer.
 
-    With a synthetic split present, mix='alternate' interleaves whole epochs
-    1:1 between the original and synthetic sets; mix='pool' shuffles their
-    concatenation every epoch. All per-epoch randomness is derived from
-    (seed, epoch) counters, so resuming from a checkpoint at any epoch
-    reproduces the uninterrupted run bitwise.
+    With a synthetic split present, whole epochs alternate 1:1 between the
+    original and the synthetic set (``mix`` = 'alternate', its one legal
+    value). All per-epoch randomness is derived from (seed, epoch)
+    counters, so resuming from a checkpoint at any epoch reproduces the
+    uninterrupted run bitwise.
     """
     poses = np.asarray(poses, dtype=np.float64)
     images = np.asarray(images, dtype=np.float64)
     if len(poses) != len(images) or len(poses) == 0:
         raise DomainError("poses and images must be non-empty and equal length")
-    have_synth = synth_poses is not None
-    if have_synth:
+    pools = [(poses, images)]
+    if synth_poses is not None:
         synth_poses = np.asarray(synth_poses, dtype=np.float64)
         synth_images = np.asarray(synth_images, dtype=np.float64)
         if len(synth_poses) != len(synth_images):
             raise DomainError("synthetic poses and images must be equal length")
-
-    if cfg.mix == "pool" and have_synth:
-        pools = [(np.concatenate([poses, synth_poses]),
-                  np.concatenate([images, synth_images]))]
-    elif have_synth:
-        pools = [(poses, images), (synth_poses, synth_images)]
-    else:
-        pools = [(poses, images)]
+        pools.append((synth_poses, synth_images))
     for pp, _ in pools:
         if cfg.batch > len(pp):
             raise DomainError(f"batch size {cfg.batch} exceeds a training pool of {len(pp)}")
@@ -477,7 +470,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Rebuild the model (architecture from the meta block, parameters and
     optimizer moments bitwise from the records). The meta block fixes the
     record set: the parameters, the flow permutations and every Adam
-    moment, which only a file at ``adam_t`` 0 may leave out (they are 0)."""
+    moment, which only a file at ``adam_t`` 0 may leave out (they are 0).
+    Each record name appears once; a repeated one is refused."""
     with open(path, "rb") as f:
         r = _Reader(f.read())
     if r.take(4) != MAGIC:
@@ -494,6 +488,8 @@ def load_checkpoint(path) -> Checkpoint:
     arrays = {}
     for _ in range(r.u32()):
         name = r.take(r.u32()).decode("utf-8")
+        if name in arrays:
+            raise CheckpointError(f"repeated checkpoint record '{name}'")
         rank = r.u32()
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
         n = int(np.prod(shape)) if rank else 1

@@ -184,7 +184,7 @@ class _FrozenAdam(nd.Adam):
     """Adam whose step is a no-op: lets train_step build the full loss and
     backprop without moving the parameters."""
 
-    def step(self, lr=None):
+    def step(self, lr):
         pass
 
 

@@ -238,6 +238,8 @@ class TestTrainResume:
 
 class TestTrackEkf:
     def test_prediction_only_equals_integrated_odometry(self, pipeline, tmp_path):
+        # the odometry file as track --odom reads it, chained through the
+        # prediction step alone, retraces the ground-truth poses
         test = ds.load_dataset(pipeline["test"])
         gt = test.poses
         lines = ["0 0 0"]
@@ -247,20 +249,11 @@ class TestTrackEkf:
             lines.append(f"{float(c * dx + s * dy)!r} {float(-s * dx + c * dy)!r} "
                          f"{float(wrap_angle(gt[i, 2] - gt[i - 1, 2]))!r}")
         odom = write(tmp_path / "odom.txt", "\n".join(lines) + "\n")
-        cfg = write(tmp_path / "t.cfg",
-                    "kind = track_config\ninit = {} {} {}\nmeasure = 0\n"
-                    "init_var = 0 0 0\nodom_var = 0 0 0\n".format(
-                        *(repr(float(v)) for v in gt[0])))
-        out = tmp_path / "pred"
-        assert cli.main(["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
-                         "--data", pipeline["test"], "--odom", odom,
-                         "--seed", "0", "--out", str(out)]) == 0
-        rows = (out / "track.tsv").read_text().strip().splitlines()[1:]
-        for i, row in enumerate(rows):
-            vals = row.split("\t")
-            est = np.array([float(vals[1]), float(vals[2]), float(vals[3])])
-            assert np.max(np.abs(est[:2] - gt[i, :2])) < 1e-9
-            assert abs(wrap_angle(est[2] - gt[i, 2])) < 1e-9
+        state = loc.EkfState(gt[0], np.zeros((3, 3)))
+        for i, step in enumerate(cli._read_odom(odom, test.count, np.zeros(3))):
+            state = loc.ekf_predict(state, step)
+            assert np.max(np.abs(state.mean[:2] - gt[i, :2])) < 1e-9
+            assert abs(wrap_angle(state.mean[2] - gt[i, 2])) < 1e-9
 
     def test_ekf_with_measurements_runs(self, pipeline, tmp_path):
         test = ds.load_dataset(pipeline["test"])
@@ -314,6 +307,21 @@ class TestErrors:
         assert ei.value.code == 2
         assert "--ekf" in one_error_line(capsys, "usage")
 
+    @pytest.mark.parametrize("odom, key, value", [
+        (False, "init", "nan 0.0 inf"), (True, "init", "nan 0.0 0.0"),
+        (True, "init_var", "0.01 inf 0.01"), (True, "odom_var", "nan 0 0")])
+    def test_track_non_finite_value(self, pipeline, tmp_path, capsys, odom, key, value):
+        keys = {"init": "0 0 0", key: value}
+        cfg = write(tmp_path / "t.cfg", "kind = track_config\n"
+                    + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        argv = ["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
+                "--data", pipeline["test"], "--out", str(tmp_path / "o")]
+        if odom:
+            argv += ["--odom", write(tmp_path / "o.txt", "0 0 0\n" * 4)]
+        assert cli.main(argv) == 1
+        assert f"key '{key}' must be finite" in one_error_line(capsys, "config")
+        assert not (tmp_path / "o").exists()
+
     def test_odom_line_count_mismatch(self, pipeline, tmp_path, capsys):
         cfg = write(tmp_path / "t.cfg", "kind = track_config\ninit = 0 0 0\n")
         odom = write(tmp_path / "o.txt", "0 0 0\n")  # 1 line for 4 frames
@@ -365,12 +373,11 @@ class TestErrors:
         assert "voids bitwise determinism" in capsys.readouterr().err
 
 
-# track mode: (--odom given, config lines, the keys that mode does not read)
+# track mode: (--odom given, the keys that mode does not read); measure and
+# fuse_heading are unknown keys in both modes
 TRACK_MODES = {
-    "sequential": (False, "", ["measure", "fuse_heading", "init_var", "odom_var"]),
-    "ekf": (True, "", ["var_ceiling", "lost_after"]),
-    "ekf_predict": (True, "measure = 0\n",
-                    ["var_ceiling", "lost_after", "n_samples", "fuse_heading"]),
+    "sequential": (False, ["measure", "fuse_heading", "init_var", "odom_var"]),
+    "ekf": (True, ["measure", "fuse_heading", "var_ceiling", "lost_after"]),
 }
 KEY_VALUES = {"measure": "0", "fuse_heading": "0", "init_var": "0 0 0", "odom_var": "0 0 0",
               "var_ceiling": "1.0", "lost_after": "3", "n_samples": "10"}
@@ -386,12 +393,12 @@ class TestModeKeys:
     """A config key that the chosen mode does not read is rejected, like an
     unknown key, with one error line that names it."""
 
-    @pytest.mark.parametrize("mode, key", [(m, k) for m, (_, _, keys) in TRACK_MODES.items()
+    @pytest.mark.parametrize("mode, key", [(m, k) for m, (_, keys) in TRACK_MODES.items()
                                            for k in keys])
     def test_track_rejects_unread_key(self, pipeline, tmp_path, capsys, mode, key):
-        odom, lines, _ = TRACK_MODES[mode]
+        odom = TRACK_MODES[mode][0]
         cfg = write(tmp_path / "t.cfg",
-                    f"kind = track_config\ninit = 0 0 0\n{lines}{key} = {KEY_VALUES[key]}\n")
+                    f"kind = track_config\ninit = 0 0 0\n{key} = {KEY_VALUES[key]}\n")
         argv = ["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
                 "--data", pipeline["test"], "--out", str(tmp_path / "o")]
         if odom:
@@ -490,6 +497,19 @@ class TestOneErrorLine:
         assert not (tmp_path / "o").exists()
 
 
+    def test_singular_innovation_covariance(self, pipeline, tmp_path):
+        # an exact prior, noiseless odometry and one-sample posteriors: P + R = 0
+        cfg = write(tmp_path / "t.cfg", "kind = track_config\ninit = 0 0 0\nn_samples = 1\n"
+                    "init_var = 0 0 0\nodom_var = 0 0 0\n")
+        proc = run_module(["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
+                           "--data", pipeline["test"],
+                           "--odom", write(tmp_path / "o.txt", "0 0 0\n" * 4),
+                           "--out", tmp_path / "o"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "ERROR conditioning: EKF innovation covariance is singular"]
+
+
 class TestConfigDefaults:
     def test_empty_train_config_keeps_dataclass_defaults(self):
         assert cli._train_config({}, seed=4) == tr.TrainConfig(seed=4)
@@ -504,10 +524,10 @@ class TestConfigDefaults:
 
     def test_keys_parse_by_field_type(self, pipeline):
         data = ds.load_dataset(pipeline["train"])
-        pairs = {"epochs": "7", "lr_start": "0.01", "mix": "pool", "conditional": "1",
+        pairs = {"epochs": "7", "lr_start": "0.01", "mix": "alternate", "conditional": "1",
                  "cond_cell_theta_deg": "45"}
         cfg = cli._train_config(pairs, seed=0)
-        assert (cfg.epochs, cfg.lr_start, cfg.mix) == (7, 0.01, "pool")
+        assert (cfg.epochs, cfg.lr_start, cfg.mix) == (7, 0.01, "alternate")
         mc = cli._model_config(pairs, data, seed=0)
         assert mc.conditional is True and mc.cond_cell_theta == np.deg2rad(45.0)
         sc = cli._sampling_config({"budget_factor": "7", "max_rot_noise_deg": "2"}, seed=0)

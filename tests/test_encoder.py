@@ -158,7 +158,7 @@ class TestTrainingBehavior:
         imgs = np.zeros((20, 16, 16, 3))
         for i in range(20):
             imgs[i, :, : 4 + 2 * (i % 5), :] = rng.uniform(0.3, 1.0, size=3)
-        opt = nd.Adam(vae.params, lr=3e-3)
+        opt = nd.Adam(vae.params)
         losses = []
         for _ in range(30):
             opt.zero_grad()
@@ -166,7 +166,7 @@ class TestTrainingBehavior:
             recon = nd.mse(vae.decode(mu), nd.Tensor(imgs))
             loss = recon + nd.mul(kl_divergence(mu, lv), 1e-3)
             loss.backward()
-            opt.step()
+            opt.step(lr=3e-3)
             losses.append(recon.item())
         assert losses[-1] < 0.5 * losses[0]
 

@@ -98,8 +98,6 @@ class TestLocalize:
     def test_input_validation(self):
         m = tiny_model()
         img = np.zeros((16, 16, 3))
-        with pytest.raises(DomainError):
-            lc.localize(m, img)  # no rng
         with pytest.raises(DimensionError):
             lc.localize(m, np.zeros((8, 8, 3)), rng=np.random.default_rng(0))
         with pytest.raises(DomainError):
@@ -319,17 +317,21 @@ class TestEkf:
         with pytest.raises(ConditioningError):
             lc.ekf_update(st, np.zeros(3), bad)
 
-    def test_fuse_heading_off_diagonal_p_keeps_heading(self):
-        st = lc.EkfState(np.array([0.0, 0.0, 0.3]), np.diag([0.1, 0.1, 0.2]))
-        out = lc.ekf_update(st, np.array([1.0, 1.0, -2.0]), np.eye(3) * 0.1,
-                            fuse_heading=False)
-        assert abs(out.mean[2] - 0.3) < 1e-12
+    def test_singular_innovation_covariance(self):
+        # an exact prior and a one-sample posterior: P + R = 0
+        st = lc.EkfState(np.zeros(3), np.zeros((3, 3)))
+        with pytest.raises(ConditioningError, match="innovation covariance is singular") as ei:
+            lc.ekf_update(st, np.ones(3), np.zeros((3, 3)))
+        assert "\n" not in str(ei.value)
 
     def test_state_validation(self):
         with pytest.raises(ConditioningError):
             lc.EkfState(np.zeros(3), -np.eye(3))
         with pytest.raises(DimensionError):
             lc.EkfState(np.zeros(2), np.eye(3))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="EKF mean must be finite"):
+                lc.EkfState(np.array([bad, 0.0, 0.0]), np.eye(3))
         with pytest.raises(DomainError):
             lc.OdometryStep(0.0, 0.0, 0.0, noise=np.array([-1.0, 0, 0]))
         with pytest.raises(DomainError):

@@ -582,7 +582,7 @@ class TestAdam:
         rng = np.random.default_rng(42)
         w0, b0 = rng.normal(size=(3, 3)), rng.normal(size=3)
         opt = nd.Adam({"w": nd.Tensor(w0.copy(), requires_grad=True),
-                       "b": nd.Tensor(b0.copy(), requires_grad=True)}, lr=0.01)
+                       "b": nd.Tensor(b0.copy(), requires_grad=True)})
         ref = {"w": w0.copy(), "b": b0.copy()}
         m = {k: np.zeros_like(v) for k, v in ref.items()}
         v = {k: np.zeros_like(a) for k, a in ref.items()}
@@ -592,7 +592,7 @@ class TestAdam:
             w = opt.params["w"]
             nd.mse(nd.matmul(w, nd.Tensor(np.eye(3))), nd.Tensor(np.eye(3))).backward()
             grads = {"w": w.grad.copy(), "b": np.zeros(3)}
-            opt.step()
+            opt.step(lr=lr)
             for k in ref:
                 m[k] = b1 * m[k] + (1.0 - b1) * grads[k]
                 v[k] = b2 * v[k] + (1.0 - b2) * (grads[k] * grads[k])
@@ -637,7 +637,7 @@ class TestAdam:
         opt.step(lr=0.1)
         arrs = opt.state_arrays()
         assert list(arrs) == ["adam.m.w", "adam.v.w"]
-        opt2 = nd.Adam({"w": nd.Tensor(t.data.copy(), requires_grad=True)}, lr=0.1)
+        opt2 = nd.Adam({"w": nd.Tensor(t.data.copy(), requires_grad=True)})
         opt2.load_state_arrays(arrs, t=1)
         assert opt2.state["t"] == 1
         np.testing.assert_array_equal(opt2.state["m"]["w"], opt.state["m"]["w"])

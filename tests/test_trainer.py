@@ -117,8 +117,9 @@ class TestSchedule:
             tr.TrainConfig(w_kl=-1.0)
         with pytest.raises(DomainError):
             tr.TrainConfig(epochs=0)
-        with pytest.raises(DomainError):
-            tr.TrainConfig(mix="shaken")
+        for mix in ("shaken", "pool"):
+            with pytest.raises(DomainError, match="mix must be 'alternate'"):
+                tr.TrainConfig(mix=mix)
 
 
 class TestRotationLosses:
@@ -363,15 +364,6 @@ class TestTrain:
         entries, _ = tr.train(m, poses, imgs, cfg, synth_poses=sposes, synth_images=simgs)
         assert len(entries) == 4
 
-    def test_pool_mixing_concatenates(self):
-        m = tiny_model()
-        poses, imgs = tiny_data(6, seed=1)
-        sposes, simgs = tiny_data(6, seed=2)
-        cfg = tr.TrainConfig(epochs=2, batch=12, warmup_epochs=0, checkpoint_every=0,
-                             mix="pool")
-        entries, _ = tr.train(m, poses, imgs, cfg, synth_poses=sposes, synth_images=simgs)
-        assert len(entries) == 2
-
     def test_batch_larger_than_pool_rejected(self):
         m = tiny_model()
         poses, imgs = tiny_data(4)
@@ -439,6 +431,16 @@ class TestCheckpoint:
             why = "missing checkpoint record 'adam.m."
         write_parts(p, meta, records)
         with pytest.raises(CheckpointError, match=why) as ei:
+            tr.load_checkpoint(p)
+        assert "\n" not in str(ei.value)
+
+    def test_repeated_record_rejected(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        meta, records = stepped_checkpoint(p)
+        name = "flow.block0.s.w0"
+        records.append((name, np.full_like(dict(records)[name], 7.0)))
+        write_parts(p, meta, records)
+        with pytest.raises(CheckpointError, match=f"repeated checkpoint record '{name}'") as ei:
             tr.load_checkpoint(p)
         assert "\n" not in str(ei.value)
 
