@@ -28,9 +28,8 @@ from . import localizer as loc
 from . import sampler as sp
 from . import scenegen as sg
 from . import trainer as tr
-from .errors import ConditioningError, ConfigError, PoseInnError, TrackingError
-from .geometry import Aabb, Pose, euler_to_matrix, geodesic_distance, position_width, \
-    wrap_angle
+from .errors import ConditioningError, ConfigError, PoseInnError
+from .geometry import Aabb, Pose, wrap_angle
 from .kvconfig import as_float, as_floats, as_int, as_str, ensure_keys, \
     parse_kv_text, write_kv
 from .model import ModelConfig, PoseRegressor
@@ -155,21 +154,17 @@ class MetricsReport:
     kept: np.ndarray
 
 
-def pose_errors(pred: np.ndarray, gt: np.ndarray, dim: int) -> tuple[float, float]:
-    """(translation error m, rotation error deg) between two pose vectors."""
+def pose_errors(pred: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
+    """(translation error m, wrapped heading error deg) between two
+    (x, y, theta) pose vectors."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    k = position_width(dim)
-    t = float(np.linalg.norm(pred[:k] - gt[:k]))
-    if dim == 3:
-        r = abs(float(wrap_angle(pred[2] - gt[2])))
-    else:
-        r = geodesic_distance(euler_to_matrix(*pred[3:]), euler_to_matrix(*gt[3:]))
+    t = float(np.linalg.norm(pred[:2] - gt[:2]))
+    r = abs(float(wrap_angle(pred[2] - gt[2])))
     return t, float(np.degrees(r))
 
 
-def evaluate_posteriors(posteriors: list, gt_poses: np.ndarray,
-                        dim: int) -> MetricsReport:
+def evaluate_posteriors(posteriors: list, gt_poses: np.ndarray) -> MetricsReport:
     """Score posteriors against ground truth and apply the variance filter.
 
     Exposed separately from cmd_eval so a posterior can be substituted
@@ -180,10 +175,10 @@ def evaluate_posteriors(posteriors: list, gt_poses: np.ndarray,
     if n == 0:
         raise ConfigError("empty test split: nothing to evaluate")
     gt_poses = np.asarray(gt_poses, dtype=np.float64)
-    if gt_poses.shape != (n, dim):
-        raise ConfigError(f"ground truth shape {gt_poses.shape} != ({n}, {dim})")
+    if gt_poses.shape != (n, 3):
+        raise ConfigError(f"ground truth shape {gt_poses.shape} != ({n}, 3)")
 
-    errs = np.array([pose_errors(p.mean, gt_poses[i], dim) for i, p in enumerate(posteriors)])
+    errs = np.array([pose_errors(p.mean, gt_poses[i]) for i, p in enumerate(posteriors)])
     unc = np.array([p.scalar_uncertainty() for p in posteriors])
     kept = loc.variance_filter(posteriors)[0] if n >= 2 else np.ones(1, dtype=bool)
 
@@ -341,8 +336,6 @@ _TRAIN_KEYS = ({f.name for f in fields(tr.TrainConfig)} - {"seed"}) \
 
 
 def _check_model_data(cfg: ModelConfig, data: ds.Dataset, what: str) -> None:
-    if cfg.dim != data.pose_dim:
-        raise ConfigError(f"{what}: model pose dim {cfg.dim} != dataset {data.pose_dim}")
     if cfg.image_hw != data.intrinsics.height or cfg.image_hw != data.intrinsics.width:
         raise ConfigError(
             f"{what}: model expects {cfg.image_hw}x{cfg.image_hw} images, dataset has "
@@ -357,8 +350,7 @@ def cmd_train(args) -> None:
     if data.count == 0:
         raise ConfigError("empty training split")
     synth = ds.load_dataset(args.synth) if args.synth else None
-    if synth is not None and (synth.pose_dim != data.pose_dim
-                              or synth.intrinsics != data.intrinsics):
+    if synth is not None and synth.intrinsics != data.intrinsics:
         raise ConfigError("synthetic split does not match training split")
 
     cfg = _train_config(pairs, args.seed)
@@ -411,7 +403,7 @@ def cmd_eval(args) -> None:
     posteriors = [loc.localize(model, data.images[i], args.samples,
                                rng=np.random.default_rng([args.seed, i]))
                   for i in range(data.count)]
-    rep = evaluate_posteriors(posteriors, data.poses, model.config.dim)
+    rep = evaluate_posteriors(posteriors, data.poses)
     with _OutputDir(args.out) as out:
         write_kv(os.path.join(out, "report.kv"),
                  {"kind": "eval_report", "version": "1",
@@ -473,11 +465,13 @@ def cmd_track(args) -> None:
     init = _finite_floats(pairs, "init", args.config)
     init_var = _finite_floats(pairs, "init_var", args.config, np.array([1e-2, 1e-2, 1e-2]))
     odom_var = _finite_floats(pairs, "odom_var", args.config, np.array([1e-4, 1e-4, 7.6e-5]))
+    var_ceiling = _gf(pairs, "var_ceiling", float("inf"))
+    if np.isnan(var_ceiling):
+        # no uncertainty exceeds nan, so no frame would ever be flagged lost
+        raise ConfigError(f"{args.config}: key 'var_ceiling' must not be nan")
     n_samples = _gi(pairs, "n_samples", 50)
     ck = tr.load_checkpoint(args.ckpt)
     model = ck.model
-    if model.config.dim != 3:
-        raise TrackingError("tracking is planar only")
     data = ds.load_dataset(args.data)
     if data.count == 0:
         raise ConfigError("empty test split: nothing to track")
@@ -502,14 +496,14 @@ def cmd_track(args) -> None:
         track = loc.sequential_localize(
             model, data.images, Pose.from_vector(init, 3),
             np.random.default_rng([args.seed]), n_samples=n_samples,
-            var_ceiling=_gf(pairs, "var_ceiling", float("inf")),
+            var_ceiling=var_ceiling,
             lost_after=_gi(pairs, "lost_after", 5))
         for i, tp in enumerate(track):
             means[i] = tp.posterior.mean
             variances[i] = tp.posterior.variance
             lost_flags[i] = int(tp.lost)
 
-    errs = np.array([pose_errors(means[i], data.poses[i], 3) for i in range(data.count)])
+    errs = np.array([pose_errors(means[i], data.poses[i]) for i in range(data.count)])
     with _OutputDir(args.out) as out:
         lines = ["frame\tx\ty\ttheta\tvar_x\tvar_y\tvar_theta\tlost"
                  "\terr_trans_m\terr_rot_deg"]

@@ -1,10 +1,11 @@
 """Dataset artifacts: raw little-endian float32 blobs plus a kv manifest.
 
-Poses are d-float records (x, y, theta) or (x, y, z, tz, tx, ty); images are
-HWC float32 in [0, 1]. The manifest pins the record counts, so a blob whose
-byte size disagrees is rejected rather than silently reinterpreted. Values
-are checked on save and again on load: poses must be finite and image
-values finite and in [0, 1], so bad data stops where it enters the program.
+Poses are planar 3-float records (x, y, theta); the manifest's
+``pose_dim`` records that width and must read 3. Images are HWC float32 in
+[0, 1]. The manifest pins the record counts, so a blob whose byte size
+disagrees is rejected rather than silently reinterpreted. Values are
+checked on save and again on load: poses must be finite and image values
+finite and in [0, 1], so bad data stops where it enters the program.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ def save_dataset(out_dir, name: str, poses: np.ndarray, images: np.ndarray,
     manifest path. Blob paths in the manifest are relative to its directory."""
     poses = np.asarray(poses, dtype=np.float64)
     images = np.asarray(images, dtype=np.float64)
-    if poses.ndim != 2 or poses.shape[1] not in (3, 6):
-        raise ConfigError(f"poses must be (n, 3) or (n, 6), got {poses.shape}")
+    if poses.ndim != 2 or poses.shape[1] != 3:
+        raise ConfigError(f"poses must be (n, 3), got {poses.shape}")
     if images.shape != (len(poses), intr.height, intr.width, 3):
         raise ConfigError(
             f"images must be ({len(poses)}, {intr.height}, {intr.width}, 3), "
@@ -110,8 +111,8 @@ def load_dataset(manifest_path) -> Dataset:
         raise ConfigError(f"{manifest_path}: not a dataset manifest")
 
     dim = as_int(pairs, "pose_dim")
-    if dim not in (3, 6):
-        raise ConfigError(f"{manifest_path}: pose_dim must be 3 or 6, got {dim}")
+    if dim != 3:
+        raise ConfigError(f"{manifest_path}: pose_dim must be 3 (planar poses only), got {dim}")
     count = as_int(pairs, "count")
     h, w = as_int(pairs, "image_h"), as_int(pairs, "image_w")
     intr = CameraIntrinsics(width=w, height=h, hfov=as_float(pairs, "hfov"))

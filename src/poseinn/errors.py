@@ -68,15 +68,9 @@ class ConfigError(PoseInnError):
 
 class ConditioningError(PoseInnError):
     """A covariance matrix is not a finite, symmetric, positive
-    semidefinite matrix; or a model's condition does not fit: a
-    conditional model got no condition vector, an unconditional one got
-    one, or a conditional model was asked for full 6-D poses or for
-    ``eval``, which has no pose prior per frame."""
+    semidefinite matrix, or the EKF innovation covariance is singular; or
+    a model's condition does not fit: a conditional model got no condition
+    vector, an unconditional one got one, or a conditional model was asked
+    for ``eval``, which has no pose prior per frame."""
 
     code = "conditioning"
-
-
-class TrackingError(PoseInnError):
-    """Sequential localization failed (e.g. missing condition input)."""
-
-    code = "tracking"

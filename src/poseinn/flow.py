@@ -13,10 +13,11 @@ are soft-clamped, s_c = clamp * tanh(s / clamp), because unbounded scales
 blow up under bidirectional training. Subnet output layers start at zero
 so the initial flow is the identity permutation composition.
 
-Odd working dimensions get one constant zero pad channel at index 0; the
-permutations fix index 0, so the pad sits in the passive half of every
-coupling and survives the stack exactly, making the inverse (which
-re-inserts the zero) exact as well.
+The planar working vector has odd length 6L + 3, so it gets one constant
+zero pad channel at index 0 to split into equal halves; the permutations
+fix index 0, so the pad sits in the passive half of every coupling and
+survives the stack exactly, making the inverse (which re-inserts the
+zero) exact as well.
 
 An optional condition vector c is embedded once by a small MLP and feeds
 the first layer of every coupling subnet beside the passive half: that
@@ -66,18 +67,14 @@ class FlowModel:
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        self.padded = config.x_len % 2 == 1
-        self.width = config.x_len + (1 if self.padded else 0)
+        self.width = config.x_len + 1  # the pad channel
         self.half = self.width // 2
         rng = np.random.default_rng(config.seed)
 
         self.perms: list[np.ndarray] = []
         self.inv_perms: list[np.ndarray] = []
         for _ in range(config.blocks):
-            if self.padded:
-                p = np.concatenate([[0], 1 + rng.permutation(self.width - 1)])
-            else:
-                p = rng.permutation(self.width)
+            p = np.concatenate([[0], 1 + rng.permutation(self.width - 1)])
             self.perms.append(p.astype(np.intp))
             self.inv_perms.append(np.argsort(p).astype(np.intp))
 
@@ -168,14 +165,10 @@ class FlowModel:
         return w
 
     def _pad(self, x: Tensor) -> Tensor:
-        if not self.padded:
-            return x
         zeros = Tensor(np.zeros((x.data.shape[0], 1)))
         return nd.concat([zeros, x])
 
     def _unpad(self, w: Tensor) -> Tensor:
-        if not self.padded:
-            return w
         return nd.narrow(w, 1, self.width)
 
     # ------------------------------------------------------------------

@@ -3,7 +3,8 @@
 localize() encodes an image once, draws N residual latents, and inverts the
 flow to get N pose samples; downstream consumers use the sample spread as an
 uncertainty signal, either to drop unreliable frames (variance_filter) or to
-weight an odometry fusion (ekf_fuse).
+weight an odometry fusion (ekf_predict, then ekf_update with the
+posterior_measurement).
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ndiff as nd
-from .errors import (ConditioningError, DimensionError, DomainError, NonFiniteError,
-                     TrackingError)
-from .geometry import Pose, position_width, wrap_angle
+from .errors import ConditioningError, DimensionError, DomainError, NonFiniteError
+from .geometry import Pose, wrap_angle
 from .model import PoseRegressor
 
 # eigenvalues may dip this far below zero before a covariance counts as broken
@@ -28,11 +28,11 @@ def circular_mean(angles: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PosePosterior:
-    """N decoded pose samples plus their moments.
+    """N decoded planar pose samples plus their moments.
 
-    ``samples`` is (n, d) in meters/radians; angular columns of ``variance``
-    are circular (mean squared wrapped deviation from the circular mean);
-    ``position_cov`` covers the position block only.
+    ``samples`` is (n, 3) in meters/radians; the heading column of
+    ``variance`` is circular (mean squared wrapped deviation from the
+    circular mean); ``position_cov`` covers (x, y) only. ``dim`` must be 3.
     """
 
     samples: np.ndarray
@@ -41,35 +41,37 @@ class PosePosterior:
     position_cov: np.ndarray
     dim: int
 
+    def __post_init__(self):
+        if self.dim != 3:
+            raise DimensionError(f"posterior dim must be 3 (planar poses only), got {self.dim}")
+
     @property
     def mean_pose(self) -> Pose:
         return Pose.from_vector(self.mean, self.dim)
 
     def scalar_uncertainty(self) -> float:
         """Sum of position variances."""
-        k = position_width(self.dim)
-        return float(np.sum(self.variance[:k]))
+        return float(np.sum(self.variance[:2]))
 
 
 def summarize_samples(samples: np.ndarray, dim: int) -> PosePosterior:
-    """Moments of decoded pose samples; angles use circular statistics."""
+    """Moments of decoded (x, y, theta) samples; the heading uses circular
+    statistics. ``dim`` must be 3."""
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[1] != dim or len(samples) < 1:
-        raise DimensionError(f"need (n, {dim}) samples, got {samples.shape}")
-    k = position_width(dim)
-    mean = np.empty(dim)
-    mean[:k] = samples[:, :k].mean(axis=0)
-    for j in range(k, dim):
-        mean[j] = circular_mean(samples[:, j])
+    if samples.ndim != 2 or samples.shape[1] != 3 or len(samples) < 1:
+        raise DimensionError(f"need (n, 3) samples, got {samples.shape}")
+    mean = np.empty(3)
+    mean[:2] = samples[:, :2].mean(axis=0)
+    mean[2] = circular_mean(samples[:, 2])
     # columns whose samples all agree get the exact value and zero spread
     # (the float mean of n equal values need not equal them bitwise)
     same = np.all(samples == samples[0], axis=0)
     mean[same] = samples[0, same]
     dev = samples - mean
-    dev[:, k:] = wrap_angle(dev[:, k:])
+    dev[:, 2] = wrap_angle(dev[:, 2])
     dev[:, same] = 0.0
     variance = np.mean(dev * dev, axis=0)
-    pos_dev = dev[:, :k]
+    pos_dev = dev[:, :2]
     position_cov = pos_dev.T @ pos_dev / len(samples)
     return PosePosterior(samples=samples, mean=mean, variance=variance,
                          position_cov=position_cov, dim=dim)
@@ -152,8 +154,6 @@ def sequential_localize(model: PoseRegressor, images: np.ndarray,
     divergence streak; once ``lost_after`` consecutive frames exceed it, the
     remaining track points are flagged lost (tracking continues regardless).
     """
-    if model.config.dim != 3:
-        raise TrackingError("sequential localization is planar only")
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or len(images) == 0:
         raise DimensionError("need a non-empty (t, h, w, 3) image stream")
@@ -309,15 +309,8 @@ def posterior_measurement(post: PosePosterior) -> tuple[np.ndarray, np.ndarray]:
     The covariance comes from the samples with wrapped heading deviations,
     so the position-heading cross terms are retained.
     """
-    if post.dim != 3:
-        raise TrackingError("EKF fusion is planar only")
     dev = post.samples - post.mean
     dev[:, 2] = wrap_angle(dev[:, 2])
     cov = dev.T @ dev / len(post.samples)
     return post.mean.copy(), cov
 
-
-def ekf_fuse(state: EkfState, odom: OdometryStep, post: PosePosterior) -> EkfState:
-    """Predict with odometry, then update with the posterior measurement."""
-    mean, cov = posterior_measurement(post)
-    return ekf_update(ekf_predict(state, odom), mean, cov)

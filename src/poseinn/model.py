@@ -18,20 +18,20 @@ from .encoder import Vae
 from .errors import (CheckpointError, ConditioningError, DimensionError, DomainError,
                      NonFiniteError)
 from .flow import FlowModel
-from .geometry import Aabb, Pose, position_width, positional_encode_batch, wrap_angle
+from .geometry import Aabb, Pose, positional_encode_batch, wrap_angle
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture of a full pose-regression model: the flow and the VAE.
 
-    dim is the pose dimension (3 planar, 6 full) and enc_L the number of
-    positional-encoding frequencies. The image latent width is fixed at
-    2 * dim * enc_L so the flow's two sides line up exactly. The flow has
-    `blocks` couplings whose subnets have `layers` hidden layers of width
-    `hidden`, log-scales soft-clamped at `clamp`. Conditional models
-    (planar only) take a grid-rounded previous pose, positionally encoded,
-    as side input to every coupling block through a `cond_width`
+    dim is the length of the planar pose vector (x, y, theta) and must be
+    3; enc_L is the number of positional-encoding frequencies. The image
+    latent width is fixed at 2 * dim * enc_L so the flow's two sides line
+    up exactly. The flow has `blocks` couplings whose subnets have `layers`
+    hidden layers of width `hidden`, log-scales soft-clamped at `clamp`.
+    Conditional models take a grid-rounded previous pose, positionally
+    encoded, as side input to every coupling block through a `cond_width`
     embedding. image_hw is the VAE's square image side. The flow draws its
     initial weights from `seed`, the VAE from `seed + 1`.
     """
@@ -50,10 +50,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim not in (3, 6):
-            raise DimensionError(f"pose dim must be 3 or 6, got {self.dim}")
-        if self.conditional and self.dim != 3:
-            raise ConditioningError("conditional models are planar only")
+        if self.dim != 3:
+            raise DimensionError(f"pose dim must be 3 (planar poses only), got {self.dim}")
         if self.cond_cell_xy <= 0 or self.cond_cell_theta <= 0:
             raise DomainError("conditioning grid cells must be positive")
         if self.enc_L < 1 or self.blocks < 1 or self.layers < 1 or self.hidden < 1:
@@ -81,21 +79,18 @@ class ModelConfig:
 
 
 def round_to_grid(pose: Pose, cell_xy: float, cell_theta: float) -> Pose:
-    """Snap a planar pose to the center of its conditioning grid cell.
+    """Snap a pose to the center of its conditioning grid cell.
 
     Cell membership uses floor, so e.g. x = 1.26 with 0.5 m cells lands in
     [1.0, 1.5) and is reported as its center 1.25.
     """
-    if pose.dim != 3:
-        raise DimensionError("conditioning grid rounding is planar only")
-
     def center(v: float, cell: float) -> float:
         return (np.floor(v / cell) + 0.5) * cell
 
     x = center(pose.position[0], cell_xy)
     y = center(pose.position[1], cell_xy)
     th = wrap_angle(center(wrap_angle(pose.euler[0]), cell_theta))
-    return Pose(np.array([x, y, 0.0]), np.array([th, 0.0, 0.0]), dim=3)
+    return Pose(np.array([x, y, 0.0]), np.array([th, 0.0, 0.0]))
 
 
 class PoseRegressor:
@@ -120,21 +115,19 @@ class PoseRegressor:
         vs = np.asarray(vs, dtype=np.float64)
         if vs.ndim != 2 or vs.shape[1] != self.config.dim:
             raise DimensionError(f"expected (n, {self.config.dim}) pose vectors, got {vs.shape}")
-        k = position_width(self.config.dim)
-        pos, ang = vs[:, :k], vs[:, k:]
-        lo, hi = self.bounds.lo[:k], self.bounds.hi[:k]
+        pos, ang = vs[:, :2], vs[:, 2:]
+        lo, hi = self.bounds.lo[:2], self.bounds.hi[:2]
         if np.any(pos < lo - 1e-6) or np.any(pos > hi + 1e-6):
             raise DomainError("pose position outside the normalization bounds")
-        center, half = self.bounds.center[:k], self.bounds.half[:k]
+        center, half = self.bounds.center[:2], self.bounds.half[:2]
         pos_n = np.clip((pos - center) / half, -1.0, 1.0)
         return np.concatenate([pos_n, wrap_angle(ang) / np.pi], axis=1)
 
     def denormalize_vectors(self, vs: np.ndarray) -> np.ndarray:
         """Inverse of normalize_vectors; angles come back wrapped."""
         vs = np.asarray(vs, dtype=np.float64)
-        k = position_width(self.config.dim)
-        pos = vs[:, :k] * self.bounds.half[:k] + self.bounds.center[:k]
-        ang = wrap_angle(vs[:, k:] * np.pi)
+        pos = vs[:, :2] * self.bounds.half[:2] + self.bounds.center[:2]
+        ang = wrap_angle(vs[:, 2:] * np.pi)
         return np.concatenate([pos, ang], axis=1)
 
     def encode_pose_batch(self, vs: np.ndarray) -> np.ndarray:
@@ -161,7 +154,7 @@ class PoseRegressor:
             raise ConditioningError("model is unconditional but a condition was given")
         pos = np.clip(prev.position, self.bounds.lo, self.bounds.hi)
         clamped = Pose(np.array([pos[0], pos[1], 0.0]),
-                       np.array([prev.euler[0], 0.0, 0.0]), dim=3)
+                       np.array([prev.euler[0], 0.0, 0.0]))
         cell = round_to_grid(clamped, self.config.cond_cell_xy, self.config.cond_cell_theta)
         # cell centers sit strictly inside the bounds whenever the cell size
         # divides the box, but clamp again so odd geometry cannot escape
@@ -189,7 +182,7 @@ class PoseRegressor:
         """Inverse of ``param_arrays``. A missing record or a shape mismatch
         raises ``DimensionError``. A permutation record that is not a
         permutation of the flow's working indices, or that moves the pad
-        channel of a padded flow, raises ``CheckpointError``.
+        channel, raises ``CheckpointError``.
 
         A non-finite weight raises ``NonFiniteError``: no op checks the
         values it computes, and an infinite weight inside a tanh-clamped
@@ -205,7 +198,7 @@ class PoseRegressor:
             if a.shape != (width,) or not np.array_equal(np.sort(a), np.arange(width)):
                 raise CheckpointError(f"flow permutation 'perm{i}' is not a permutation of "
                                       f"0..{width - 1}")
-            if self.flow.padded and a[0] != 0:
+            if a[0] != 0:
                 raise CheckpointError(f"flow permutation 'perm{i}' moves the pad channel 0")
             perms.append(a.astype(np.intp))
         for k, t in self.params.items():

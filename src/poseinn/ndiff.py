@@ -524,8 +524,8 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int 
     """Transposed convolution on (N,H,W,Cin): the adjoint of ``conv2d``.
 
     ``w`` is stored in the equivalent-convolution layout (k, k, Cin, Cout):
-    the result equals a unit-stride convolution with ``w``, padded by
-    k-1-pad, over ``x`` with stride-1 zeros between its pixels. Each input
+    the result equals a unit-stride convolution with ``w``, with k-1-pad
+    zeros of padding, over ``x`` with stride-1 zeros between its pixels. Each input
     pixel instead scatters ``x @ w[::-1, ::-1]`` into a k×k output window
     through ``_col2im``, so no zeros are multiplied. The output size is
     stride*(H-1) + k - 2*pad, i.e. stride*H for k=4, stride=2, pad=1.

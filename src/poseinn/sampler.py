@@ -1,8 +1,8 @@
 """Synthetic pose sampling against a surface point cloud.
 
-Candidates get a uniform random position in the scene box and an
-orientation built from a randomly picked training orientation with a small
-random rotation on top. A candidate is kept only if
+Candidates get a uniform random floor position in the scene box and the
+heading of a randomly picked training pose plus a uniform perturbation of
+at most ``max_rot_noise``. A candidate is kept only if
 
   rule 1: distance to the nearest training position is at most 0.5 m
           (configurable),
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SamplingError
-from .geometry import Pose, euler_to_matrix, matrix_to_euler, random_rotation, wrap_angle
+from .geometry import Pose, wrap_angle
 from .scenegen import CameraIntrinsics, Scene
 
 log = logging.getLogger(__name__)
@@ -126,18 +126,15 @@ def compute_ranges(training_poses: list[Pose], intr: CameraIntrinsics,
 
 
 def sample_orientation(training_poses: list[Pose], max_angle: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    """R_noise @ R_training^rand; planar training sets stay planar by using
-    a heading perturbation of the same geodesic size."""
+                       rng: np.random.Generator) -> float:
+    """Heading of a randomly picked training pose plus a uniform
+    perturbation in [-max_angle, max_angle], wrapped to [-pi, pi]."""
     if not training_poses:
         raise SamplingError("cannot sample an orientation from an empty training set")
-    pick = training_poses[int(rng.integers(0, len(training_poses)))]
-    if pick.dim == 3:
-        if max_angle == 0.0:
-            return pick.rotation()
-        u = rng.uniform(-max_angle, max_angle)
-        return euler_to_matrix(wrap_angle(pick.euler[0] + u), 0.0, 0.0)
-    return random_rotation(max_angle, rng) @ pick.rotation()
+    h = training_poses[int(rng.integers(0, len(training_poses)))].euler[0]
+    if max_angle != 0.0:
+        h = wrap_angle(h + rng.uniform(-max_angle, max_angle))
+    return float(np.arctan2(np.sin(h), np.cos(h)))
 
 
 def filter_pose(candidate: Pose, training_positions: np.ndarray, cloud: np.ndarray,
@@ -165,12 +162,8 @@ def sample_poses(scene: Scene, cloud: np.ndarray, training_poses: list[Pose],
         raise SamplingError("cannot sample poses from an empty training set")
     if len(cloud) == 0:
         raise SamplingError("cannot sample poses against an empty cloud")
-    dim = training_poses[0].dim
     positions = np.array([p.position for p in training_poses])
     ranges = compute_ranges(training_poses, intr, cloud, cfg.widen)
-
-    z_lo, z_hi = (float(positions[:, 2].min()), float(positions[:, 2].max())) if dim == 3 \
-        else (scene.bounds.lo[2], scene.bounds.hi[2])
 
     accepted: list[tuple[Pose, ViewStats]] = []
     budget = cfg.budget_factor * cfg.target
@@ -179,20 +172,13 @@ def sample_poses(scene: Scene, cloud: np.ndarray, training_poses: list[Pose],
     for i in range(budget):
         attempts += 1
         rng = np.random.default_rng([cfg.seed, i])
-        pos = np.array([
-            rng.uniform(scene.bounds.lo[0], scene.bounds.hi[0]),
-            rng.uniform(scene.bounds.lo[1], scene.bounds.hi[1]),
-            rng.uniform(z_lo, z_hi) if z_hi > z_lo else z_lo,
-        ])
+        pos = np.array([rng.uniform(scene.bounds.lo[0], scene.bounds.hi[0]),
+                        rng.uniform(scene.bounds.lo[1], scene.bounds.hi[1]), 0.0])
         if scene.position_collides(pos):
             reasons["collision"] += 1
             continue
-        rot = sample_orientation(training_poses, cfg.max_rot_noise, rng)
-        tz, tx, ty = matrix_to_euler(rot)
-        if dim == 3:
-            candidate = Pose(np.array([pos[0], pos[1], 0.0]), np.array([tz, 0.0, 0.0]), dim=3)
-        else:
-            candidate = Pose(pos, np.array([tz, tx, ty]), dim=6)
+        heading = sample_orientation(training_poses, cfg.max_rot_noise, rng)
+        candidate = Pose(pos, np.array([heading, 0.0, 0.0]))
         result = filter_pose(candidate, positions, cloud, intr, ranges, cfg)
         if result.accepted:
             accepted.append((candidate, result.stats))

@@ -327,7 +327,7 @@ def _sample_box_surface(box: Box, k: int, rng: np.random.Generator) -> np.ndarra
 
 def generate_trajectory(scene: Scene, style: str, k: int, dim: int = 3,
                         loop_factor: float | None = None) -> list[Pose]:
-    """k collision-free training poses inside the scene.
+    """k collision-free planar poses inside the scene; ``dim`` must be 3.
 
     loop: a circle around the bounds center with tangent headings; radius is
     loop_factor * half-extent when given, else the first collision-free
@@ -335,23 +335,22 @@ def generate_trajectory(scene: Scene, style: str, k: int, dim: int = 3,
     train/test rings.
     grid: a lattice over the interior with headings facing the center.
     """
+    if dim != 3:
+        raise DimensionError(f"trajectory pose dim must be 3 (planar poses only), got {dim}")
     if k < 2:
         raise DomainError(f"trajectory needs k >= 2, got {k}")
     if style == "loop":
-        return _loop_trajectory(scene, k, dim, loop_factor)
+        return _loop_trajectory(scene, k, loop_factor)
     if style == "grid":
-        return _grid_trajectory(scene, k, dim)
+        return _grid_trajectory(scene, k)
     raise ConfigError(f"unknown trajectory style '{style}'")
 
 
-def _make_pose(x: float, y: float, z: float, heading: float, pitch: float, dim: int) -> Pose:
-    if dim == 3:
-        return Pose(np.array([x, y, 0.0]), np.array([heading, 0.0, 0.0]), dim=3)
-    return Pose(np.array([x, y, z]), np.array([heading, pitch, 0.0]), dim=6)
+def _make_pose(x: float, y: float, heading: float) -> Pose:
+    return Pose(np.array([x, y, 0.0]), np.array([heading, 0.0, 0.0]))
 
 
-def _loop_trajectory(scene: Scene, k: int, dim: int,
-                     loop_factor: float | None = None) -> list[Pose]:
+def _loop_trajectory(scene: Scene, k: int, loop_factor: float | None = None) -> list[Pose]:
     c = scene.bounds.center
     if loop_factor is not None and not 0.0 < loop_factor < 1.0:
         raise DomainError(f"loop_factor must be in (0, 1), got {loop_factor}")
@@ -366,19 +365,18 @@ def _loop_trajectory(scene: Scene, k: int, dim: int,
             phi = 2.0 * np.pi * i / k
             x = c[0] + rx * np.cos(phi)
             y = c[1] + ry * np.sin(phi)
-            z = c[2] + (0.3 * scene.bounds.half[2] * np.sin(2.0 * phi) if dim == 6 else 0.0)
-            if scene.position_collides(np.array([x, y, z])):
+            # collisions are tested at the box's mid height, not at the
+            # pose's z = 0 as on the grid
+            if scene.position_collides(np.array([x, y, c[2]])):
                 ok = False
                 break
-            heading = phi + np.pi / 2.0  # counterclockwise tangent
-            pitch = 0.1 * np.sin(phi) if dim == 6 else 0.0
-            poses.append(_make_pose(x, y, z, heading, pitch, dim))
+            poses.append(_make_pose(x, y, phi + np.pi / 2.0))  # counterclockwise tangent
         if ok:
             return poses
     raise GenerationError(f"could not place a {k}-pose collision-free loop")
 
 
-def _grid_trajectory(scene: Scene, k: int, dim: int) -> list[Pose]:
+def _grid_trajectory(scene: Scene, k: int) -> list[Pose]:
     c = scene.bounds.center
     base = int(np.ceil(np.sqrt(k)))
     placed = 0
@@ -388,11 +386,9 @@ def _grid_trajectory(scene: Scene, k: int, dim: int) -> list[Pose]:
         poses = []
         for y in ys:
             for x in xs:
-                z = c[2] if dim == 6 else 0.0
-                if scene.position_collides(np.array([x, y, z])):
+                if scene.position_collides(np.array([x, y, 0.0])):
                     continue
-                heading = float(np.arctan2(c[1] - y, c[0] - x))
-                poses.append(_make_pose(x, y, z, heading, 0.0, dim))
+                poses.append(_make_pose(x, y, float(np.arctan2(c[1] - y, c[0] - x))))
                 if len(poses) == k:
                     return poses
         placed = len(poses)

@@ -9,7 +9,7 @@ the input that localize gives the flow:
   to be standard normal and independent of the image latent;
 - reverse, one inverse pass at a fresh z and at each pose's own forward z:
   an MMD compares the fresh-z samples with the batch of encoded poses as
-  distributions, and the pose errors (position, rotation angle, encoding)
+  distributions, and the pose errors (position, heading, encoding)
   are taken mostly at the pose's own z, with a ``REV_RAND_SHARE`` share at
   the fresh z;
 - optionally the flow negative log-likelihood of z.
@@ -35,7 +35,7 @@ import numpy as np
 from . import ndiff as nd
 from .encoder import kl_divergence
 from .errors import CheckpointError, DomainError, NonFiniteError
-from .geometry import Aabb, Pose, euler_to_matrix, position_width
+from .geometry import Aabb, Pose
 from .model import ModelConfig, PoseRegressor
 from .ndiff import Tensor
 
@@ -87,7 +87,7 @@ class TrainConfig:
 @dataclass(frozen=True)
 class LossEntry:
     """One row of the loss report. rev_pos is a squared error in m^2;
-    rev_rot is a mean geodesic angle in radians; nll is a log-density and
+    rev_rot is a mean absolute heading difference in radians; nll is a log-density and
     may be negative; fwd_mmd and rev_mmd are squared MMDs. A loss that was
     not computed (the flow losses in warm-up, nll at w_nll = 0) reads 0."""
 
@@ -113,49 +113,15 @@ def learning_rate(cfg: TrainConfig, epoch: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# in-graph rotation losses
+# in-graph rotation loss
 # ---------------------------------------------------------------------------
-
-def _guarded_angle(cosang: Tensor) -> Tensor:
-    return nd.acos(nd.clip(cosang, -1.0 + ACOS_GUARD, 1.0 - ACOS_GUARD))
-
 
 def _planar_rotation_loss(theta_pred: Tensor, theta_gt: np.ndarray) -> Tensor:
     """Mean |heading difference| via the rotation-trace identity
     tr(Rz(a) Rz(b)^T) = 2 cos(a - b) + 1, which stays smooth in the graph."""
     cosd = nd.add(nd.mul(nd.cos(theta_pred), np.cos(theta_gt)),
                   nd.mul(nd.sin(theta_pred), np.sin(theta_gt)))
-    return nd.tmean(_guarded_angle(cosd))
-
-
-def _full_rotation_loss(ang_pred: Tensor, rot_gt: np.ndarray) -> Tensor:
-    """Mean geodesic angle acos((tr(R_pred R_gt^T) - 1) / 2).
-
-    R_pred = Rz @ Rx @ Ry is expanded symbolically so the whole batch runs
-    through elementwise ops; the trace is the entrywise inner product with
-    the constant ground-truth matrices.
-    """
-    tz, tx, ty = nd.split(ang_pred, [1, 1, 1])
-    cz, sz = nd.cos(tz), nd.sin(tz)
-    cx, sx = nd.cos(tx), nd.sin(tx)
-    cy, sy = nd.cos(ty), nd.sin(ty)
-    entries = [
-        nd.sub(nd.mul(cz, cy), nd.mul(nd.mul(sz, sx), sy)),   # r00
-        nd.mul(nd.mul(sz, cx), -1.0),                         # r01
-        nd.add(nd.mul(cz, sy), nd.mul(nd.mul(sz, sx), cy)),   # r02
-        nd.add(nd.mul(sz, cy), nd.mul(nd.mul(cz, sx), sy)),   # r10
-        nd.mul(cz, cx),                                       # r11
-        nd.sub(nd.mul(sz, sy), nd.mul(nd.mul(cz, sx), cy)),   # r12
-        nd.mul(nd.mul(cx, sy), -1.0),                         # r20
-        sx,                                                   # r21
-        nd.mul(cx, cy),                                       # r22
-    ]
-    trace = None
-    for (i, j), r in zip([(0, 0), (0, 1), (0, 2), (1, 0), (1, 1),
-                          (1, 2), (2, 0), (2, 1), (2, 2)], entries):
-        term = nd.mul(r, rot_gt[:, i, j][:, None])
-        trace = term if trace is None else nd.add(trace, term)
-    return nd.tmean(_guarded_angle(nd.mul(trace - 1.0, 0.5)))
+    return nd.tmean(nd.acos(nd.clip(cosd, -1.0 + ACOS_GUARD, 1.0 - ACOS_GUARD)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +171,14 @@ def mmd(a, b) -> Tensor:
 def _pose_losses(model: PoseRegressor, x_pred: Tensor,
                  xhat_np: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
     """Inverse-flow outputs vs encoded ground truth: (position squared error
-    in m^2, mean rotation angle, encoding MSE)."""
-    d = model.config.dim
-    k = position_width(d)
+    in m^2, mean absolute heading difference, encoding MSE)."""
     latent = model.config.latent
-    tail_pred = nd.narrow(x_pred, latent, latent + d)
+    tail_pred = nd.narrow(x_pred, latent, latent + 3)
     tail_gt = xhat_np[:, latent:]
-    half = model.bounds.half[:k][None, :]
-    pos = nd.mse(nd.mul(nd.narrow(tail_pred, 0, k), half), Tensor(tail_gt[:, :k] * half))
-    ang_pred = nd.mul(nd.narrow(tail_pred, k, d), np.pi)
-    if d == 3:
-        rot = _planar_rotation_loss(ang_pred, tail_gt[:, k:] * np.pi)
-    else:
-        rot_gt = np.stack([euler_to_matrix(*e) for e in tail_gt[:, k:] * np.pi])
-        rot = _full_rotation_loss(ang_pred, rot_gt)
+    half = model.bounds.half[:2][None, :]
+    pos = nd.mse(nd.mul(nd.narrow(tail_pred, 0, 2), half), Tensor(tail_gt[:, :2] * half))
+    rot = _planar_rotation_loss(nd.mul(nd.narrow(tail_pred, 2, 3), np.pi),
+                                tail_gt[:, 2:] * np.pi)
     enc = nd.mse(nd.narrow(x_pred, 0, latent), Tensor(xhat_np[:, :latent]))
     return pos, rot, enc
 

@@ -21,14 +21,7 @@ import poseinn.sampler as sm
 import poseinn.scenegen as sg
 import poseinn.trainer as tr
 from poseinn.flow import FlowModel
-from poseinn.geometry import (
-    Aabb,
-    Pose,
-    euler_to_matrix,
-    geodesic_distance,
-    positional_encode_batch,
-    wrap_angle,
-)
+from poseinn.geometry import Aabb, Pose, positional_encode_batch, wrap_angle
 from poseinn.model import ModelConfig, PoseRegressor
 
 from conftest import randomize_output_layers, run_cli
@@ -39,15 +32,14 @@ from conftest import randomize_output_layers, run_cli
 # ---------------------------------------------------------------------------
 
 def test_invertibility_round_trips_under_1e9():
-    """1000 random flows (both pose dims, some conditional): both round
-    trips exact to 1e-9 in the max norm, all inside 10 seconds."""
+    """1000 random planar flows (some conditional): both round trips exact
+    to 1e-9 in the max norm, all inside 10 seconds."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260814)
     worst = 0.0
     for i in range(1000):
-        dim = 3 if i % 2 == 0 else 6
         cfg = ModelConfig(
-            dim=dim,
+            dim=3,
             enc_L=int(rng.integers(1, 4)),
             blocks=int(rng.integers(1, 4)),
             hidden=int(rng.integers(8, 25)),
@@ -66,7 +58,7 @@ def test_invertibility_round_trips_under_1e9():
         worst = max(worst, float(np.max(np.abs(x_back - x))))
 
         y0 = rng.standard_normal((n, cfg.latent))
-        z0 = rng.standard_normal((n, dim))
+        z0 = rng.standard_normal((n, 3))
         x2 = flow.inverse(y0, z0, c).data
         y2, z2 = flow.forward(x2, c)
         worst = max(worst, float(np.max(np.abs(y2.data - y0))),
@@ -246,13 +238,12 @@ def test_gradients_match_central_differences():
 
 
 # ---------------------------------------------------------------------------
-# 3. encoding and rotation-distance oracles
+# 3. positional-encoding oracle
 # ---------------------------------------------------------------------------
 
 def test_encoding_and_geodesic_match_oracles():
     """Positional encoding matches a term-by-term scalar evaluation to
-    1e-12; rotation distance matches the quaternion-angle oracle to 1e-8
-    on 1000 pairs; the zero and half-turn cases are exact."""
+    1e-12 (the encoding is width-generic, so d = 6 stays covered)."""
     rng = np.random.default_rng(42)
     for d, L in ((3, 4), (6, 6), (3, 1)):
         n = 40
@@ -268,25 +259,6 @@ def test_encoding_and_geodesic_match_oracles():
                     col += 2
             oracle[r, 2 * d * L:] = v[r]
         assert np.max(np.abs(enc - oracle)) < 1e-12
-
-    quats = rng.standard_normal((2000, 4))
-    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-    mats = Rotation.from_quat(quats).as_matrix()
-    worst = 0.0
-    for i in range(1000):
-        r1, r2 = mats[2 * i], mats[2 * i + 1]
-        ours = geodesic_distance(r1, r2)
-        oracle = float((Rotation.from_matrix(r1)
-                        * Rotation.from_matrix(r2).inv()).magnitude())
-        worst = max(worst, abs(ours - oracle))
-    assert worst < 1e-8, f"worst quaternion-oracle deviation {worst:.3e}"
-
-    for i in range(50):
-        r = Rotation.from_quat(quats[i]).as_matrix()
-        assert geodesic_distance(r, r) == 0.0
-    half_turn = euler_to_matrix(math.pi, 0.0, 0.0)
-    assert geodesic_distance(half_turn, np.eye(3)) == math.pi
-    assert geodesic_distance(np.diag([-1.0, -1.0, 1.0]), np.eye(3)) == math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +289,10 @@ def test_sampler_output_repasses_brute_force_rules():
     never exceeds 0.5 m and orientation noise never exceeds 3.6 degrees
     (>= 10^4 individual checks)."""
     checks = 0
-    for seed, dim in ((21, 3), (22, 3), (23, 6)):
+    for seed in (21, 22, 23):
         scene = sg.generate_scene(seed, n_primitives=4 + seed % 3)
         intr = sg.CameraIntrinsics()
-        training = sg.generate_trajectory(scene, "loop", 60, dim=dim)
+        training = sg.generate_trajectory(scene, "loop", 60)
         cloud = sg.export_point_cloud(scene, 1500, np.random.default_rng([seed, 9]))
         cfg = sm.SamplingConfig(target=850, seed=seed)
         accepted = sm.sample_poses(scene, cloud, training, intr, cfg)
@@ -413,8 +385,7 @@ def test_variance_filter_lowers_mean_translation_error(toy_run):
     the mean translation error, in at least 4 of 5 seeds."""
     wins = 0
     for seed in range(5):
-        rep = cli.evaluate_posteriors(_posteriors(toy_run, seed),
-                                      toy_run.test.poses, 3)
+        rep = cli.evaluate_posteriors(_posteriors(toy_run, seed), toy_run.test.poses)
         wins += rep.filt_mean_trans <= rep.raw_mean_trans
     assert wins >= 4, f"filtering lowered the mean in only {wins}/5 seeds"
 
@@ -442,7 +413,8 @@ def test_ekf_fusion_lowers_median_heading_error(toy_run):
                 -s * dx + c * dy + rng.normal(0.0, sig_t),
                 float(wrap_angle(gt[i, 2] - prev[2])) + rng.normal(0.0, sig_r),
                 noise=np.array([sig_t**2, sig_t**2, sig_r**2]))
-            state = loc.ekf_fuse(state, step, posts[i])
+            state = loc.ekf_update(loc.ekf_predict(state, step),
+                                   *loc.posterior_measurement(posts[i]))
             fused.append(abs(float(wrap_angle(state.mean[2] - gt[i, 2]))))
             prev = gt[i]
         wins += np.median(fused) <= np.median(raw)

@@ -17,7 +17,7 @@ import poseinn.localizer as loc
 import poseinn.sampler as sp
 import poseinn.trainer as tr
 from poseinn.model import ModelConfig
-from poseinn.geometry import Pose, euler_to_matrix, geodesic_distance, wrap_angle
+from poseinn.geometry import Pose, wrap_angle
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -215,13 +215,15 @@ class TestTrainResume:
             assert why.format(cfg=cfg) in one_error_line(capsys, "config")
 
     def test_resume_dim_mismatch(self, pipeline, tmp_path, capsys):
-        cfg6 = write(tmp_path / "d6.cfg",
-                     "kind = data_config\nscene = {}\ndim = 6\nimage_hw = 16\n"
-                     "train_count = 4\ntest_count = 2\n".format(pipeline["scene"]))
-        assert cli.main(["gen-data", "--config", cfg6, "--seed", "3",
-                         "--out", str(tmp_path / "d6")]) == 0
+        # gen-data refuses dim = 6, so the 6-D split is a copy of the
+        # training split whose manifest claims pose_dim = 6
+        d6 = tmp_path / "d6"
+        shutil.copytree(os.path.dirname(pipeline["train"]), d6)
+        text = (d6 / "train.kv").read_text(encoding="utf-8")
+        assert "pose_dim = 3\n" in text
+        write(d6 / "train.kv", text.replace("pose_dim = 3\n", "pose_dim = 6\n"))
         rc = cli.main(["train", "--config", pipeline["train_cfg"],
-                       "--data", str(tmp_path / "d6" / "train.kv"),
+                       "--data", str(d6 / "train.kv"),
                        "--resume", pipeline["ckpt"],
                        "--seed", "3", "--out", str(tmp_path / "r6")])
         assert rc == 1
@@ -321,6 +323,25 @@ class TestErrors:
         assert cli.main(argv) == 1
         assert f"key '{key}' must be finite" in one_error_line(capsys, "config")
         assert not (tmp_path / "o").exists()
+
+    def test_track_nan_var_ceiling(self, pipeline, tmp_path, capsys):
+        # no uncertainty exceeds nan, so a nan ceiling would never flag a
+        # frame lost; a negative one flags every frame, the default none
+        argv = ["track", "--ckpt", pipeline["ckpt"], "--data", pipeline["test"]]
+        for value, n_lost in (("nan", None), ("-1", "4"), (None, "0")):
+            lines = "kind = track_config\ninit = 0 0 0\nlost_after = 1\n"
+            if value is not None:
+                lines += f"var_ceiling = {value}\n"
+            out = tmp_path / f"o_{value}"
+            rc = cli.main(argv + ["--config", write(tmp_path / "t.cfg", lines),
+                                  "--out", str(out)])
+            if n_lost is None:
+                assert rc == 1
+                assert "key 'var_ceiling' must not be nan" in one_error_line(capsys, "config")
+                assert not out.exists()
+            else:
+                assert rc == 0
+                assert f"n_lost = {n_lost}\n" in (out / "report.kv").read_text(encoding="utf-8")
 
     def test_odom_line_count_mismatch(self, pipeline, tmp_path, capsys):
         cfg = write(tmp_path / "t.cfg", "kind = track_config\ninit = 0 0 0\n")
@@ -485,6 +506,40 @@ class TestOneErrorLine:
         assert proc.stderr.splitlines() == [
             "ERROR checkpoint: checkpoint meta block has no key 'epoch'"]
 
+    def test_checkpoint_meta_dim_6(self, pipeline, tmp_path):
+        blob = Path(pipeline["ckpt"]).read_bytes()
+        end = 16 + struct.unpack_from("<Q", blob, 8)[0]
+        meta = json.loads(blob[16:end])
+        assert meta["model"]["dim"] == 3
+        meta["model"]["dim"] = 6
+        meta_b = json.dumps(meta).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:8] + struct.pack("<Q", len(meta_b)) + meta_b + blob[end:])
+        proc = run_module(["eval", "--ckpt", bad, "--data", pipeline["test"], "--seed", "0",
+                           "--out", tmp_path / "o"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "ERROR dimension: pose dim must be 3 (planar poses only), got 6"]
+
+    def test_gen_data_dim_6(self, pipeline, tmp_path):
+        cfg = write(tmp_path / "d.cfg", DATA_CFG.format(scene=pipeline["scene"])
+                    .replace("dim = 3\n", "dim = 6\n"))
+        proc = run_module(["gen-data", "--config", cfg, "--out", tmp_path / "o"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "ERROR dimension: trajectory pose dim must be 3 (planar poses only), got 6"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_gen_scene_non_finite_bounds(self, tmp_path, bad):
+        cfg = write(tmp_path / "s.cfg", f"kind = scene_config\nbounds = 0 0 0 {bad} 4 3\n")
+        proc = run_module(["gen-scene", "--config", cfg, "--out", tmp_path / "o"], tmp_path)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("ERROR domain: aabb corners must be finite")
+        assert not (tmp_path / "o").exists()
+
     def test_resume_with_other_architecture(self, pipeline, tmp_path):
         cfg = write(tmp_path / "t.cfg", TRAIN_CFG.replace("blocks = 2", "blocks = 5")
                     .replace("hidden = 16", "hidden = 64"))
@@ -495,7 +550,6 @@ class TestOneErrorLine:
         assert proc.stderr.splitlines() == [
             f"ERROR config: resume {ck}: blocks is 5 in {cfg} but 2 in the checkpoint"]
         assert not (tmp_path / "o").exists()
-
 
     def test_singular_innovation_covariance(self, pipeline, tmp_path):
         # an exact prior, noiseless odometry and one-sample posteriors: P + R = 0
@@ -537,24 +591,14 @@ class TestConfigDefaults:
 class TestMetrics:
     def test_pose_errors_planar_wrap(self):
         t, r = cli.pose_errors(np.array([1.0, 2.0, np.pi - 0.1]),
-                               np.array([1.0, 2.0, -np.pi + 0.1]), 3)
+                               np.array([1.0, 2.0, -np.pi + 0.1]))
         assert t == 0.0
         assert abs(r - np.degrees(0.2)) < 1e-9
-
-    def test_pose_errors_full_uses_geodesic(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a, b = rng.uniform(-np.pi, np.pi, (2, 6))
-            a[:3], b[:3] = rng.uniform(-1, 1, (2, 3))
-            t, r = cli.pose_errors(a, b, 6)
-            assert abs(t - np.linalg.norm(a[:3] - b[:3])) < 1e-12
-            want = geodesic_distance(euler_to_matrix(*a[3:]), euler_to_matrix(*b[3:]))
-            assert abs(r - np.degrees(want)) < 1e-9
 
     def test_forced_ground_truth_posterior_zero_error(self):
         gt = np.array([[0.5, -0.3, 1.0], [-0.2, 0.8, -2.0]])
         posts = [loc.summarize_samples(np.tile(g, (5, 1)), 3) for g in gt]
-        rep = cli.evaluate_posteriors(posts, gt, 3)
+        rep = cli.evaluate_posteriors(posts, gt)
         assert rep.raw_median_trans == 0.0 and rep.raw_mean_trans == 0.0
         assert rep.raw_median_rot == 0.0 and rep.raw_mean_rot == 0.0
 
@@ -562,13 +606,13 @@ class TestMetrics:
         rng = np.random.default_rng(1)
         gt = rng.uniform(-1, 1, (9, 3))
         posts = [loc.summarize_samples(g + rng.normal(0, 0.1, (7, 3)), 3) for g in gt]
-        rep = cli.evaluate_posteriors(posts, gt, 3)
+        rep = cli.evaluate_posteriors(posts, gt)
         assert rep.trans_errors.min() <= rep.raw_median_trans <= rep.trans_errors.max()
         assert rep.n_kept == int(np.sum(rep.kept))
 
     def test_empty_set_rejected(self):
         with pytest.raises(Exception, match="empty test split"):
-            cli.evaluate_posteriors([], np.zeros((0, 3)), 3)
+            cli.evaluate_posteriors([], np.zeros((0, 3)))
 
 
 class TestReadme:

@@ -41,10 +41,18 @@ class TestRoundTrip:
         assert d.scene_path == os.path.join(str(tmp_path), "scene.kv")
 
     def test_dim6(self, tmp_path):
-        path, poses, _ = make(tmp_path, dim=6)
-        d = ds.load_dataset(path)
-        assert d.pose_dim == 6
-        assert d.poses.shape == (5, 6)
+        # planar poses only: 6-float records are refused on save, and a
+        # manifest whose pose_dim reads 6 on load, blob sizes aside
+        with pytest.raises(ConfigError, match=r"poses must be \(n, 3\)"):
+            make(tmp_path, dim=6)
+        path, _, _ = make(tmp_path)
+        text = Path(path).read_text(encoding="utf-8")
+        assert "pose_dim = 3\n" in text
+        Path(path).write_text(text.replace("pose_dim = 3\n", "pose_dim = 6\n"),
+                              encoding="utf-8")
+        with pytest.raises(ConfigError, match="pose_dim must be 3") as ei:
+            ds.load_dataset(path)
+        assert "\n" not in str(ei.value)
 
     def test_blob_bytes_little_endian_f32(self, tmp_path):
         path, poses, _ = make(tmp_path, name="t")

@@ -12,19 +12,19 @@ from poseinn.geometry import Aabb
 from poseinn.model import ModelConfig, PoseRegressor
 
 
-def tiny_vae(dim=3, enc_L=2, hw=16, seed=0) -> Vae:
-    """A VAE with latent width 2 * dim * enc_L whose weights are drawn
+def tiny_vae(enc_L=2, hw=16, seed=0) -> Vae:
+    """A VAE with latent width 2 * 3 * enc_L whose weights are drawn
     from ``seed``: a model draws its VAE from its own seed + 1."""
-    return Vae(ModelConfig(dim=dim, enc_L=enc_L, image_hw=hw, seed=seed - 1))
+    return Vae(ModelConfig(dim=3, enc_L=enc_L, image_hw=hw, seed=seed - 1))
 
 
 class TestShapes:
-    def test_latent_width_60_for_default(self):
-        vae = tiny_vae(dim=6, enc_L=5, hw=32, seed=1)
+    def test_latent_width_30_for_default(self):
+        vae = tiny_vae(enc_L=5, hw=32, seed=1)
         rng = np.random.default_rng(0)
         imgs = rng.uniform(size=(2, 32, 32, 3))
         out = vae.encode(imgs, mode="mean")
-        assert out.data.shape == (2, 60)
+        assert out.data.shape == (2, 30)
 
     def test_decode_shape_and_range(self):
         vae = tiny_vae()

@@ -32,8 +32,7 @@ class TestInvertibility:
     def test_roundtrip_many_random_models(self):
         rng = np.random.default_rng(42)
         for trial in range(30):
-            dim = int(rng.choice([3, 6]))
-            m = rand_model(dim=dim, enc_L=int(rng.integers(1, 4)),
+            m = rand_model(enc_L=int(rng.integers(1, 4)),
                            blocks=int(rng.integers(1, 7)),
                            hidden=int(rng.choice([8, 16, 32])), seed=trial)
             x = rng.normal(size=(8, m.config.x_len))
@@ -43,7 +42,7 @@ class TestInvertibility:
 
     def test_roundtrip_other_direction(self):
         rng = np.random.default_rng(1)
-        m = rand_model(dim=6, enc_L=2, seed=5)
+        m = rand_model(dim=3, enc_L=2, seed=5)
         y0 = rng.normal(size=(10, m.config.latent))
         z0 = rng.normal(size=(10, m.config.dim))
         x = m.inverse(y0, z0)
@@ -61,10 +60,12 @@ class TestInvertibility:
         assert np.max(np.abs(back.data - x)) < 1e-9
 
     def test_padded_width_is_even(self):
-        m = rand_model(dim=3, enc_L=2)  # x_len = 15, odd
-        assert m.padded and m.width == 16
-        m6 = rand_model(dim=6, enc_L=2)  # x_len = 30, even
-        assert not m6.padded and m6.width == 30
+        # x_len = 6L + 3 is odd for every L, so the flow always pads
+        for enc_L in range(1, 6):
+            m = rand_model(dim=3, enc_L=enc_L)
+            assert m.config.x_len == 6 * enc_L + 3
+            assert m.width == m.config.x_len + 1 and m.width % 2 == 0
+            assert all(p[0] == 0 for p in m.perms)
 
     def test_output_layout(self):
         m = rand_model(dim=3, enc_L=2)
@@ -87,16 +88,16 @@ class TestZeroInit:
         np.testing.assert_array_equal(np.concatenate([y.data, z.data], axis=1), expected)
 
     def test_inverse_is_inverse_permutation(self):
-        cfg = ModelConfig(dim=6, enc_L=1, blocks=3, hidden=16, seed=8)
+        cfg = ModelConfig(dim=3, enc_L=1, blocks=3, hidden=16, seed=8)
         m = FlowModel(cfg)
         rng = np.random.default_rng(1)
         y = rng.normal(size=(4, cfg.latent))
         z = rng.normal(size=(4, cfg.dim))
-        w = np.concatenate([y, z], axis=1)
+        w = np.concatenate([np.zeros((4, 1)), y, z], axis=1)  # pad channel
         for ip in reversed(m.inv_perms):
             w = w[:, ip]
         back = m.inverse(nd.Tensor(y), nd.Tensor(z))
-        np.testing.assert_array_equal(back.data, w)
+        np.testing.assert_array_equal(back.data, w[:, 1:])
 
     def test_log_det_zero(self):
         m = FlowModel(ModelConfig(dim=3, enc_L=2, blocks=4, seed=2))
@@ -105,21 +106,22 @@ class TestZeroInit:
 
 
 class TestLogDet:
-    def test_matches_fd_jacobian_dim18(self):
-        # d=6, L=1 gives working dimension 18 with no padding
-        m = rand_model(dim=6, enc_L=1, blocks=3, hidden=12, seed=11)
-        assert m.config.x_len == 18 and not m.padded
+    def test_matches_fd_jacobian_dim15(self):
+        # d=3, L=2 gives pose encodings of length 15; the pad channel is
+        # passive in every block, so it adds nothing to the log-det
+        m = rand_model(dim=3, enc_L=2, blocks=3, hidden=12, seed=11)
+        assert m.config.x_len == 15
         rng = np.random.default_rng(5)
-        x0 = rng.normal(size=18) * 0.5
+        x0 = rng.normal(size=15) * 0.5
 
         def f(v):
             y, z = m.forward(v[None, :])
             return np.concatenate([y.data[0], z.data[0]])
 
         h = 1e-6
-        jac = np.zeros((18, 18))
-        for j in range(18):
-            e = np.zeros(18)
+        jac = np.zeros((15, 15))
+        for j in range(15):
+            e = np.zeros(15)
             e[j] = h
             jac[:, j] = (f(x0 + e) - f(x0 - e)) / (2 * h)
         _, ref = np.linalg.slogdet(jac)
@@ -127,14 +129,14 @@ class TestLogDet:
         np.testing.assert_allclose(ours, ref, atol=1e-4)
 
     def test_additivity_across_blocks(self):
-        m2 = rand_model(dim=6, enc_L=1, blocks=2, hidden=12, seed=17)
+        m2 = rand_model(dim=3, enc_L=1, blocks=2, hidden=12, seed=17)
         # one-block flows holding block 0 and block 1 of m2
-        ma, mb = rand_model(dim=6, enc_L=1, blocks=1), rand_model(dim=6, enc_L=1, blocks=1)
+        ma, mb = rand_model(dim=3, enc_L=1, blocks=1), rand_model(dim=3, enc_L=1, blocks=1)
         for one, k in ((ma, 0), (mb, 1)):
             for name, t in one.params.items():
                 t.data = m2.params[name.replace("block0", f"block{k}")].data
             one.perms, one.inv_perms = [m2.perms[k]], [m2.inv_perms[k]]
-        x = np.random.default_rng(7).normal(size=(3, 18))
+        x = np.random.default_rng(7).normal(size=(3, 9))
         ya, za = ma.forward(x)
         mid = np.concatenate([ya.data, za.data], axis=1)
         total = ma.forward_log_det(x)[2].data + mb.forward_log_det(mid)[2].data

@@ -1,13 +1,18 @@
-"""Every name a package module imports is used in that module: deletions
-tend to leave imports behind. A name read only in an annotation, quoted or
-not, counts as used."""
+"""Every name a package module imports is used in that module, and every
+top-level function and class of the package is read by the package or by
+the benchmark: deletions tend to leave imports and helpers behind. A name
+read only in an annotation, quoted or not, counts as used."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "poseinn"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "poseinn"
+# the benchmark drives the package and patches it by name, so its reads count
+READERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,9 +39,39 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
+def names_read(source: str) -> set[str]:
+    """Identifiers ``source`` reads: loaded names, attributes, and every
+    identifier inside a string constant (the benchmark names its patch
+    targets as strings), docstrings and other bare strings excepted."""
+    tree = ast.parse(source)
+    bare = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+    read = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in bare:
+            read.update(re.findall(r"[A-Za-z_]\w*", n.value))
+    return read
+
+
+def top_level_definitions(source: str) -> list[str]:
+    return [n.name for n in ast.parse(source).body
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_top_level_definition_is_read():
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in READERS))
+    unread = [f"{p.name}: {name}" for p in sorted(SRC.glob("*.py"))
+              for name in top_level_definitions(p.read_text(encoding="utf-8"))
+              if name not in read]
+    assert unread == []
 
 
 def test_checker_finds_unused_and_accepts_annotation_only_imports():
@@ -44,3 +79,14 @@ def test_checker_finds_unused_and_accepts_annotation_only_imports():
               "import os.path\nimport numpy as np\nfrom a import B, C, D\n"
               "def f(x: B) -> 'C':\n    return np.zeros(1)\n")
     assert unused_imports(source) == ["D (line 4)", "os (line 2)"]
+
+
+def test_read_checker_counts_strings_but_not_docstrings():
+    source = ('"""Mentions f."""\n'
+              "def f():\n    'Mentions g.'\n    return m.h(PATCH)\n"
+              "def g():\n    pass\n"
+              "PATCH = ('mod', 'k')\n")
+    assert top_level_definitions(source) == ["f", "g"]
+    read = names_read(source)
+    assert {"m", "h", "PATCH", "mod", "k"} <= read
+    assert not {"f", "g", "Mentions"} & read

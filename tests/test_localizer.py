@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import poseinn.localizer as lc
-from poseinn.errors import (ConditioningError, DimensionError, DomainError,
-                            NonFiniteError, TrackingError)
+from poseinn.errors import ConditioningError, DimensionError, DomainError, NonFiniteError
 from poseinn.geometry import Aabb, Pose, wrap_angle
 from poseinn.model import ModelConfig, PoseRegressor
 
@@ -197,10 +196,11 @@ class TestSequential:
         assert not track[0].lost and all(t.lost for t in track[1:])
 
     def test_planar_only_and_empty_stream(self):
-        with pytest.raises(TrackingError):
-            lc.sequential_localize(tiny_model(dim=6), np.zeros((1, 16, 16, 3)),
-                                   Pose(np.zeros(3), np.zeros(3), dim=6),
-                                   np.random.default_rng(0))
+        # a 6-D model or start pose cannot be built to track with
+        with pytest.raises(DimensionError, match="planar poses only"):
+            tiny_model(dim=6)
+        with pytest.raises(DimensionError, match="planar poses only"):
+            Pose(np.zeros(3), np.zeros(3), dim=6)
         with pytest.raises(DimensionError):
             lc.sequential_localize(tiny_model(), np.zeros((0, 16, 16, 3)),
                                    Pose(np.zeros(3), np.zeros(3), dim=3),
@@ -346,8 +346,11 @@ class TestEkf:
         dev = s - mean
         dev[:, 2] = wrap_angle(dev[:, 2])
         np.testing.assert_allclose(cov, dev.T @ dev / 30, atol=1e-12)
-        with pytest.raises(TrackingError):
-            lc.posterior_measurement(lc.summarize_samples(np.zeros((2, 6)), 6))
+        # a 6-D posterior cannot be built to measure with
+        with pytest.raises(DimensionError):
+            lc.summarize_samples(np.zeros((2, 6)), 6)
+        with pytest.raises(DimensionError, match="planar poses only"):
+            make_posterior(np.zeros(3), dim=6)
 
     def test_fuse_composes_predict_and_update(self):
         rng = np.random.default_rng(6)
@@ -356,8 +359,18 @@ class TestEkf:
         s = np.column_stack([rng.normal(0.25, 0.02, 20), rng.normal(0.2, 0.02, 20),
                              rng.normal(0.4, 0.01, 20)])
         post = lc.summarize_samples(s, 3)
-        fused = lc.ekf_fuse(st, od, post)
-        mean, cov = lc.posterior_measurement(post)
-        want = lc.ekf_update(lc.ekf_predict(st, od), mean, cov)
-        np.testing.assert_allclose(fused.mean, want.mean, atol=1e-12)
-        np.testing.assert_allclose(fused.cov, want.cov, atol=1e-12)
+        # the fusion track --odom runs: predict with odometry, then update
+        # with the posterior as the measurement
+        meas, R = lc.posterior_measurement(post)
+        fused = lc.ekf_update(lc.ekf_predict(st, od), meas, R)
+        # the same filter written out: exact planar motion, F P F^T + Q,
+        # then the gain and the Joseph-form covariance
+        th = st.mean[2]
+        pred = st.mean + np.array([0.1 * np.cos(th), 0.1 * np.sin(th), 0.05])
+        F = np.array([[1.0, 0.0, -0.1 * np.sin(th)], [0.0, 1.0, 0.1 * np.cos(th)],
+                      [0.0, 0.0, 1.0]])
+        P = F @ st.cov @ F.T + 1e-5 * np.eye(3)
+        K = P @ np.linalg.inv(P + R)
+        ikh = np.eye(3) - K
+        np.testing.assert_allclose(fused.mean, pred + K @ (meas - pred), atol=1e-12)
+        np.testing.assert_allclose(fused.cov, ikh @ P @ ikh.T + K @ R @ K.T, atol=1e-12)

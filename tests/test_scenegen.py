@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from poseinn import scenegen as sg
-from poseinn.errors import ConfigError, DomainError, GenerationError
+from poseinn.errors import ConfigError, DimensionError, DomainError, GenerationError
 from poseinn.geometry import Aabb, Pose, wrap_angle
 
 BOUNDS = Aabb(np.array([-2.0, -2.0, -1.0]), np.array([2.0, 2.0, 1.0]))
@@ -17,10 +17,8 @@ def one_sphere_scene(center, radius=0.5, albedo=(0.8, 0.2, 0.1), bounds=BOUNDS) 
                                        np.array(albedo)),), np.array([0.04, 0.05, 0.08]))
 
 
-def pose_at(x, y, heading, dim=3, z=0.0, pitch=0.0) -> Pose:
-    if dim == 3:
-        return Pose(np.array([x, y, 0.0]), np.array([heading, 0.0, 0.0]), dim=3)
-    return Pose(np.array([x, y, z]), np.array([heading, pitch, 0.0]), dim=6)
+def pose_at(x, y, heading) -> Pose:
+    return Pose(np.array([x, y, 0.0]), np.array([heading, 0.0, 0.0]))
 
 
 class TestRender:
@@ -48,15 +46,15 @@ class TestRender:
         box = sg.Box(np.array([-0.5, 0.5, 0.0]), np.array([0.25, 0.375, 0.25]),
                      np.array([0.9, 0.4, 0.1]))
         scene = sg.Scene(BOUNDS, (prim, box), np.array([0.04, 0.05, 0.08]))
-        shift = np.array([3.0, -2.0, 1.0])
+        shift = np.array([3.0, -2.0, 0.0])  # planar poses keep z = 0
         scene2 = sg.Scene(
             Aabb(BOUNDS.lo + shift, BOUNDS.hi + shift),
             (sg.Sphere(prim.center + shift, prim.radius, prim.albedo),
              sg.Box(box.center + shift, box.half, box.albedo)),
             scene.background)
         intr = sg.CameraIntrinsics(16, 16)
-        p1 = Pose(np.array([-1.5, 0.25, 0.0]), np.array([0.0, 0.0, 0.0]), dim=6)
-        p2 = Pose(p1.position + shift, p1.euler, dim=6)
+        p1 = Pose(np.array([-1.5, 0.25, 0.0]), np.array([0.0, 0.0, 0.0]))
+        p2 = Pose(p1.position + shift, p1.euler)
         np.testing.assert_array_equal(sg.render(scene, intr, p1), sg.render(scene2, intr, p2))
 
     def test_purity_and_range(self):
@@ -189,10 +187,11 @@ class TestTrajectory:
         assert max_gap < diag / np.sqrt(k)
 
     def test_se3_trajectory(self):
+        # planar poses only: a 6-D trajectory is refused, for either style
         scene = sg.generate_scene(2)
-        poses = sg.generate_trajectory(scene, "loop", 10, dim=6)
-        assert all(p.dim == 6 for p in poses)
-        assert any(abs(p.position[2]) > 1e-6 for p in poses)
+        for style in ("loop", "grid"):
+            with pytest.raises(DimensionError, match="planar poses only"):
+                sg.generate_trajectory(scene, style, 10, dim=6)
 
     def test_impossible_placement(self):
         bounds = Aabb(np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
