@@ -239,15 +239,14 @@ def cmd_gen_scene(args) -> None:
 def cmd_gen_data(args) -> None:
     pairs, digest = _read_config(
         args.config, "data_config", required={"scene"},
-        optional={"dim", "image_hw", "hfov_deg", "train_count", "test_count",
+        optional={"dim", "image_hw", "train_count", "test_count",
                   "train_style", "test_style", "train_loop_factor",
                   "test_loop_factor"})
     scene_path = _resolve(args.config, as_str(pairs, "scene"))
     scene = sg.load_scene(scene_path)
     dim = _gi(pairs, "dim", 3)
     hw = _gi(pairs, "image_hw", 32)
-    intr = sg.CameraIntrinsics(width=hw, height=hw,
-                               hfov=np.deg2rad(_gf(pairs, "hfov_deg", 90.0)))
+    intr = sg.CameraIntrinsics(width=hw, height=hw)
     styles = {"loop", "grid"}
     t0 = time.perf_counter()
     splits = {}
@@ -275,8 +274,8 @@ def cmd_gen_data(args) -> None:
 def cmd_sample_poses(args) -> None:
     pairs, digest = _read_config(
         args.config, "sampling_config",
-        optional={"target", "max_delta_training", "max_rot_noise_deg", "widen",
-                  "budget_factor", "cloud_points"})
+        optional={"target", "max_delta_training", "widen", "budget_factor",
+                  "cloud_points"})
     data = ds.load_dataset(args.data)
     scene = sg.load_scene(data.scene_path)
     cfg = _sampling_config(pairs, args.seed)
@@ -297,28 +296,18 @@ def cmd_sample_poses(args) -> None:
 
 _FIELD_PARSERS = {"int": as_int, "float": as_float, "str": as_str,
                   "bool": lambda pairs, key: bool(as_int(pairs, key))}
-# config keys whose unit differs from the dataclass field they set
-_MODEL_KEY_UNITS = {"cond_cell_theta_deg": ("cond_cell_theta", np.deg2rad)}
-_SAMPLING_KEY_UNITS = {"max_rot_noise_deg": ("max_rot_noise", np.deg2rad)}
 _MODEL_FROM_DATA = {"dim", "image_hw", "seed"}
 
 
-def _config_fields(pairs: dict[str, str], cls, skip: set[str],
-                   units: dict | None = None) -> dict:
+def _config_fields(pairs: dict[str, str], cls, skip: set[str]) -> dict:
     """The keys of dataclass ``cls`` present in ``pairs``, parsed by field
-    type, plus the ``units`` keys converted onto the fields they set;
-    absent keys keep the dataclass default, which lives only there."""
-    kw = {f.name: _FIELD_PARSERS[f.type](pairs, f.name) for f in fields(cls)
-          if f.name not in skip and f.name in pairs}
-    for key, (name, convert) in (units or {}).items():
-        if key in pairs:
-            kw[name] = convert(as_float(pairs, key))
-    return kw
+    type; absent keys keep the dataclass default, which lives only there."""
+    return {f.name: _FIELD_PARSERS[f.type](pairs, f.name) for f in fields(cls)
+            if f.name not in skip and f.name in pairs}
 
 
 def _sampling_config(pairs: dict[str, str], seed: int) -> sp.SamplingConfig:
-    return sp.SamplingConfig(**_config_fields(pairs, sp.SamplingConfig, {"seed"},
-                                              _SAMPLING_KEY_UNITS), seed=seed)
+    return sp.SamplingConfig(**_config_fields(pairs, sp.SamplingConfig, {"seed"}), seed=seed)
 
 
 def _train_config(pairs: dict[str, str], seed: int) -> tr.TrainConfig:
@@ -326,13 +315,12 @@ def _train_config(pairs: dict[str, str], seed: int) -> tr.TrainConfig:
 
 
 def _model_config(pairs: dict[str, str], data: ds.Dataset, seed: int) -> ModelConfig:
-    kw = _config_fields(pairs, ModelConfig, _MODEL_FROM_DATA, _MODEL_KEY_UNITS)
+    kw = _config_fields(pairs, ModelConfig, _MODEL_FROM_DATA)
     return ModelConfig(dim=data.pose_dim, image_hw=data.intrinsics.height, seed=seed, **kw)
 
 
 _TRAIN_KEYS = ({f.name for f in fields(tr.TrainConfig)} - {"seed"}) \
-    | ({f.name for f in fields(ModelConfig)} - _MODEL_FROM_DATA
-       - {name for name, _ in _MODEL_KEY_UNITS.values()}) | set(_MODEL_KEY_UNITS)
+    | ({f.name for f in fields(ModelConfig)} - _MODEL_FROM_DATA)
 
 
 def _check_model_data(cfg: ModelConfig, data: ds.Dataset, what: str) -> None:
@@ -358,8 +346,7 @@ def cmd_train(args) -> None:
         ck = tr.load_checkpoint(args.resume)
         model, start = ck.model, ck.epoch
         _check_model_data(model.config, data, f"resume {args.resume}")
-        for name, value in _config_fields(pairs, ModelConfig, _MODEL_FROM_DATA,
-                                          _MODEL_KEY_UNITS).items():
+        for name, value in _config_fields(pairs, ModelConfig, _MODEL_FROM_DATA).items():
             have = getattr(model.config, name)
             if value != have:
                 raise ConfigError(f"resume {args.resume}: {name} is {value} in "
@@ -590,6 +577,8 @@ def main(argv=None) -> int:
         _setup_logging()
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.threads > 1:
             print(f"WARNING: --threads {args.threads} voids bitwise determinism",
                   file=sys.stderr)

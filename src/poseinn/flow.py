@@ -9,7 +9,7 @@ elementwise affine map of the second half,
     v2 = u2 * exp(s_c(u1, c)) + t(u1, c),
 
 which has the closed-form inverse u2 = (v2 - t) * exp(-s_c). Log-scales
-are soft-clamped, s_c = clamp * tanh(s / clamp), because unbounded scales
+are soft-clamped, s_c = CLAMP * tanh(s / CLAMP), because unbounded scales
 blow up under bidirectional training. Subnet output layers start at zero
 so the initial flow is the identity permutation composition.
 
@@ -41,6 +41,8 @@ from .ndiff import Tensor
 if TYPE_CHECKING:
     from .model import ModelConfig
 
+CLAMP = 2.0  # soft bound of the coupling log-scales
+
 
 def _he_normal(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal(size=(fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
@@ -61,7 +63,7 @@ def _init_mlp(rng: np.random.Generator, sizes: list[int], zero_last: bool) -> li
 class FlowModel:
     """Stack of (permutation, affine coupling) pairs over the encoded pose,
     shaped by a ``ModelConfig``: ``blocks`` couplings, subnets of ``layers``
-    hidden layers of width ``hidden``, log-scales clamped at ``clamp``,
+    hidden layers of width ``hidden``, log-scales clamped at ``CLAMP``,
     and on a conditional model a ``cond_width`` condition embedding.
     Initial weights and permutations are drawn from ``seed``."""
 
@@ -138,8 +140,7 @@ class FlowModel:
     def _subnets(self, k: int, passive: Tensor, ce: Tensor | None) -> tuple[Tensor, Tensor]:
         s_raw = self._subnet(f"block{k}.s", passive, ce)
         t = self._subnet(f"block{k}.t", passive, ce)
-        cl = self.config.clamp
-        s = nd.mul(nd.tanh(nd.mul(s_raw, 1.0 / cl)), cl)
+        s = nd.mul(nd.tanh(nd.mul(s_raw, 1.0 / CLAMP)), CLAMP)
         return s, t
 
     # ------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .model import PoseRegressor
 
 # eigenvalues may dip this far below zero before a covariance counts as broken
 PSD_SLACK = 1e-10
+HEADING_BINS = 18
 
 
 def circular_mean(angles: np.ndarray) -> float:
@@ -179,8 +180,8 @@ def sequential_localize(model: PoseRegressor, images: np.ndarray,
 # heading multimodality
 # ---------------------------------------------------------------------------
 
-def heading_modes(headings: np.ndarray, n_bins: int = 18) -> list[tuple[float, float]]:
-    """Local maxima of the circular heading histogram.
+def heading_modes(headings: np.ndarray) -> list[tuple[float, float]]:
+    """Local maxima of the circular heading histogram of HEADING_BINS bins.
 
     Returns (bin center, mass) pairs sorted by decreasing peak count, where
     mass is the fraction of samples in the peak bin and its two circular
@@ -190,6 +191,7 @@ def heading_modes(headings: np.ndarray, n_bins: int = 18) -> list[tuple[float, f
     headings = wrap_angle(np.asarray(headings, dtype=np.float64).reshape(-1))
     if len(headings) == 0:
         raise DomainError("heading_modes needs at least one sample")
+    n_bins = HEADING_BINS
     counts, edges = np.histogram(headings, bins=n_bins, range=(-np.pi, np.pi))
     centers = (edges[:-1] + edges[1:]) / 2
     n = len(headings)

@@ -20,6 +20,9 @@ from .errors import (CheckpointError, ConditioningError, DimensionError, DomainE
 from .flow import FlowModel
 from .geometry import Aabb, Pose, positional_encode_batch, wrap_angle
 
+# the conditioning grid: position cells in metres, heading cells in radians
+COND_CELL_XY, COND_CELL_THETA = 0.5, np.pi / 6
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -29,11 +32,11 @@ class ModelConfig:
     3; enc_L is the number of positional-encoding frequencies. The image
     latent width is fixed at 2 * dim * enc_L so the flow's two sides line
     up exactly. The flow has `blocks` couplings whose subnets have `layers`
-    hidden layers of width `hidden`, log-scales soft-clamped at `clamp`.
-    Conditional models take a grid-rounded previous pose, positionally
-    encoded, as side input to every coupling block through a `cond_width`
-    embedding. image_hw is the VAE's square image side. The flow draws its
-    initial weights from `seed`, the VAE from `seed + 1`.
+    hidden layers of width `hidden`. Conditional models take a previous
+    pose rounded to the ``COND_CELL_*`` grid, positionally encoded, as side
+    input to every coupling block through a `cond_width` embedding.
+    image_hw is the VAE's square image side. The flow draws its initial
+    weights from `seed`, the VAE from `seed + 1`.
     """
 
     dim: int
@@ -42,24 +45,17 @@ class ModelConfig:
     blocks: int = 6
     hidden: int = 128
     layers: int = 2
-    clamp: float = 2.0
     conditional: bool = False
     cond_width: int = 32
-    cond_cell_xy: float = 0.5
-    cond_cell_theta: float = np.pi / 6
     seed: int = 0
 
     def __post_init__(self):
         if self.dim != 3:
             raise DimensionError(f"pose dim must be 3 (planar poses only), got {self.dim}")
-        if self.cond_cell_xy <= 0 or self.cond_cell_theta <= 0:
-            raise DomainError("conditioning grid cells must be positive")
         if self.enc_L < 1 or self.blocks < 1 or self.layers < 1 or self.hidden < 1:
             raise DimensionError("model config requires positive enc_L, blocks, layers, hidden")
         if self.conditional and self.cond_width < 1:
             raise DimensionError("a conditional model requires a positive cond_width")
-        if not (np.isfinite(self.clamp) and self.clamp > 0):
-            raise DomainError(f"flow clamp must be finite and positive, got {self.clamp}")
         if self.image_hw < 16 or self.image_hw % 16 != 0:
             raise DimensionError(
                 f"image side must be a positive multiple of 16 (4 halvings), got {self.image_hw}")
@@ -78,7 +74,7 @@ class ModelConfig:
         return self.x_len if self.conditional else 0
 
 
-def round_to_grid(pose: Pose, cell_xy: float, cell_theta: float) -> Pose:
+def round_to_grid(pose: Pose) -> Pose:
     """Snap a pose to the center of its conditioning grid cell.
 
     Cell membership uses floor, so e.g. x = 1.26 with 0.5 m cells lands in
@@ -87,9 +83,9 @@ def round_to_grid(pose: Pose, cell_xy: float, cell_theta: float) -> Pose:
     def center(v: float, cell: float) -> float:
         return (np.floor(v / cell) + 0.5) * cell
 
-    x = center(pose.position[0], cell_xy)
-    y = center(pose.position[1], cell_xy)
-    th = wrap_angle(center(wrap_angle(pose.euler[0]), cell_theta))
+    x = center(pose.position[0], COND_CELL_XY)
+    y = center(pose.position[1], COND_CELL_XY)
+    th = wrap_angle(center(wrap_angle(pose.euler[0]), COND_CELL_THETA))
     return Pose(np.array([x, y, 0.0]), np.array([th, 0.0, 0.0]))
 
 
@@ -155,7 +151,7 @@ class PoseRegressor:
         pos = np.clip(prev.position, self.bounds.lo, self.bounds.hi)
         clamped = Pose(np.array([pos[0], pos[1], 0.0]),
                        np.array([prev.euler[0], 0.0, 0.0]))
-        cell = round_to_grid(clamped, self.config.cond_cell_xy, self.config.cond_cell_theta)
+        cell = round_to_grid(clamped)
         # cell centers sit strictly inside the bounds whenever the cell size
         # divides the box, but clamp again so odd geometry cannot escape
         v = self.normalize_vectors(np.clip(

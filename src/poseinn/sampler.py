@@ -2,7 +2,7 @@
 
 Candidates get a uniform random floor position in the scene box and the
 heading of a randomly picked training pose plus a uniform perturbation of
-at most ``max_rot_noise``. A candidate is kept only if
+at most ``MAX_ROT_NOISE``. A candidate is kept only if
 
   rule 1: distance to the nearest training position is at most 0.5 m
           (configurable),
@@ -37,21 +37,22 @@ log = logging.getLogger(__name__)
 REASON_RULE1 = "rule1_delta_training"
 REASON_RULE2 = "rule2_n_in_view"
 REASON_RULE3 = "rule3_delta_in_view"
+MAX_ROT_NOISE = np.deg2rad(3.6)  # largest heading perturbation of a candidate
 
 
 @dataclass(frozen=True)
 class SamplingConfig:
     target: int = 2000
     max_delta_training: float = 0.5
-    max_rot_noise: float = np.deg2rad(3.6)
     widen: float = 1.0
     budget_factor: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        if self.target < 1 or self.max_delta_training <= 0 or self.max_rot_noise < 0:
+        # nan must fail: it would turn rule 1 off, or spend the whole budget
+        if self.target < 1 or not self.max_delta_training > 0:
             raise DomainError("sampling config thresholds must be positive")
-        if self.widen < 1.0 or self.budget_factor < 1:
+        if not self.widen >= 1.0 or self.budget_factor < 1:
             raise DomainError("widen must be >= 1 and budget_factor >= 1")
 
 
@@ -101,9 +102,9 @@ def _frustum_stats(pose: Pose, intr: CameraIntrinsics, cloud: np.ndarray) -> tup
 
 
 def compute_ranges(training_poses: list[Pose], intr: CameraIntrinsics,
-                   cloud: np.ndarray, widen: float = 1.0) -> AcceptanceRanges:
-    """Training-set [min, max] of N_in_view and delta_in_view, optionally
-    widened multiplicatively (lo / widen, hi * widen)."""
+                   cloud: np.ndarray, widen: float) -> AcceptanceRanges:
+    """Training-set [min, max] of N_in_view and delta_in_view, widened
+    multiplicatively (lo / widen, hi * widen)."""
     if not training_poses:
         raise SamplingError("cannot compute acceptance ranges from an empty training set")
     ns, ds = [], []
@@ -177,7 +178,7 @@ def sample_poses(scene: Scene, cloud: np.ndarray, training_poses: list[Pose],
         if scene.position_collides(pos):
             reasons["collision"] += 1
             continue
-        heading = sample_orientation(training_poses, cfg.max_rot_noise, rng)
+        heading = sample_orientation(training_poses, MAX_ROT_NOISE, rng)
         candidate = Pose(pos, np.array([heading, 0.0, 0.0]))
         result = filter_pose(candidate, positions, cloud, intr, ranges, cfg)
         if result.accepted:

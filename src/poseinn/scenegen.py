@@ -92,6 +92,9 @@ class Scene:
         object.__setattr__(self, "background", np.asarray(self.background, dtype=np.float64))
         if not self.primitives:
             raise DomainError("scene needs at least one primitive")
+        if not self.bounds.lo[2] <= 0.0 <= self.bounds.hi[2]:
+            raise DomainError(f"scene box z range [{self.bounds.lo[2]}, {self.bounds.hi[2]}] "
+                              "does not contain the camera height z = 0")
         _check_albedo(self.background)
         for prim in self.primitives:
             if isinstance(prim, Sphere):
@@ -365,9 +368,7 @@ def _loop_trajectory(scene: Scene, k: int, loop_factor: float | None = None) -> 
             phi = 2.0 * np.pi * i / k
             x = c[0] + rx * np.cos(phi)
             y = c[1] + ry * np.sin(phi)
-            # collisions are tested at the box's mid height, not at the
-            # pose's z = 0 as on the grid
-            if scene.position_collides(np.array([x, y, c[2]])):
+            if scene.position_collides(np.array([x, y, 0.0])):
                 ok = False
                 break
             poses.append(_make_pose(x, y, phi + np.pi / 2.0))  # counterclockwise tangent

@@ -326,7 +326,7 @@ def test_sampler_output_repasses_brute_force_rules():
 
             rel = Rotation.from_matrix(pose.rotation()) * train_rots.inv()
             noise = float(np.min(rel.magnitude()))
-            assert noise <= cfg.max_rot_noise + 1e-9, \
+            assert noise <= sm.MAX_ROT_NOISE + 1e-9, \
                 f"orientation noise {math.degrees(noise):.3f} deg"
             checks += 1
     assert checks >= 10_000, f"only {checks} checks ran"
@@ -444,7 +444,7 @@ def test_symmetric_scene_yields_bimodal_headings(symmetric_run):
     for i in range(n):
         post = loc.localize(symmetric_run.model, symmetric_run.test.images[i],
                             50, rng=np.random.default_rng([0, i]))
-        modes = loc.heading_modes(post.samples[:, 2], n_bins=18)
+        modes = loc.heading_modes(post.samples[:, 2])
         if len(modes) < 2:
             continue
         (a1, m1), (a2, m2) = modes[0], modes[1]

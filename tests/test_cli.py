@@ -176,6 +176,17 @@ class TestSamplePoses:
         assert "must be positive" in one_error_line(capsys, "domain")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, why", [("max_delta_training", "must be positive"),
+                                          ("widen", "widen must be >= 1")])
+    def test_nan_threshold_one_error_line(self, pipeline, tmp_path, capsys, key, why):
+        cfg = write(tmp_path / "s.cfg", SAMPLING_CFG.replace("max_delta_training = 0.8\n", "")
+                    + f"{key} = nan\n")
+        out = tmp_path / "nan"
+        assert cli.main(["sample-poses", "--config", cfg, "--data", pipeline["train"],
+                         "--seed", "5", "--out", str(out)]) == 1
+        assert why in one_error_line(capsys, "domain")
+        assert not (out / "synth.kv").exists()
+
     def test_synth_poses_within_delta_of_training(self, pipeline):
         train = ds.load_dataset(pipeline["train"])
         synth = ds.load_dataset(pipeline["synth"])
@@ -198,9 +209,9 @@ class TestTrainResume:
 
     @pytest.mark.parametrize("old, new, why", [
         ("blocks = 2", "blocks = 5", "blocks is 5 in {cfg} but 2 in the checkpoint"),
-        ("hidden = 16", "hidden = 16\ncond_cell_theta_deg = 45",
-         f"cond_cell_theta is {np.deg2rad(45.0)} in {{cfg}} but {np.pi / 6}"),
-        ("hidden = 16", "hidden = 16\ncond_cell_theta_deg = 30", None),
+        ("hidden = 16", "hidden = 16\nconditional = 1",
+         "conditional is True in {cfg} but False in the checkpoint"),
+        ("hidden = 16", "hidden = 16\nlayers = 2", None),
     ])
     def test_resume_compares_model_keys(self, pipeline, tmp_path, capsys, old, new, why):
         cfg = write(tmp_path / "t.cfg", TRAIN_CFG.replace(old, new))
@@ -208,7 +219,7 @@ class TestTrainResume:
                        "--synth", pipeline["synth"],
                        "--resume", str(pipeline["root"] / "run" / "epoch_0001.ckpt"),
                        "--seed", "3", "--out", str(tmp_path / "o")])
-        if why is None:  # equal after the degree-to-radian conversion
+        if why is None:  # a model key set to the checkpoint's value
             assert rc == 0
         else:
             assert rc == 1
@@ -364,14 +375,21 @@ class TestErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR conditioning:")
 
-    def test_zero_clamp_one_error_line(self, pipeline, tmp_path, capsys):
-        cfg = write(tmp_path / "c.cfg", TRAIN_CFG + "clamp = 0\n")
-        rc = cli.main(["train", "--config", cfg, "--data", pipeline["train"],
-                       "--seed", "0", "--out", str(tmp_path / "o")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("ERROR domain:") and "clamp" in err
-        assert err.count("\n") == 1
+    # keys of values that are now module constants, and the degree keys
+    @pytest.mark.parametrize("verb, key", [
+        *[("train", k) for k in ("w_fwd", "w_rev_pos", "w_rev_rot", "w_rev_enc", "w_recon",
+                                 "clamp", "cond_cell_xy", "cond_cell_theta_deg")],
+        ("sample-poses", "max_rot_noise_deg"), ("gen-data", "hfov_deg")])
+    def test_retired_key_is_unknown(self, pipeline, tmp_path, capsys, verb, key):
+        base = {"train": TRAIN_CFG, "sample-poses": SAMPLING_CFG,
+                "gen-data": DATA_CFG.format(scene=pipeline["scene"])}[verb]
+        argv = [verb, "--config", write(tmp_path / "c.cfg", f"{base}{key} = 1\n"),
+                "--out", str(tmp_path / "o")]
+        if verb != "gen-data":
+            argv += ["--data", pipeline["train"]]
+        assert cli.main(argv) == 1
+        assert f"unknown keys: ['{key}']" in one_error_line(capsys, "config")
+        assert not (tmp_path / "o").exists()
 
     def test_bad_log_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("POSEINN_LOG", "chatty")
@@ -540,6 +558,31 @@ class TestOneErrorLine:
         assert lines[0].startswith("ERROR domain: aabb corners must be finite")
         assert not (tmp_path / "o").exists()
 
+    def test_gen_scene_box_above_floor(self, tmp_path):
+        cfg = write(tmp_path / "s.cfg", "kind = scene_config\nbounds = 0 0 1 4 4 3\n")
+        proc = run_module(["gen-scene", "--config", cfg, "--out", tmp_path / "o"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "ERROR domain: scene box z range [1.0, 3.0] does not contain the camera height z = 0"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("verb", list(cli._COMMANDS))
+    def test_negative_seed(self, pipeline, tmp_path, verb):
+        cfgs = {"gen-scene": SCENE_CFG, "gen-data": DATA_CFG.format(scene=pipeline["scene"]),
+                "sample-poses": SAMPLING_CFG, "train": TRAIN_CFG,
+                "track": "kind = track_config\ninit = 0 0 0\n"}
+        argv = [verb, "--seed", "-1", "--out", tmp_path / "o"]
+        if verb in cfgs:
+            argv += ["--config", write(tmp_path / "c.cfg", cfgs[verb])]
+        if verb in ("sample-poses", "train"):
+            argv += ["--data", pipeline["train"]]
+        if verb in ("eval", "track"):
+            argv += ["--ckpt", pipeline["ckpt"], "--data", pipeline["test"]]
+        proc = run_module(argv, tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["ERROR config: --seed must be >= 0, got -1"]
+        assert not (tmp_path / "o").exists()
+
     def test_resume_with_other_architecture(self, pipeline, tmp_path):
         cfg = write(tmp_path / "t.cfg", TRAIN_CFG.replace("blocks = 2", "blocks = 5")
                     .replace("hidden = 16", "hidden = 64"))
@@ -579,13 +622,13 @@ class TestConfigDefaults:
     def test_keys_parse_by_field_type(self, pipeline):
         data = ds.load_dataset(pipeline["train"])
         pairs = {"epochs": "7", "lr_start": "0.01", "mix": "alternate", "conditional": "1",
-                 "cond_cell_theta_deg": "45"}
+                 "cond_width": "8"}
         cfg = cli._train_config(pairs, seed=0)
         assert (cfg.epochs, cfg.lr_start, cfg.mix) == (7, 0.01, "alternate")
         mc = cli._model_config(pairs, data, seed=0)
-        assert mc.conditional is True and mc.cond_cell_theta == np.deg2rad(45.0)
-        sc = cli._sampling_config({"budget_factor": "7", "max_rot_noise_deg": "2"}, seed=0)
-        assert (sc.budget_factor, sc.max_rot_noise) == (7, np.deg2rad(2.0))
+        assert mc.conditional is True and mc.cond_width == 8
+        sc = cli._sampling_config({"budget_factor": "7", "widen": "1.5"}, seed=0)
+        assert (sc.budget_factor, sc.widen) == (7, 1.5)
 
 
 class TestMetrics:

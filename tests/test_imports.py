@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, and every
-top-level function and class of the package is read by the package or by
-the benchmark: deletions tend to leave imports and helpers behind. A name
-read only in an annotation, quoted or not, counts as used."""
+top-level function, class and UPPER_CASE constant of the package is read by
+the package or by the benchmark: deletions tend to leave imports, helpers
+and constants behind. A name read only in an annotation, quoted or not,
+counts as used."""
 
 import ast
 import re
@@ -57,8 +58,17 @@ def names_read(source: str) -> set[str]:
 
 
 def top_level_definitions(source: str) -> list[str]:
-    return [n.name for n in ast.parse(source).body
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    """Top-level functions, classes and UPPER_CASE constants (``A = ...``,
+    ``A: int = ...``, ``A, B = ...``), in source order."""
+    names = []
+    for n in ast.parse(source).body:
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(n.name)
+        elif isinstance(n, (ast.Assign, ast.AnnAssign)):
+            targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+            names += [t.id for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)]
+    return names
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -85,8 +95,8 @@ def test_read_checker_counts_strings_but_not_docstrings():
     source = ('"""Mentions f."""\n'
               "def f():\n    'Mentions g.'\n    return m.h(PATCH)\n"
               "def g():\n    pass\n"
-              "PATCH = ('mod', 'k')\n")
-    assert top_level_definitions(source) == ["f", "g"]
+              "PATCH = ('mod', 'k')\nA, _B = 1, 2\nC: int = 3\nlower = 4\n")
+    assert top_level_definitions(source) == ["f", "g", "PATCH", "A", "_B", "C"]
     read = names_read(source)
     assert {"m", "h", "PATCH", "mod", "k"} <= read
     assert not {"f", "g", "Mentions"} & read

@@ -139,7 +139,7 @@ class TestSampleOrientation:
 class TestRanges:
     def test_min_le_max_and_reuse(self):
         scene, cloud, train = toy_setup()
-        r = sp.compute_ranges(train, INTR, cloud)
+        r = sp.compute_ranges(train, INTR, cloud, 1.0)
         assert r.n_lo <= r.n_hi and r.d_lo <= r.d_hi
 
     def test_widening(self):
@@ -153,21 +153,21 @@ class TestRanges:
         cloud = np.array([[1.9, 1.9, 0.0]])
         train = [Pose(np.zeros(3), np.array([np.arctan2(-1.9, -1.9), 0.0, 0.0]), dim=3)]
         with pytest.raises(SamplingError):
-            sp.compute_ranges(train, INTR, cloud)
+            sp.compute_ranges(train, INTR, cloud, 1.0)
 
 
 class TestFilterPose:
     def test_training_pose_accepted(self):
         scene, cloud, train = toy_setup()
         positions = np.array([p.position for p in train])
-        ranges = sp.compute_ranges(train, INTR, cloud)
+        ranges = sp.compute_ranges(train, INTR, cloud, 1.0)
         res = sp.filter_pose(train[0], positions, cloud, INTR, ranges, sp.SamplingConfig())
         assert res.accepted and res.reason is None
 
     def test_far_candidate_rejected_rule1(self):
         scene, cloud, train = toy_setup()
         positions = np.array([p.position for p in train]) + np.array([100.0, 0.0, 0.0])
-        ranges = sp.compute_ranges(train, INTR, cloud)
+        ranges = sp.compute_ranges(train, INTR, cloud, 1.0)
         res = sp.filter_pose(train[0], positions, cloud, INTR, ranges, sp.SamplingConfig())
         assert not res.accepted and res.reason == sp.REASON_RULE1
         # rule 1 is decided before any frustum work
@@ -178,7 +178,7 @@ class TestFilterPose:
     def test_first_failing_rule_matches_brute_force_randomized(self):
         scene, cloud, train = toy_setup()
         positions = np.array([p.position for p in train])
-        ranges = sp.compute_ranges(train, INTR, cloud)
+        ranges = sp.compute_ranges(train, INTR, cloud, 1.0)
         cfg = sp.SamplingConfig()
         lo, hi = scene.bounds.lo, scene.bounds.hi
         rng = np.random.default_rng(2024)
@@ -229,7 +229,7 @@ class TestFilterPose:
     def test_rule1_monotone(self):
         scene, cloud, train = toy_setup()
         positions = np.array([p.position for p in train])
-        ranges = sp.compute_ranges(train, INTR, cloud)
+        ranges = sp.compute_ranges(train, INTR, cloud, 1.0)
         cfg = sp.SamplingConfig()
         base = train[0]
         rejected_seen = False

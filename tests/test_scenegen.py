@@ -96,6 +96,15 @@ class TestSceneValidation:
         with pytest.raises(DomainError):
             one_sphere_scene([1.9, 0.0, 0.0], radius=0.5)
 
+    def test_box_must_contain_camera_height(self):
+        # planar cameras sit at z = 0, so a box above or below it is refused
+        for lo, hi in ((1.0, 3.0), (-3.0, -0.5)):
+            bounds = Aabb(np.array([-2.0, -2.0, lo]), np.array([2.0, 2.0, hi]))
+            with pytest.raises(DomainError, match="camera height z = 0"):
+                sg.generate_scene(1, bounds)
+        floor = Aabb(np.array([-2.0, -2.0, 0.0]), np.array([2.0, 2.0, 2.0]))
+        sg.Scene(floor, (sg.Sphere(np.array([1.0, 1.0, 1.0]), 0.5, np.ones(3)),), np.zeros(3))
+
     def test_needs_primitive(self):
         with pytest.raises(DomainError):
             sg.Scene(BOUNDS, (), np.array([0.0, 0.0, 0.0]))
@@ -185,6 +194,16 @@ class TestTrajectory:
         max_gap = d.min(axis=1).max()
         diag = np.linalg.norm(scene.bounds.hi - scene.bounds.lo)
         assert max_gap < diag / np.sqrt(k)
+
+    def test_loop_tests_collisions_at_camera_height(self):
+        # the box's mid-height is 1; the sphere sits on the 0.55 ring at the
+        # cameras' z = 0 and does not reach z = 1
+        bounds = Aabb(np.array([-2.0, -2.0, -1.0]), np.array([2.0, 2.0, 3.0]))
+        blocker = sg.Sphere(np.array([1.1, 0.0, 0.0]), 0.3, np.array([0.5, 0.5, 0.5]))
+        scene = sg.Scene(bounds, (blocker,), np.zeros(3))
+        poses = sg.generate_trajectory(scene, "loop", 64)
+        assert not any(scene.position_collides(p.position) for p in poses)
+        np.testing.assert_allclose(np.hypot(*poses[0].position[:2]), 0.35 * 2.0, rtol=1e-12)
 
     def test_se3_trajectory(self):
         # planar poses only: a 6-D trajectory is refused, for either style

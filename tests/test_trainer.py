@@ -57,7 +57,7 @@ class TestModelWrapper:
     def test_grid_rounding_example(self):
         p = Pose(np.array([1.26, 0.74, 0.0]),
                  np.array([np.deg2rad(31.0), 0.0, 0.0]), dim=3)
-        c = round_to_grid(p, 0.5, np.pi / 6)
+        c = round_to_grid(p)
         np.testing.assert_allclose(c.position[:2], [1.25, 0.75], atol=1e-12)
         np.testing.assert_allclose(np.rad2deg(c.euler[0]), 45.0, atol=1e-9)
 
@@ -141,10 +141,10 @@ class TestTrainStep:
     def test_total_is_weighted_sum(self):
         m = tiny_model()
         poses, imgs = tiny_data(6)
-        cfg = tr.TrainConfig(epochs=2, batch=6, w_kl=1e-3, w_rev_enc=0.1)
+        cfg = tr.TrainConfig(epochs=2, batch=6, w_kl=1e-3)
         e = fixed_step(m, nd.Adam(m.params), poses, imgs, cfg, 0)
-        want = (cfg.w_fwd * e.fwd + cfg.w_rev_pos * e.rev_pos + cfg.w_rev_rot * e.rev_rot
-                + cfg.w_rev_enc * e.rev_enc + cfg.w_recon * e.recon + cfg.w_kl * e.kl
+        want = (tr.W_FWD * e.fwd + tr.W_REV_POS * e.rev_pos + tr.W_REV_ROT * e.rev_rot
+                + tr.W_REV_ENC * e.rev_enc + tr.W_RECON * e.recon + cfg.w_kl * e.kl
                 + tr.W_FWD_MMD * e.fwd_mmd + tr.W_REV_MMD * e.rev_mmd)
         assert abs(e.total - want) < 1e-12
 
@@ -155,7 +155,7 @@ class TestTrainStep:
         e = tr.train_step(m, poses, imgs, cfg, np.random.default_rng(0), 5e-4,
                           nd.Adam(m.params), warmup=True)
         assert e.fwd == e.rev_pos == e.rev_rot == e.rev_enc == e.nll == e.fwd_mmd == e.rev_mmd == 0.0
-        assert abs(e.total - (cfg.w_recon * e.recon + cfg.w_kl * e.kl)) < 1e-12
+        assert abs(e.total - (tr.W_RECON * e.recon + cfg.w_kl * e.kl)) < 1e-12
 
     def test_repeated_steps_decrease_total(self):
         m = tiny_model()
@@ -171,10 +171,10 @@ class TestTrainStep:
     def test_zero_weights_freeze_parameters(self, monkeypatch):
         m = tiny_model()
         poses, imgs = tiny_data(5)
-        cfg = tr.TrainConfig(epochs=2, batch=5, w_fwd=0, w_rev_pos=0, w_rev_rot=0,
-                             w_rev_enc=0, w_recon=0, w_kl=0)
-        monkeypatch.setattr(tr, "W_FWD_MMD", 0.0)
-        monkeypatch.setattr(tr, "W_REV_MMD", 0.0)
+        cfg = tr.TrainConfig(epochs=2, batch=5, w_kl=0)
+        for name in ("W_RECON", "W_FWD", "W_REV_POS", "W_REV_ROT", "W_REV_ENC",
+                     "W_FWD_MMD", "W_REV_MMD"):
+            monkeypatch.setattr(tr, name, 0.0)
         before = {k: v.copy() for k, v in m.param_arrays().items()}
         fixed_step(m, nd.Adam(m.params), poses, imgs, cfg, 0)
         after = m.param_arrays()
@@ -206,8 +206,8 @@ class TestTrainStep:
         poses, imgs = tiny_data(5)
         cfg = tr.TrainConfig(epochs=2, batch=5, w_nll=0.5)
         e = fixed_step(m, nd.Adam(m.params), poses, imgs, cfg, 0)
-        base = (cfg.w_fwd * e.fwd + cfg.w_rev_pos * e.rev_pos + cfg.w_rev_rot * e.rev_rot
-                + cfg.w_rev_enc * e.rev_enc + cfg.w_recon * e.recon + cfg.w_kl * e.kl
+        base = (tr.W_FWD * e.fwd + tr.W_REV_POS * e.rev_pos + tr.W_REV_ROT * e.rev_rot
+                + tr.W_REV_ENC * e.rev_enc + tr.W_RECON * e.recon + cfg.w_kl * e.kl
                 + tr.W_FWD_MMD * e.fwd_mmd + tr.W_REV_MMD * e.rev_mmd)
         assert abs(e.total - (base + cfg.w_nll * e.nll)) < 1e-10
 
@@ -222,8 +222,8 @@ class TestTrainStep:
         cfg = tr.TrainConfig(epochs=2, batch=5, w_nll=0.5)
         e = fixed_step(m, nd.Adam(m.params), poses, imgs, cfg, 0)
         assert e.nll < 0
-        want = (cfg.w_fwd * e.fwd + cfg.w_rev_pos * e.rev_pos + cfg.w_rev_rot * e.rev_rot
-                + cfg.w_rev_enc * e.rev_enc + cfg.w_recon * e.recon + cfg.w_kl * e.kl
+        want = (tr.W_FWD * e.fwd + tr.W_REV_POS * e.rev_pos + tr.W_REV_ROT * e.rev_rot
+                + tr.W_REV_ENC * e.rev_enc + tr.W_RECON * e.recon + cfg.w_kl * e.kl
                 + tr.W_FWD_MMD * e.fwd_mmd + tr.W_REV_MMD * e.rev_mmd + cfg.w_nll * e.nll)
         assert abs(e.total - want) < 1e-10
 
@@ -499,6 +499,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version 1") as ei:
             tr.load_checkpoint(p)
         assert "\n" not in str(ei.value)
+
+    def test_version_2_meta_refused_in_one_line(self, tmp_path, monkeypatch):
+        m = tiny_model()
+        p = tmp_path / "v2.ckpt"
+        tr.save_checkpoint(p, m, train_cfg=tr.TrainConfig())
+        # version 2 also wrote five loss weights, clamp and cond_cell_*
+        meta = saved_meta(p)
+        meta["train"].update(w_fwd=1.0, w_rev_pos=1.0, w_rev_rot=1.0, w_rev_enc=0.1, w_recon=1.0)
+        meta["model"].update(clamp=2.0, cond_cell_xy=0.5, cond_cell_theta=np.pi / 6)
+        monkeypatch.setattr(tr, "VERSION", 2)
+        write_parts(p, meta, list(m.param_arrays().items()))
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="version 2") as ei:
+            tr.load_checkpoint(p)
+        assert "reads version 3" in str(ei.value) and "\n" not in str(ei.value)
 
     @pytest.mark.parametrize("case", ["not_a_permutation", "moves_pad"])
     def test_bad_flow_permutation_rejected(self, tmp_path, case):
