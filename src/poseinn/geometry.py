@@ -25,6 +25,14 @@ def wrap_angle(a):
     return np.mod(np.asarray(a, dtype=np.float64) + np.pi, TWO_PI) - np.pi
 
 
+def squared_norms(v: np.ndarray) -> np.ndarray:
+    """Squared lengths of the 3-vectors along the last axis, summed as
+    np.linalg.norm sums them, (x*x + y*y) + z*z, so their square roots are
+    bitwise its norms; elementwise, without a reduction over rows of 3."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return (x * x + y * y) + z * z
+
+
 @dataclass(frozen=True)
 class Pose:
     """Planar camera pose: position in meters with z = 0, Euler angles

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SamplingError
-from .geometry import Pose, wrap_angle
+from .geometry import Pose, squared_norms, wrap_angle
 from .scenegen import CameraIntrinsics, Scene
 
 log = logging.getLogger(__name__)
@@ -90,7 +90,7 @@ def _frustum_mask(rel: np.ndarray, rot: np.ndarray, intr: CameraIntrinsics) -> n
 def _nearest(rel: np.ndarray) -> float:
     """Smallest row norm; sqrt is monotone and correctly rounded, so this is
     bitwise the min of np.linalg.norm(rel, axis=1)."""
-    return float(np.sqrt(np.min(np.add.reduce(rel * rel, axis=1))))
+    return float(np.sqrt(np.min(squared_norms(rel))))
 
 
 def _frustum_stats(pose: Pose, intr: CameraIntrinsics, cloud: np.ndarray) -> tuple[int, float]:
@@ -98,7 +98,8 @@ def _frustum_stats(pose: Pose, intr: CameraIntrinsics, cloud: np.ndarray) -> tup
     rel = np.asarray(cloud, dtype=np.float64) - pose.position
     mask = _frustum_mask(rel, pose.rotation(), intr)
     n = int(np.count_nonzero(mask))
-    return n, (_nearest(rel[mask]) if n else float("nan"))
+    # compress copies the in-view rows as rel[mask] does, in a fraction of the time
+    return n, (_nearest(np.compress(mask, rel, axis=0)) if n else float("nan"))
 
 
 def compute_ranges(training_poses: list[Pose], intr: CameraIntrinsics,

@@ -8,6 +8,10 @@ so rendered datasets are exactly reproducible, and the same scene exports
 an area-uniform surface point cloud standing in for a density threshold
 cloud.
 
+``render_batch`` is the one renderer: it casts the rays of ``CHUNK`` (32)
+poses in one array pass, and ``render`` is a batch of one pose. A frame's
+pixels do not depend on the other poses of its chunk.
+
 Camera frame: body x = forward (optical axis), y = left, z = up. A pixel
 at normalized image coordinates (a, b), a to the right and b down, maps
 to ray direction f - a*tan(hfov/2)*left - b*tan(hfov/2)*(H/W)*up.
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import kvconfig as kv
 from .errors import ConfigError, DimensionError, DomainError, GenerationError
-from .geometry import Aabb, Pose
+from .geometry import Aabb, Pose, squared_norms
 
 # vertical light: Lambert shading then depends only on the normal's z
 # component, so rotating a scene about z rotates its images exactly and a
@@ -49,8 +53,11 @@ class Sphere:
     def surface_area(self) -> float:
         return 4.0 * np.pi * self.radius ** 2
 
-    def contains(self, p: np.ndarray) -> bool:
-        return bool(np.sum((p - self.center) ** 2) < self.radius ** 2)
+    def contains(self, x: float, y: float, z: float) -> bool:
+        """Strictly inside; the squares are summed in np.sum's order."""
+        cx, cy, cz = self.center.tolist()
+        dx, dy, dz = x - cx, y - cy, z - cz
+        return (dx * dx + dy * dy) + dz * dz < self.radius ** 2
 
 
 @dataclass(frozen=True)
@@ -71,8 +78,11 @@ class Box:
         hx, hy, hz = self.half
         return 8.0 * (hx * hy + hy * hz + hz * hx)
 
-    def contains(self, p: np.ndarray) -> bool:
-        return bool(np.all(np.abs(p - self.center) < self.half))
+    def contains(self, x: float, y: float, z: float) -> bool:
+        """Strictly inside."""
+        cx, cy, cz = self.center.tolist()
+        hx, hy, hz = self.half.tolist()
+        return abs(x - cx) < hx and abs(y - cy) < hy and abs(z - cz) < hz
 
 
 def _check_albedo(a: np.ndarray) -> None:
@@ -105,7 +115,10 @@ class Scene:
                 raise DomainError(f"primitive extends outside scene bounds: {prim}")
 
     def position_collides(self, p: np.ndarray) -> bool:
-        return any(prim.contains(np.asarray(p, dtype=np.float64)) for prim in self.primitives)
+        """Whether the point lies strictly inside a primitive; scalar
+        arithmetic, as one candidate is one point."""
+        x, y, z = np.asarray(p, dtype=np.float64).tolist()
+        return any(prim.contains(x, y, z) for prim in self.primitives)
 
 
 @dataclass(frozen=True)
@@ -191,23 +204,26 @@ def generate_symmetric_scene(seed: int, bounds: Aabb | None = None) -> Scene:
 # rendering
 # ---------------------------------------------------------------------------
 
-def _ray_dirs(intr: CameraIntrinsics, rot: np.ndarray) -> np.ndarray:
-    """(H, W, 3) unnormalized ray directions in world coordinates."""
+CHUNK = 32  # poses rendered in one array pass
+
+
+def _unit_rays(intr: CameraIntrinsics, rots: np.ndarray) -> np.ndarray:
+    """(m, H*W, 3) unit ray directions in world coordinates, one image of
+    rays per rotation in the (m, 3, 3) stack."""
     w, h = intr.width, intr.height
     a = (2.0 * (np.arange(w) + 0.5) / w - 1.0) * np.tan(intr.hfov / 2.0)
     b = (2.0 * (np.arange(h) + 0.5) / h - 1.0) * np.tan(intr.hfov / 2.0) * (h / w)
-    fwd, left, up = rot[:, 0], rot[:, 1], rot[:, 2]
-    dirs = (fwd[None, None, :]
-            - a[None, :, None] * left[None, :]
-            - b[:, None, None] * up[None, :])
-    return dirs
+    fwd, left, up = (rots[:, None, None, :, j] for j in range(3))  # (m, 1, 1, 3) each
+    dirs = fwd - a[None, None, :, None] * left - b[None, :, None, None] * up
+    dirs = dirs.reshape(len(rots), w * h, 3)
+    return dirs / np.sqrt(squared_norms(dirs))[..., None]
 
 
-def _intersect_sphere(origin, dirs_flat, sph: Sphere):
-    oc = origin - sph.center
-    b = dirs_flat @ oc
-    c = oc @ oc - sph.radius ** 2
-    disc = b * b - c
+def _intersect_sphere(origins, unit, sph: Sphere):
+    oc = origins - sph.center
+    b = np.matmul(unit, oc[:, :, None])[..., 0]  # one gemv per frame
+    c = np.array([o @ o for o in oc]) - sph.radius ** 2
+    disc = b * b - c[:, None]
     hit = disc >= 0.0
     sq = np.sqrt(np.where(hit, disc, 0.0))
     t0 = -b - sq
@@ -217,20 +233,25 @@ def _intersect_sphere(origin, dirs_flat, sph: Sphere):
     return t
 
 
-def _intersect_box(origin, dirs_flat, box: Box):
+def _intersect_box(origins, inv, para, box: Box):
+    """Slab test, one axis at a time; ``inv`` holds 1 / ray direction per
+    axis, (3, m, H*W), and ``para`` marks the ray components that are
+    exactly 0 in the same layout, or is None when there are none."""
     lo = box.center - box.half
     hi = box.center + box.half
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs_flat
-        t1 = (lo[None, :] - origin[None, :]) * inv
-        t2 = (hi[None, :] - origin[None, :]) * inv
-    # rays parallel to a slab: hit iff origin within that slab
-    para = dirs_flat == 0.0
-    inside = (origin >= lo) & (origin <= hi)
-    t1 = np.where(para, np.where(inside[None, :], -np.inf, np.inf), t1)
-    t2 = np.where(para, np.where(inside[None, :], np.inf, -np.inf), t2)
-    tnear = np.max(np.minimum(t1, t2), axis=1)
-    tfar = np.min(np.maximum(t1, t2), axis=1)
+    inside = (origins >= lo) & (origins <= hi)
+    tnear = tfar = None
+    for k in range(3):
+        with np.errstate(invalid="ignore"):
+            t1 = (lo[k] - origins[:, k])[:, None] * inv[k]
+            t2 = (hi[k] - origins[:, k])[:, None] * inv[k]
+        if para is not None:
+            # rays parallel to a slab: hit iff origin within that slab
+            t1 = np.where(para[k], np.where(inside[:, k, None], -np.inf, np.inf), t1)
+            t2 = np.where(para[k], np.where(inside[:, k, None], np.inf, -np.inf), t2)
+        near, far = np.minimum(t1, t2), np.maximum(t1, t2)
+        tnear = near if tnear is None else np.maximum(tnear, near)
+        tfar = far if tfar is None else np.minimum(tfar, far)
     hit = (tnear <= tfar) & (tfar > 1e-9)
     t = np.where(tnear > 1e-9, tnear, tfar)
     return np.where(hit & (t > 1e-9), t, np.inf)
@@ -239,7 +260,7 @@ def _intersect_box(origin, dirs_flat, box: Box):
 def _normals(rel: np.ndarray, prim) -> np.ndarray:
     """Surface normals from hit points relative to the primitive center."""
     if isinstance(prim, Sphere):
-        return rel / np.linalg.norm(rel, axis=1, keepdims=True)
+        return rel / np.sqrt(squared_norms(rel))[:, None]
     scaled = rel / prim.half
     axis = np.argmax(np.abs(scaled), axis=1)
     n = np.zeros_like(rel)
@@ -247,44 +268,62 @@ def _normals(rel: np.ndarray, prim) -> np.ndarray:
     return n
 
 
-def render(scene: Scene, intr: CameraIntrinsics, pose: Pose) -> np.ndarray:
-    """Raycast one image at the given pose; (H, W, 3) floats in [0, 1]."""
-    origin = pose.position
-    if not scene.bounds.contains(origin, tol=1e-9):
-        raise DomainError(f"camera position {origin} outside scene bounds")
-    dirs = _ray_dirs(intr, pose.rotation())
-    flat = dirs.reshape(-1, 3)
-    norms = np.linalg.norm(flat, axis=1, keepdims=True)
-    unit = flat / norms
+def _render_chunk(scene: Scene, intr: CameraIntrinsics, poses: list[Pose],
+                  img: np.ndarray) -> None:
+    """Raycast the poses in one array pass into img, an (m*H*W, 3) view."""
+    origins = np.array([p.position for p in poses])
+    unit = _unit_rays(intr, np.array([p.rotation() for p in poses]))
+    axes = np.ascontiguousarray(unit.transpose(2, 0, 1))  # (3, m, H*W)
+    para = axes == 0.0
+    para = para if para.any() else None
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / axes
 
-    n_rays = unit.shape[0]
-    best_t = np.full(n_rays, np.inf)
-    best_prim = np.full(n_rays, -1, dtype=np.intp)
+    best_t = np.full(unit.shape[:2], np.inf)
+    best_prim = np.full(unit.shape[:2], -1, dtype=np.intp)
     for i, prim in enumerate(scene.primitives):
-        t = (_intersect_sphere(origin, unit, prim) if isinstance(prim, Sphere)
-             else _intersect_box(origin, unit, prim))
+        t = (_intersect_sphere(origins, unit, prim) if isinstance(prim, Sphere)
+             else _intersect_box(origins, inv, para, prim))
         closer = t < best_t
-        best_t = np.where(closer, t, best_t)
-        best_prim[closer] = i
+        np.copyto(best_t, t, where=closer)
+        np.copyto(best_prim, i, where=closer)
 
-    img = np.tile(scene.background, (n_rays, 1))
+    img[...] = scene.background
+    n_rays = unit.shape[1]
+    best_t, rays = best_t.reshape(-1), unit.reshape(-1, 3)
     for i, prim in enumerate(scene.primitives):
-        mask = best_prim == i
-        if not np.any(mask):
+        hits = np.flatnonzero(best_prim == i)
+        if not len(hits):
             continue
+        t = best_t[hits]
         # hit point relative to the primitive center; keeping the camera
         # offset separate makes rendering exactly rigid-translation invariant
-        rel = (origin - prim.center)[None, :] + best_t[mask, None] * unit[mask]
+        rel = (origins - prim.center)[hits // n_rays] + t[:, None] * rays[hits]
         n = _normals(rel, prim)
         lambert = np.maximum(0.0, n @ LIGHT_DIR)
-        shade = (AMBIENT + (1.0 - AMBIENT) * lambert) / (1.0 + DEPTH_FALLOFF * best_t[mask])
-        img[mask] = prim.albedo[None, :] * shade[:, None]
-
-    return img.reshape(intr.height, intr.width, 3)
+        shade = (AMBIENT + (1.0 - AMBIENT) * lambert) / (1.0 + DEPTH_FALLOFF * t)
+        img[hits] = prim.albedo[None, :] * shade[:, None]
 
 
 def render_batch(scene: Scene, intr: CameraIntrinsics, poses: list[Pose]) -> np.ndarray:
-    return np.stack([render(scene, intr, p) for p in poses])
+    """Raycast one image per pose; (n, H, W, 3) floats in [0, 1]. Every
+    pose is checked against the scene bounds before any is rendered."""
+    poses = list(poses)
+    for pose in poses:
+        if not scene.bounds.contains(pose.position, tol=1e-9):
+            raise DomainError(f"camera position {pose.position} outside scene bounds")
+    n_rays = intr.height * intr.width
+    out = np.empty((len(poses), intr.height, intr.width, 3))
+    flat = out.reshape(-1, 3)
+    for start in range(0, len(poses), CHUNK):
+        chunk = poses[start:start + CHUNK]
+        _render_chunk(scene, intr, chunk, flat[start * n_rays:(start + len(chunk)) * n_rays])
+    return out
+
+
+def render(scene: Scene, intr: CameraIntrinsics, pose: Pose) -> np.ndarray:
+    """Raycast one image at the given pose; (H, W, 3) floats in [0, 1]."""
+    return render_batch(scene, intr, [pose])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +342,7 @@ def export_point_cloud(scene: Scene, n: int, rng: np.random.Generator) -> np.nda
             continue
         if isinstance(prim, Sphere):
             v = rng.normal(size=(k, 3))
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            v /= np.sqrt(squared_norms(v))[:, None]
             chunks.append(prim.center + prim.radius * v)
         else:
             chunks.append(_sample_box_surface(prim, k, rng))

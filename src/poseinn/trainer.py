@@ -70,8 +70,10 @@ class TrainConfig:
         if not (self.lr_start >= self.lr_end > 0):
             raise DomainError("need lr_start >= lr_end > 0")
         for name in ("w_kl", "w_nll"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"loss weight {name} must be >= 0")
+            # written so that nan fails too: w_nll = nan would train as 0
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise DomainError(f"loss weight {name} must be finite and >= 0, "
+                                  f"got {getattr(self, name)}")
         if self.warmup_epochs < 0 or self.checkpoint_every < 0:
             raise DomainError("warmup_epochs and checkpoint_every must be >= 0")
         if self.mix != "alternate":

@@ -566,6 +566,16 @@ class TestOneErrorLine:
             "ERROR domain: scene box z range [1.0, 3.0] does not contain the camera height z = 0"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["w_kl", "w_nll"])
+    def test_nan_loss_weight(self, pipeline, tmp_path, key):
+        cfg = write(tmp_path / "t.cfg", TRAIN_CFG + f"{key} = nan\n")
+        proc = run_module(["train", "--config", cfg, "--data", pipeline["train"],
+                           "--out", tmp_path / "o"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"ERROR domain: loss weight {key} must be finite and >= 0, got nan"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("verb", list(cli._COMMANDS))
     def test_negative_seed(self, pipeline, tmp_path, verb):
         cfgs = {"gen-scene": SCENE_CFG, "gen-data": DATA_CFG.format(scene=pipeline["scene"]),

@@ -280,6 +280,19 @@ class TestReductions:
 
 
 class TestConv:
+    @pytest.mark.parametrize("shape,k,stride,pad", [
+        ((1, 32, 32, 3), 4, 2, 1), ((2, 5, 7, 4), 3, 1, 2), ((3, 6, 6, 2), 4, 2, 0)])
+    def test_im2col_columns_match_np_pad(self, shape, k, stride, pad):
+        x = np.random.default_rng(4).normal(size=shape)
+        x[0, 0, 0, 0] = -0.0
+        cols, ho, wo = nd._im2col(x, k, stride, pad)
+        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+        ref = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+        ref = ref[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+        assert (ho, wo) == ref.shape[1:3]
+        want = ref.reshape(shape[0], ho, wo, k * k * shape[3])
+        assert cols.tobytes() == np.ascontiguousarray(want).tobytes()
+
     def test_conv2d_matches_direct(self):
         rng = np.random.default_rng(21)
         x = rng.normal(size=(2, 6, 6, 3))

@@ -156,6 +156,31 @@ class TestRanges:
             sp.compute_ranges(train, INTR, cloud, 1.0)
 
 
+class TestNearest:
+    @staticmethod
+    def mixed_scale(rng, shape):
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+
+    def test_rows_whose_sum_orders_differ(self):
+        # single rows whose squares sum differently as x*x + (y*y + z*z):
+        # numpy's norm sums them (x*x + y*y) + z*z
+        v = self.mixed_scale(np.random.default_rng(12), (20_000, 3))
+        sq = v * v
+        differ = (sq[:, 0] + sq[:, 1]) + sq[:, 2] != sq[:, 0] + (sq[:, 1] + sq[:, 2])
+        rows = v[differ][:1000]
+        assert len(rows) == 1000
+        for row in rows:
+            got = sp._nearest(row[None, :])
+            assert np.float64(got).tobytes() == np.linalg.norm(row[None, :], axis=1)[0].tobytes()
+
+    def test_random_sets_match_linalg_norm(self):
+        rng = np.random.default_rng(13)
+        for _ in range(500):
+            rel = self.mixed_scale(rng, (int(rng.integers(1, 300)), 3))
+            want = np.min(np.linalg.norm(rel, axis=1))
+            assert np.float64(sp._nearest(rel)).tobytes() == want.tobytes()
+
+
 class TestFilterPose:
     def test_training_pose_accepted(self):
         scene, cloud, train = toy_setup()

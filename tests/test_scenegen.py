@@ -1,13 +1,16 @@
 """Renderer and scene tests: analytic ray-sphere oracle at the image
-center, bitwise rigid invariance on dyadic coordinates, binomial bounds on
-the point-cloud allocation."""
+center, bitwise rigid invariance on dyadic coordinates, the batched
+renderer bitwise against a per-pose oracle, binomial bounds on the
+point-cloud allocation."""
+
+import re
 
 import numpy as np
 import pytest
 
 from poseinn import scenegen as sg
 from poseinn.errors import ConfigError, DimensionError, DomainError, GenerationError
-from poseinn.geometry import Aabb, Pose, wrap_angle
+from poseinn.geometry import Aabb, Pose, squared_norms, wrap_angle
 
 BOUNDS = Aabb(np.array([-2.0, -2.0, -1.0]), np.array([2.0, 2.0, 1.0]))
 
@@ -89,6 +92,222 @@ class TestRender:
         q = pose_at(2 * c[0] - 0.4, 2 * c[1] + 0.3, 0.9 + np.pi)
         np.testing.assert_allclose(sg.render(scene, intr, p), sg.render(scene, intr, q),
                                    atol=1e-9)
+
+
+def render_one(scene, intr, pose):
+    """Per-pose raycast with numpy's row reductions: the renderer as it was
+    before batching, kept as the bitwise oracle of ``render_batch``."""
+    origin = pose.position
+    flat = ray_dirs(intr, pose.rotation())
+    unit = flat / np.linalg.norm(flat, axis=1, keepdims=True)
+    best_t = np.full(len(unit), np.inf)
+    best_prim = np.full(len(unit), -1, dtype=np.intp)
+    for i, prim in enumerate(scene.primitives):
+        if isinstance(prim, sg.Sphere):
+            oc = origin - prim.center
+            bb = unit @ oc
+            disc = bb * bb - (oc @ oc - prim.radius ** 2)
+            hit = disc >= 0.0
+            sq = np.sqrt(np.where(hit, disc, 0.0))
+            t = np.where(-bb - sq > 1e-9, -bb - sq, -bb + sq)
+            t = np.where(hit & (t > 1e-9), t, np.inf)
+        else:
+            lo, hi = prim.center - prim.half, prim.center + prim.half
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inv = 1.0 / unit
+                t1 = (lo[None, :] - origin[None, :]) * inv
+                t2 = (hi[None, :] - origin[None, :]) * inv
+            para = unit == 0.0
+            inside = (origin >= lo) & (origin <= hi)
+            t1 = np.where(para, np.where(inside[None, :], -np.inf, np.inf), t1)
+            t2 = np.where(para, np.where(inside[None, :], np.inf, -np.inf), t2)
+            tnear = np.max(np.minimum(t1, t2), axis=1)
+            tfar = np.min(np.maximum(t1, t2), axis=1)
+            hit = (tnear <= tfar) & (tfar > 1e-9)
+            t = np.where(tnear > 1e-9, tnear, tfar)
+            t = np.where(hit & (t > 1e-9), t, np.inf)
+        closer = t < best_t
+        best_t = np.where(closer, t, best_t)
+        best_prim[closer] = i
+    img = np.tile(scene.background, (len(unit), 1))
+    for i, prim in enumerate(scene.primitives):
+        mask = best_prim == i
+        if not np.any(mask):
+            continue
+        rel = (origin - prim.center)[None, :] + best_t[mask, None] * unit[mask]
+        if isinstance(prim, sg.Sphere):
+            n = rel / np.linalg.norm(rel, axis=1, keepdims=True)
+        else:
+            scaled = rel / prim.half
+            axis = np.argmax(np.abs(scaled), axis=1)
+            n = np.zeros_like(rel)
+            n[np.arange(len(rel)), axis] = np.sign(scaled[np.arange(len(rel)), axis])
+        lambert = np.maximum(0.0, n @ sg.LIGHT_DIR)
+        shade = (sg.AMBIENT + (1.0 - sg.AMBIENT) * lambert) / (1.0 + sg.DEPTH_FALLOFF * best_t[mask])
+        img[mask] = prim.albedo[None, :] * shade[:, None]
+    return img.reshape(intr.height, intr.width, 3)
+
+
+def ray_dirs(intr, rot):
+    """(H*W, 3) unnormalized ray directions, one image's worth."""
+    w, h = intr.width, intr.height
+    a = (2.0 * (np.arange(w) + 0.5) / w - 1.0) * np.tan(intr.hfov / 2.0)
+    b = (2.0 * (np.arange(h) + 0.5) / h - 1.0) * np.tan(intr.hfov / 2.0) * (h / w)
+    return (rot[:, 0][None, None, :] - a[None, :, None] * rot[:, 1][None, :]
+            - b[:, None, None] * rot[:, 2][None, :]).reshape(-1, 3)
+
+
+def random_poses(scene, k, rng, axis_headings=False):
+    """k collision-free poses; with axis_headings every other one looks
+    along a world axis, so some rays have components of exactly 0."""
+    poses = []
+    while len(poses) < k:
+        x, y = rng.uniform(scene.bounds.lo[:2], scene.bounds.hi[:2])
+        if scene.position_collides(np.array([x, y, 0.0])):
+            continue
+        heading = (0.0 if axis_headings and len(poses) % 2 == 0
+                   else rng.uniform(-np.pi, np.pi))
+        poses.append(pose_at(x, y, heading))
+    return poses
+
+
+def mixed_scale(rng, shape):
+    """Normal draws scaled by 10**u, u uniform in [-8, 8] per entry."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+
+
+def association_split(rng, n):
+    """Triples of squares whose two sum orders differ: (x*x + y*y) + z*z,
+    numpy's order, against x*x + (y*y + z*z)."""
+    v = mixed_scale(rng, (n, 3))
+    sq = v * v
+    left = (sq[:, 0] + sq[:, 1]) + sq[:, 2]
+    right = sq[:, 0] + (sq[:, 1] + sq[:, 2])
+    differ = left != right
+    return v[differ], left[differ], right[differ]
+
+
+class TestRenderBatch:
+    @pytest.mark.parametrize("k", [1, sg.CHUNK - 1, sg.CHUNK, sg.CHUNK + 1, 2 * sg.CHUNK + 3])
+    def test_bitwise_per_pose_oracle(self, k):
+        scene = sg.generate_scene(3)
+        intr = sg.CameraIntrinsics(16, 12)
+        poses = random_poses(scene, k, np.random.default_rng(k))
+        images = sg.render_batch(scene, intr, poses)
+        assert images.shape == (k, 12, 16, 3) and images.flags.c_contiguous
+        for pose, image in zip(poses, images):
+            assert image.tobytes() == render_one(scene, intr, pose).tobytes()
+
+    def test_slab_parallel_rays_odd_width(self):
+        scene = sg.generate_scene(4)
+        intr = sg.CameraIntrinsics(9, 9)
+        poses = random_poses(scene, sg.CHUNK + 5, np.random.default_rng(9), axis_headings=True)
+        rots = np.array([p.rotation() for p in poses])
+        assert np.any(sg._unit_rays(intr, rots) == 0.0)
+        assert any(isinstance(prim, sg.Box) for prim in scene.primitives)
+        for pose, image in zip(poses, sg.render_batch(scene, intr, poses)):
+            assert image.tobytes() == render_one(scene, intr, pose).tobytes()
+
+    def test_symmetric_scene(self):
+        scene = sg.generate_symmetric_scene(5)
+        intr = sg.CameraIntrinsics(32, 32)
+        poses = random_poses(scene, sg.CHUNK + 2, np.random.default_rng(5), axis_headings=True)
+        for pose, image in zip(poses, sg.render_batch(scene, intr, poses)):
+            assert image.tobytes() == render_one(scene, intr, pose).tobytes()
+
+    def test_render_is_a_batch_of_one(self):
+        scene = sg.generate_scene(2)
+        intr = sg.CameraIntrinsics(32, 32)
+        for pose in random_poses(scene, 6, np.random.default_rng(2), axis_headings=True):
+            assert sg.render(scene, intr, pose).tobytes() == render_one(scene, intr, pose).tobytes()
+
+    def test_empty_batch(self):
+        images = sg.render_batch(sg.generate_scene(1), sg.CameraIntrinsics(8, 8), [])
+        assert images.shape == (0, 8, 8, 3)
+
+    def test_pose_outside_bounds_mid_batch(self):
+        scene = sg.generate_scene(1)
+        poses = random_poses(scene, 2 * sg.CHUNK, np.random.default_rng(1))
+        bad = pose_at(5.0, 0.0, 0.0)
+        poses.insert(sg.CHUNK + 3, bad)
+        msg = f"camera position {bad.position} outside scene bounds"
+        with pytest.raises(DomainError, match=re.escape(msg)):
+            sg.render_batch(scene, sg.CameraIntrinsics(16, 16), poses)
+
+    def test_ray_norms_at_mixed_scales(self):
+        v, left, _ = association_split(np.random.default_rng(6), 100_000)
+        assert len(v) > 1000
+        got = squared_norms(v)
+        assert got.tobytes() == left.tobytes()
+        assert got.tobytes() == np.add.reduce(v * v, axis=1).tobytes()
+        assert np.sqrt(got).tobytes() == np.linalg.norm(v, axis=1).tobytes()
+
+    def test_unit_rays_match_linalg_norm(self):
+        rng = np.random.default_rng(8)
+        intr = sg.CameraIntrinsics(15, 11)
+        rots = np.array([Pose(np.zeros(3), np.array([h, 0.0, 0.0])).rotation()
+                         for h in rng.uniform(-np.pi, np.pi, 40)])
+        for rot, unit in zip(rots, sg._unit_rays(intr, rots)):
+            dirs = ray_dirs(intr, rot)
+            want = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+            assert unit.tobytes() == want.tobytes()
+
+
+class TestPositionCollides:
+    @staticmethod
+    def collides_old(scene, p):
+        p = np.asarray(p, dtype=np.float64)
+        return any(bool(np.sum((p - prim.center) ** 2) < prim.radius ** 2)
+                   if isinstance(prim, sg.Sphere)
+                   else bool(np.all(np.abs(p - prim.center) < prim.half))
+                   for prim in scene.primitives)
+
+    def test_sphere_boundary_at_mixed_scales(self):
+        # each radius squares to the larger of the two sum orders of the
+        # point's offset, so the answer flips if they are summed the other way
+        rng = np.random.default_rng(10)
+        big = Aabb(np.full(3, -1e30), np.full(3, 1e30))
+        checked = 0
+        for center, d in zip(mixed_scale(rng, (3000, 3)), mixed_scale(rng, (3000, 3))):
+            p = center + d
+            sq = (p - center) ** 2
+            left, right = (sq[0] + sq[1]) + sq[2], sq[0] + (sq[1] + sq[2])
+            r = float(np.sqrt(max(left, right)))
+            if left == right or r ** 2 != max(left, right):
+                continue
+            scene = sg.Scene(big, (sg.Sphere(center, r, np.full(3, 0.5)),), np.zeros(3))
+            inside = bool(left < right)  # numpy's order decides: left < r**2
+            assert self.collides_old(scene, p) == inside
+            assert scene.position_collides(p) == inside
+            checked += 1
+        assert checked > 100
+
+    def test_random_points_at_mixed_scales(self):
+        rng = np.random.default_rng(11)
+        big = Aabb(np.full(3, -1e30), np.full(3, 1e30))
+        agree = hits = 0
+        for _ in range(300):
+            prims = []
+            for _ in range(3):
+                c, scale = mixed_scale(rng, 3), 10.0 ** rng.uniform(-8, 8)
+                prims.append(sg.Sphere(c, scale * rng.uniform(0.1, 2.0), np.full(3, 0.5)))
+                prims.append(sg.Box(c + mixed_scale(rng, 3), scale * rng.uniform(0.1, 2.0, 3),
+                                    np.full(3, 0.5)))
+            scene = sg.Scene(big, tuple(prims), np.zeros(3))
+            for prim in prims:
+                size = prim.radius if isinstance(prim, sg.Sphere) else float(prim.half.max())
+                for p in prim.center + size * rng.uniform(-1.5, 1.5, size=(10, 3)):
+                    old = self.collides_old(scene, p)
+                    assert scene.position_collides(p) == old
+                    agree += 1
+                    hits += old
+        assert 0.2 < hits / agree < 0.9
+
+    def test_list_and_nan_points(self):
+        scene = sg.generate_scene(1)
+        prim = scene.primitives[0]
+        assert scene.position_collides(list(prim.center))
+        assert not scene.position_collides([np.nan, 0.0, 0.0])
 
 
 class TestSceneValidation:

@@ -108,6 +108,10 @@ class TestSchedule:
             tr.TrainConfig(lr_start=1e-5, lr_end=1e-4)
         with pytest.raises(DomainError):
             tr.TrainConfig(w_kl=-1.0)
+        for name in ("w_kl", "w_nll"):
+            for bad in (float("nan"), float("inf"), -1e-12):
+                with pytest.raises(DomainError, match=f"loss weight {name} must be finite"):
+                    tr.TrainConfig(**{name: bad})
         with pytest.raises(DomainError):
             tr.TrainConfig(epochs=0)
         for mix in ("shaken", "pool"):
