@@ -13,6 +13,7 @@ not a silent default.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import logging
 import os
@@ -533,7 +534,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use. Every default is
+    immutable, and parse_args fills a fresh namespace per call."""
     p = _Parser(prog="poseinn",
                 description="Pose regression via invertible image-to-pose flows.")
     sub = p.add_subparsers(dest="verb", required=True, metavar="VERB")
@@ -588,6 +592,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as e:
         print(f"ERROR io: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"ERROR memory: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -186,6 +187,25 @@ class TestSamplePoses:
                          "--seed", "5", "--out", str(out)]) == 1
         assert why in one_error_line(capsys, "domain")
         assert not (out / "synth.kv").exists()
+
+    @pytest.mark.parametrize("error, detail", [
+        (MemoryError("Unable to allocate 2.18 TiB for an array with shape "
+                     "(100000000000, 3) and data type float64"), "Unable to allocate 2.18 TiB"),
+        (MemoryError(), "out of memory")])
+    def test_memory_error_one_error_line(self, pipeline, tmp_path, capsys, monkeypatch,
+                                         error, detail):
+        # stands in for a cloud too large to allocate; nothing huge is allocated
+        def export_point_cloud(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli.sg, "export_point_cloud", export_point_cloud)
+        cfg = write(tmp_path / "huge.cfg", SAMPLING_CFG.replace(
+            "cloud_points = 2000", "cloud_points = 100000000000"))
+        out = tmp_path / "huge"
+        assert cli.main(["sample-poses", "--config", cfg, "--data", pipeline["train"],
+                         "--seed", "5", "--out", str(out)]) == 1
+        assert detail in one_error_line(capsys, "memory")
+        assert not out.exists()
 
     def test_synth_poses_within_delta_of_training(self, pipeline):
         train = ds.load_dataset(pipeline["train"])
@@ -666,6 +686,52 @@ class TestMetrics:
     def test_empty_set_rejected(self):
         with pytest.raises(Exception, match="empty test split"):
             cli.evaluate_posteriors([], np.zeros((0, 3)))
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_defaults_are_immutable(self):
+        parsers = [cli.build_parser()]
+        for action in parsers[0]._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+        defaults = [a.default for p in parsers for a in p._actions]
+        assert all(d is None or isinstance(d, (bool, int, str)) for d in defaults), defaults
+
+    def test_back_to_back_mains_parse_independently(self, monkeypatch):
+        seen = []
+        for verb in list(cli._COMMANDS):
+            monkeypatch.setitem(cli._COMMANDS, verb, lambda args: seen.append(vars(args)))
+        common = {"seed": 0, "threads": 1, "out": "o"}
+        runs = [
+            (["train", "--config", "t.cfg", "--data", "d.kv", "--synth", "s.kv",
+              "--resume", "r.ckpt", "--seed", "5", "--out", "o"],
+             {"verb": "train", "config": "t.cfg", "data": "d.kv", "synth": "s.kv",
+              "resume": "r.ckpt", **common, "seed": 5}),
+            (["train", "--config", "t.cfg", "--data", "d.kv", "--out", "o"],
+             {"verb": "train", "config": "t.cfg", "data": "d.kv", "synth": None,
+              "resume": None, **common}),
+            (["eval", "--ckpt", "m.ckpt", "--data", "d.kv", "--samples", "7",
+              "--threads", "2", "--out", "o"],
+             {"verb": "eval", "ckpt": "m.ckpt", "data": "d.kv", "samples": 7,
+              **common, "threads": 2}),
+            (["eval", "--ckpt", "m.ckpt", "--data", "d.kv", "--out", "o"],
+             {"verb": "eval", "ckpt": "m.ckpt", "data": "d.kv", "samples": 50, **common}),
+            (["track", "--config", "k.cfg", "--ckpt", "m.ckpt", "--data", "d.kv",
+              "--odom", "odom.txt", "--out", "o"],
+             {"verb": "track", "config": "k.cfg", "ckpt": "m.ckpt", "data": "d.kv",
+              "odom": "odom.txt", **common}),
+            (["track", "--config", "k.cfg", "--ckpt", "m.ckpt", "--data", "d.kv", "--out", "o"],
+             {"verb": "track", "config": "k.cfg", "ckpt": "m.ckpt", "data": "d.kv",
+              "odom": None, **common}),
+            (["gen-scene", "--config", "s.cfg", "--out", "o"],
+             {"verb": "gen-scene", "config": "s.cfg", **common}),
+        ]
+        for argv, _ in runs:
+            assert cli.main(argv) == 0
+        assert seen == [want for _, want in runs]
 
 
 class TestReadme:

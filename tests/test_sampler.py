@@ -60,6 +60,23 @@ def brute_force_passes(pose, intr, cloud, training_positions, ranges, cfg):
     return brute_force_reason(stats, ranges, cfg) is None
 
 
+def one_pass_stats(pose, intr, cloud):
+    """The frustum stats from one frustum test of the whole cloud, as the
+    sampler computed them before it culled by grid cell."""
+    rel = np.asarray(cloud, dtype=np.float64) - pose.position
+    cam = rel @ pose.rotation()
+    depth, lat, vert = cam[:, 0], cam[:, 1], cam[:, 2]
+    tan_h = np.tan(intr.hfov / 2.0)
+    tan_v = tan_h * (intr.height / intr.width)
+    mask = (depth > 0.0) & (np.abs(lat) <= depth * tan_h) & (np.abs(vert) <= depth * tan_v)
+    n = int(np.count_nonzero(mask))
+    return n, (sp._nearest(np.compress(mask, rel, axis=0)) if n else float("nan"))
+
+
+def heading_pose(x, y, heading):
+    return Pose(np.array([x, y, 0.0]), np.array([heading, 0.0, 0.0]))
+
+
 def toy_setup(scene_seed=3, n_train=12, n_cloud=800):
     scene = sg.generate_scene(scene_seed, bounds=BOUNDS)
     cloud = sg.export_point_cloud(scene, n_cloud, np.random.default_rng(scene_seed + 100))
@@ -76,12 +93,12 @@ class TestInView:
     def test_facing_away_sees_nothing(self):
         cloud = np.array([[2.0, 0.0, 0.0], [1.5, 0.3, 0.1]])
         pose = Pose(np.zeros(3), np.array([np.pi, 0.0, 0.0]), dim=3)  # looking -x
-        assert sp._frustum_stats(pose, INTR, cloud)[0] == 0
+        assert sp._frustum_stats(pose, INTR, sp.index_cloud(cloud))[0] == 0
 
     def test_single_axis_point(self):
         cloud = np.array([[2.0, 0.0, 0.0]])
         pose = Pose(np.zeros(3), np.zeros(3), dim=3)
-        n, d_view = sp._frustum_stats(pose, INTR, cloud)
+        n, d_view = sp._frustum_stats(pose, INTR, sp.index_cloud(cloud))
         assert n == 1
         np.testing.assert_allclose(d_view, 2.0, atol=1e-12)
 
@@ -89,17 +106,176 @@ class TestInView:
         rng = np.random.default_rng(42)
         scene, cloud, train = toy_setup()
         positions = np.array([p.position for p in train])
+        index = sp.index_cloud(cloud[:200])
         for _ in range(25):
             pose = Pose(
                 np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), 0.0]),
                 np.array([rng.uniform(-np.pi, np.pi), 0.0, 0.0]), dim=3)
-            got_n, got_d = sp._frustum_stats(pose, INTR, cloud[:200])
+            got_n, got_d = sp._frustum_stats(pose, INTR, index)
             n, d_view, _ = brute_force_stats(pose, INTR, cloud[:200], positions)
             assert got_n == n
             if n:
                 np.testing.assert_allclose(got_d, d_view, atol=1e-12)
             else:
                 assert np.isnan(got_d)
+
+
+class TestCulledStats:
+    """_frustum_stats on the cell index equals the one-pass oracle bit for
+    bit: the count exactly, delta_in_view by its bytes (nan included)."""
+
+    @staticmethod
+    def assert_bitwise(poses, intr, cloud):
+        index = sp.index_cloud(cloud)
+        for pose in poses:
+            got, want = sp._frustum_stats(pose, intr, index), one_pass_stats(pose, intr, cloud)
+            assert got[0] == want[0], (pose, got, want)
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes(), (pose, got, want)
+
+    @staticmethod
+    def exact_rows(monkeypatch):
+        """Row counts of the _frustum_mask calls made from now on."""
+        rows, mask = [], sp._frustum_mask
+
+        def counting(rel, rot, intr):
+            rows.append(len(rel))
+            return mask(rel, rot, intr)
+
+        monkeypatch.setattr(sp, "_frustum_mask", counting)
+        return rows
+
+    def random_poses(self, rng, n, lo=-2.0, hi=2.0):
+        return [heading_pose(*rng.uniform(lo, hi, 2), rng.uniform(-np.pi, np.pi))
+                for _ in range(n)]
+
+    def test_walkthrough_cloud(self, monkeypatch):
+        # the README walkthrough's scene, cloud and training loop
+        scene = sg.generate_scene(11)
+        cloud = sg.export_point_cloud(scene, 20000, np.random.default_rng([11, 2]))
+        train = sg.generate_trajectory(scene, "loop", 200, 3, loop_factor=0.35)
+        lo, hi = scene.bounds.lo, scene.bounds.hi
+        rng = np.random.default_rng(20)
+        poses = train + [heading_pose(rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1]),
+                                      rng.uniform(-np.pi, np.pi)) for _ in range(200)]
+        rows = self.exact_rows(monkeypatch)
+        self.assert_bitwise(poses, INTR, cloud)
+        # only the points of cells the frustum boundary may cross are tested
+        assert len(rows) == len(poses) and sum(rows) < 0.15 * len(cloud) * len(poses)
+
+    def test_tiny_and_degenerate_clouds(self):
+        rng = np.random.default_rng(21)
+        poses = self.random_poses(rng, 60) + [heading_pose(0.0, 0.0, 0.0)]
+        column = np.column_stack([np.full(50, 1.0), np.full(50, 0.5), rng.uniform(-1, 1, 50)])
+        for cloud in (np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 0.0]]),
+                      np.tile([[1.0, 0.2, -0.1]], (40, 1)), column,
+                      np.column_stack([rng.uniform(-1, 1, 50), np.zeros(50), np.zeros(50)])):
+            self.assert_bitwise(poses, INTR, cloud)
+
+    def test_points_on_cell_borders_depth_zero_and_lateral_edge(self):
+        # integer coordinates over a 16 m extent lie on the 16 x 16 grid's lines
+        g = np.arange(0.0, 17.0)
+        xs, ys = np.meshgrid(g, g)
+        border = np.column_stack([xs.ravel(), ys.ravel(), np.tile([-1.0, 0.0, 1.0], 97)[:289]])
+        rng = np.random.default_rng(22)
+        poses = self.random_poses(rng, 100, 0.0, 16.0) + [heading_pose(8.0, 8.0, 0.0),
+                                                          heading_pose(3.0, 5.0, np.pi / 2)]
+        self.assert_bitwise(poses, INTR, border)
+        # heading 0 at the origin: x is the depth, y the lateral offset
+        tan_h, tan_v = sp._half_tans(INTR)
+        d = np.linspace(0.5, 4.0, 8)
+        edge = np.concatenate([
+            np.column_stack([np.zeros(8), d - 2.0, d - 2.0]),  # depth exactly 0
+            np.column_stack([d, d * tan_h, np.zeros(8)]),  # |lat| == depth * tan_h
+            np.column_stack([d, -d * tan_h, np.zeros(8)]),
+            np.column_stack([d, np.zeros(8), d * tan_v]),  # |vert| == depth * tan_v
+        ])
+        pose = heading_pose(0.0, 0.0, 0.0)
+        n, _ = one_pass_stats(pose, INTR, edge)
+        assert n == 24  # the three edges are in view, depth 0 is not
+        self.assert_bitwise([pose] + self.random_poses(rng, 50), INTR, edge)
+
+    def test_camera_inside_a_cell_box(self):
+        rng = np.random.default_rng(23)
+        cloud = rng.uniform(-1.0, 1.0, (3000, 3))
+        poses = [heading_pose(0.0, 0.0, h) for h in np.linspace(-np.pi, np.pi, 13)]
+        poses += [heading_pose(*rng.uniform(-0.1, 0.1, 2), rng.uniform(-np.pi, np.pi))
+                  for _ in range(40)]
+        self.assert_bitwise(poses, INTR, cloud)
+
+    @pytest.mark.parametrize("intr", [sg.CameraIntrinsics(32, 32, 0.2),
+                                      sg.CameraIntrinsics(32, 32, 3.0),
+                                      sg.CameraIntrinsics(48, 16),
+                                      sg.CameraIntrinsics(16, 40, 1.2)],
+                             ids=["hfov0.2", "hfov3.0", "wide", "tall"])
+    def test_field_of_view_and_aspect(self, intr):
+        scene, cloud, train = toy_setup(n_cloud=3000)
+        rng = np.random.default_rng(24)
+        self.assert_bitwise(train + self.random_poses(rng, 80), intr, cloud)
+
+    @pytest.mark.parametrize("n_edge", [1, 2])
+    def test_one_and_two_row_boundary_subsets(self, monkeypatch, n_edge):
+        # a cluster well inside the view, a point behind the camera and
+        # n_edge points on the lateral edge, alone in their cell: the exact
+        # test runs on n_edge rows, whose rel @ rot rows must equal the
+        # full pass's
+        rng = np.random.default_rng(25 + n_edge)
+        tan_h, _ = sp._half_tans(INTR)
+        rows = self.exact_rows(monkeypatch)
+        hits = 0
+        for heading in rng.uniform(-np.pi, np.pi, 200):
+            fwd = np.array([np.cos(heading), np.sin(heading), 0.0])
+            left = np.array([-np.sin(heading), np.cos(heading), 0.0])
+            cluster = 10.0 * fwd + rng.uniform(-0.1, 0.1, (30, 3))
+            d = 5.0 + rng.uniform(0.0, 0.01, n_edge)[:, None]
+            edge = d * fwd + d * tan_h * left * (1.0 + rng.uniform(-1e-15, 1e-15, (n_edge, 1)))
+            cloud = np.concatenate([cluster, [-10.0 * fwd], edge])
+            pose = heading_pose(0.0, 0.0, heading)
+            del rows[:]
+            got = sp._frustum_stats(pose, INTR, sp.index_cloud(cloud))
+            assert rows == [n_edge]
+            want = one_pass_stats(pose, INTR, cloud)
+            assert got[0] == want[0]
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+            hits += want[0] - 30
+        assert 0 < hits < 200 * n_edge  # edge points fall on both sides of the test
+
+    def test_nearest_point_behind_a_nearer_box(self):
+        # cell B's box is nearer than cell A's single point, but B's points
+        # are farther by about 5e-8 relative: the minimum is A's point, which
+        # a bound loose by 1e-7 would skip
+        intr = sg.CameraIntrinsics(32, 32, 2.0)
+        h = np.sqrt(2e-6)
+        cloud = np.array([[5.0, 0.0, 0.0], [3.0, 4.0 - 1e-7, h], [3.0, 4.0 - 1e-7, -h]])
+        pose = heading_pose(0.0, 0.0, 0.0)
+        assert one_pass_stats(pose, intr, cloud) == (3, 5.0)
+        self.assert_bitwise([pose], intr, cloud)
+
+    def test_cloud_rows_are_reordered_not_changed(self):
+        scene, cloud, _ = toy_setup()
+        index = sp.index_cloud(cloud)
+        assert index.counts.sum() == len(cloud) and np.all(index.counts > 0)
+        np.testing.assert_array_equal(np.sort(index.points, axis=0), np.sort(cloud, axis=0))
+        for start, count, lo, hi in zip(index.starts, index.counts, index.lo, index.hi):
+            cell = index.points[start:start + count]
+            np.testing.assert_array_equal(cell.min(axis=0), lo)
+            np.testing.assert_array_equal(cell.max(axis=0), hi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cloud_refused(self, bad):
+        scene, cloud, train = toy_setup()
+        cloud = cloud.copy()
+        cloud[17, 2] = bad
+        positions = np.array([p.position for p in train])
+        ranges = sp.AcceptanceRanges(0.0, 1e9, 0.0, 1e9)
+        calls = [lambda: sp.index_cloud(cloud),
+                 lambda: sp.compute_ranges(train, INTR, cloud, 1.0),
+                 lambda: sp.filter_pose(train[0], positions, cloud, INTR, ranges,
+                                        sp.SamplingConfig()),
+                 lambda: sp.sample_poses(scene, cloud, train, INTR,
+                                         sp.SamplingConfig(target=5))]
+        for call in calls:
+            with pytest.raises(DomainError, match="point cloud coordinates must be finite"):
+                call()
 
 
 class TestSampleOrientation:
@@ -155,6 +331,11 @@ class TestRanges:
         with pytest.raises(SamplingError):
             sp.compute_ranges(train, INTR, cloud, 1.0)
 
+    def test_empty_cloud_sees_nothing(self):
+        _, _, train = toy_setup()
+        with pytest.raises(SamplingError, match="no training pose sees any cloud point"):
+            sp.compute_ranges(train, INTR, np.zeros((0, 3)), 1.0)
+
 
 class TestNearest:
     @staticmethod
@@ -188,6 +369,12 @@ class TestFilterPose:
         ranges = sp.compute_ranges(train, INTR, cloud, 1.0)
         res = sp.filter_pose(train[0], positions, cloud, INTR, ranges, sp.SamplingConfig())
         assert res.accepted and res.reason is None
+
+    def test_empty_training_set(self):
+        scene, cloud, train = toy_setup()
+        ranges = sp.compute_ranges(train, INTR, cloud, 1.0)
+        with pytest.raises(SamplingError, match="empty training set"):
+            sp.filter_pose(train[0], np.zeros((0, 3)), cloud, INTR, ranges, sp.SamplingConfig())
 
     def test_far_candidate_rejected_rule1(self):
         scene, cloud, train = toy_setup()
@@ -375,7 +562,7 @@ class TestSamplePoses:
         scene, cloud, train = toy_setup()
         with pytest.raises(SamplingError):
             sp.sample_poses(scene, cloud, [], INTR, sp.SamplingConfig(target=5))
-        with pytest.raises(SamplingError):
+        with pytest.raises(SamplingError, match="cannot sample poses against an empty cloud"):
             sp.sample_poses(scene, np.zeros((0, 3)), train, INTR, sp.SamplingConfig(target=5))
 
     def test_config_validation(self):
