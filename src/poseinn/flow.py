@@ -26,6 +26,15 @@ condition's product, plus the layer bias, is added to the passive
 product. A condition of one row therefore serves a whole batch and is
 embedded and multiplied once; a condition of n rows gives one per batch
 row. The working vector never carries it, so invertibility is untouched.
+
+The inverse takes an image latent of one row beside n rows of z in the
+same way. The working vector is [pad || y_hat || z] and y_hat is at least
+half - 1 wide, so the passive half of the first coupling the inverse runs
+(the last block) is [pad || leading latent columns]: its subnets read one
+row and their scale and shift broadcast over the n active rows. That
+coupling mixes z into its active half, and the permutation after it
+spreads those columns over both halves, so every later coupling runs on
+n rows; the top coupling is the only one that gains.
 """
 
 from __future__ import annotations
@@ -112,7 +121,8 @@ class FlowModel:
             raise DimensionError(f"condition must be (n, {self.config.cond_dim}), got {c.data.shape}")
         return self._mlp("cond", c, 2)
 
-    def _check_condition(self, x: Tensor, c):
+    def _check_condition(self, n: int, c):
+        """The embedded condition for a batch of ``n`` rows, or None."""
         if self.config.conditional and c is None:
             raise ConditioningError("conditional model requires a condition vector")
         if not self.config.conditional and c is not None:
@@ -120,9 +130,9 @@ class FlowModel:
         if c is None:
             return None
         ce = self.embed_condition(c)
-        if ce.data.shape[0] not in (1, x.data.shape[0]):
+        if ce.data.shape[0] not in (1, n):
             raise DimensionError(
-                f"condition has {ce.data.shape[0]} rows; need 1 or the batch size {x.data.shape[0]}")
+                f"condition has {ce.data.shape[0]} rows; need 1 or the batch size {n}")
         return ce
 
     def _subnet(self, prefix: str, passive: Tensor, ce: Tensor | None) -> Tensor:
@@ -156,14 +166,27 @@ class FlowModel:
             logdet = logdet + nd.tsum(s, axis=1)
         return w, logdet
 
-    def _inverse_working(self, w: Tensor, ce: Tensor | None) -> Tensor:
-        """Run the stack backwards; sampling needs no log-det."""
+    def _inverse_working(self, v1: Tensor, v2: Tensor, ce: Tensor | None) -> Tensor:
+        """Run the stack backwards from the top coupling's passive half
+        ``v1`` and active half ``v2``; sampling needs no log-det. ``v1``
+        may have one row beside the n rows of ``v2``: that coupling's
+        subnets then run once and broadcast."""
+        n = v2.data.shape[0]
         for k in reversed(range(self.config.blocks)):
-            v1, v2 = nd.split(w, [self.half, self.width - self.half])
             s, t = self._subnets(k, v1, ce)
             u2 = nd.mul(v2 - t, nd.exp(nd.mul(s, -1.0)))
-            w = nd.gather_cols(nd.concat([v1, u2]), self.inv_perms[k])
+            w = nd.gather_cols(nd.concat([self._widen(v1, n), u2]), self.inv_perms[k])
+            if k:
+                v1, v2 = nd.split(w, [self.half, self.width - self.half])
         return w
+
+    @staticmethod
+    def _widen(t: Tensor, n: int) -> Tensor:
+        """``t`` with n rows: a one-row ``t`` is broadcast by adding zeros,
+        an op whose backward sums the rows' gradients."""
+        if t.data.shape[0] == n:
+            return t
+        return nd.add(t, Tensor(np.zeros((n, 1))))
 
     def _pad(self, x: Tensor) -> Tensor:
         zeros = Tensor(np.zeros((x.data.shape[0], 1)))
@@ -181,7 +204,7 @@ class FlowModel:
         x = nd._wrap(x)
         if x.data.ndim != 2 or x.data.shape[1] != self.config.x_len:
             raise DimensionError(f"flow input must be (n, {self.config.x_len}), got {x.data.shape}")
-        ce = self._check_condition(x, c)
+        ce = self._check_condition(x.data.shape[0], c)
         out, logdet = self._forward_working(self._pad(x), ce)
         y, z = nd.split(self._unpad(out), [self.config.latent, self.config.dim])
         return y, z, logdet
@@ -192,15 +215,24 @@ class FlowModel:
         return y, z
 
     def inverse(self, y, z, c=None) -> Tensor:
-        """(image latent, residual latent) -> encoded pose; ``c`` as in
-        ``forward_log_det``."""
+        """(image latent, residual latent) -> encoded pose, one row per row
+        of ``z``; ``c`` as in ``forward_log_det``. The latent ``y`` has one
+        row, shared by the whole batch, or one row per batch row. A shared
+        latent with a shared (or no) condition runs the top coupling's
+        subnets once; with a per-row condition it is widened to n rows."""
         y, z = nd._wrap(y), nd._wrap(z)
         if y.data.ndim != 2 or y.data.shape[1] != self.config.latent:
             raise DimensionError(f"latent must be (n, {self.config.latent}), got {y.data.shape}")
         if z.data.ndim != 2 or z.data.shape[1] != self.config.dim:
             raise DimensionError(f"z must be (n, {self.config.dim}), got {z.data.shape}")
-        if y.data.shape[0] != z.data.shape[0]:
-            raise DimensionError("latent and z batch sizes differ")
-        w = self._pad(nd.concat([y, z]))
-        ce = self._check_condition(w, c)
-        return self._unpad(self._inverse_working(w, ce))
+        n = z.data.shape[0]
+        if y.data.shape[0] not in (1, n):
+            raise DimensionError(f"latent has {y.data.shape[0]} rows; need 1 or the batch size {n}")
+        ce = self._check_condition(n, c)
+        if ce is not None and ce.data.shape[0] > y.data.shape[0]:
+            y = self._widen(y, n)
+        # the working vector is [pad || y || z]; y covers the passive half
+        head, tail = nd.split(y, [self.half - 1, self.config.latent - self.half + 1])
+        v1 = nd.concat([Tensor(np.zeros((y.data.shape[0], 1))), head])
+        v2 = nd.concat([self._widen(tail, n), z])
+        return self._unpad(self._inverse_working(v1, v2, ce))

@@ -87,12 +87,16 @@ def localize(model: PoseRegressor, image: np.ndarray, n_samples: int = 50,
     at a fresh z ~ N(0, 1) drawn from ``rng``, a required keyword that the
     caller seeds (e.g. ``np.random.default_rng(seed)``). Conditional models
     require ``condition`` (the previous-state estimate); unconditional
-    models reject one. The flow gets the condition as one row that serves
-    all n_samples draws, so it is embedded, and multiplied into each
-    subnet's first layer, once per call.
+    models reject one. The flow gets the image latent and the condition as
+    one row each that serves all n_samples draws: the condition is embedded,
+    and multiplied into each subnet's first layer, once per call, and the
+    top coupling, whose passive half holds only the pad and latent
+    columns, runs its subnets once per call.
     No autodiff graph is built; non-finite flow outputs raise
     ``NonFiniteError``.
     """
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
+        raise DomainError(f"n_samples must be an integer, got {type(n_samples).__name__}")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     image = np.asarray(image, dtype=np.float64)
@@ -111,7 +115,7 @@ def localize(model: PoseRegressor, image: np.ndarray, n_samples: int = 50,
     # output, which is checked once.
     with np.errstate(all="ignore"), nd.no_grad():
         yhat = model.vae.encode(image[None], mode="mean").data
-        x = model.flow.inverse(np.repeat(yhat, n_samples, axis=0), z, c).data
+        x = model.flow.inverse(yhat, z, c).data
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("flow inverse produced non-finite values")
     samples = model.decode_pose_vectors(x)
@@ -187,10 +191,14 @@ def heading_modes(headings: np.ndarray) -> list[tuple[float, float]]:
     mass is the fraction of samples in the peak bin and its two circular
     neighbors (a mode is the lobe around a peak, not one bin). Peaks within
     two bins of a stronger peak are suppressed so one lobe yields one mode.
+    Every heading must be finite.
     """
-    headings = wrap_angle(np.asarray(headings, dtype=np.float64).reshape(-1))
+    headings = np.asarray(headings, dtype=np.float64).reshape(-1)
     if len(headings) == 0:
         raise DomainError("heading_modes needs at least one sample")
+    if not np.isfinite(headings).all():
+        raise DomainError("heading_modes needs finite headings")
+    headings = wrap_angle(headings)
     n_bins = HEADING_BINS
     counts, edges = np.histogram(headings, bins=n_bins, range=(-np.pi, np.pi))
     centers = (edges[:-1] + edges[1:]) / 2
@@ -216,10 +224,16 @@ def heading_modes(headings: np.ndarray) -> list[tuple[float, float]]:
 # ---------------------------------------------------------------------------
 
 def _check_psd(cov: np.ndarray, what: str) -> np.ndarray:
+    """A finite, symmetric, positive semidefinite (3, 3) covariance,
+    symmetrized."""
     cov = np.asarray(cov, dtype=np.float64)
+    if cov.shape != (3, 3):
+        raise DimensionError(f"{what} must be (3, 3), got {cov.shape}")
     if not np.all(np.isfinite(cov)):
         raise ConditioningError(f"{what} has non-finite entries")
-    if not np.allclose(cov, cov.T, atol=1e-9):
+    # np.allclose(cov, cov.T, atol=1e-9) on finite entries (numpy's default
+    # rtol), written out: the 3x3 call costs more than the eigenvalues
+    if not np.all(np.abs(cov - cov.T) <= 1e-9 + 1e-5 * np.abs(cov.T)):
         raise ConditioningError(f"{what} is not symmetric")
     if np.linalg.eigvalsh(cov).min() < -PSD_SLACK:
         raise ConditioningError(f"{what} is not positive semidefinite")
@@ -240,8 +254,6 @@ class EkfState:
         if not np.all(np.isfinite(mean)):
             raise DomainError(f"EKF mean must be finite, got {mean}")
         cov = _check_psd(self.cov, "EKF covariance")
-        if cov.shape != (3, 3):
-            raise DimensionError(f"EKF covariance must be (3, 3), got {cov.shape}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -289,8 +301,6 @@ def ekf_update(state: EkfState, meas_mean: np.ndarray, meas_cov: np.ndarray) -> 
     if meas_mean.shape != (3,):
         raise DimensionError(f"measurement mean must be (3,), got {meas_mean.shape}")
     R = _check_psd(meas_cov, "measurement covariance")
-    if R.shape != (3, 3):
-        raise DimensionError(f"measurement covariance must be (3, 3), got {R.shape}")
     P = state.cov
     nu = meas_mean - state.mean
     nu[2] = wrap_angle(nu[2])

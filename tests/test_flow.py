@@ -343,6 +343,67 @@ class TestSplitCondition:
             assert abs(got - num) <= 1e-5 * max(1.0, abs(num)), (name, idx, got, num)
 
 
+class TestOneRowLatent:
+    """One image-latent row serves a whole batch: the top coupling's
+    subnets run on one row and broadcast over the rows of z."""
+
+    @pytest.mark.parametrize("conditional,c_rows", [(False, 0), (True, 1), (True, 6)])
+    def test_matches_repeated_latent(self, conditional, c_rows):
+        m = rand_model(dim=3, conditional=conditional, seed=51)
+        rng = np.random.default_rng(17)
+        y = rng.normal(size=(1, m.config.latent))
+        z = rng.normal(size=(6, 3))
+        c = None
+        if conditional:
+            c = np.tile(rng.normal(size=(1, m.config.cond_dim)), (c_rows, 1))
+        one = m.inverse(y, z, c).data
+        rep = m.inverse(np.repeat(y, 6, axis=0), z, c).data
+        assert one.shape == (6, m.config.x_len)
+        # a one-row product rounds differently from a many-row one, and the
+        # random couplings scale the output far past 1, so the bound is
+        # relative to the output's size
+        assert np.max(np.abs(one - rep)) <= 1e-12 * np.max(np.abs(rep))
+        y2, z2 = m.forward(one, c)
+        assert np.max(np.abs(y2.data - y)) < 1e-9
+        assert np.max(np.abs(z2.data - z)) < 1e-9
+
+    def test_other_row_count_rejected(self):
+        m = rand_model(dim=3)
+        with pytest.raises(DimensionError, match="latent has 2 rows") as e:
+            m.inverse(np.zeros((2, m.config.latent)), np.zeros((5, 3)))
+        assert "\n" not in str(e.value)
+
+    def test_gradients_match_fd(self):
+        m = rand_model(dim=3, enc_L=1, blocks=2, hidden=8, conditional=True, seed=52)
+        rng = np.random.default_rng(18)
+        yt = nd.Tensor(rng.normal(size=(1, m.config.latent)) * 0.5, requires_grad=True)
+        z = rng.normal(size=(4, m.config.dim)) * 0.5
+        c = rng.normal(size=(1, m.config.cond_dim))
+        target = rng.normal(size=(4, m.config.x_len))
+
+        def loss(y):
+            return nd.mse(m.inverse(y, z, c), nd.Tensor(target))
+
+        for t in m.params.values():
+            t.grad = None
+        loss(yt).backward()
+        h = 1e-5
+        top = m.config.blocks - 1
+        picks = [(m.params[f"block{top}.{net}.{p}"], idx)
+                 for net, p, idx in [("s", "w0", (1, 3)), ("s", "w0", (2, 5)), ("t", "w0", (1, 0)),
+                                     ("t", "b0", (4,)), ("s", "w1", (3, 6)), ("t", "b1", (2,))]]
+        picks += [(yt, (0, j)) for j in range(m.config.latent)]
+        for t, idx in picks:
+            old = t.data[idx]
+            t.data[idx] = old + h
+            fp = loss(yt.data).item()
+            t.data[idx] = old - h
+            fm = loss(yt.data).item()
+            t.data[idx] = old
+            num = (fp - fm) / (2 * h)
+            got = t.grad[idx]
+            assert abs(got - num) <= 1e-5 * max(1.0, abs(num)), (idx, got, num)
+
 class TestAmbiguityChannel:
     def test_two_z_two_poses(self):
         m = rand_model(dim=3, seed=41)

@@ -125,12 +125,33 @@ class TestLocalize:
         img = np.random.default_rng(1).uniform(0, 1, (16, 16, 3))
         cond = Pose(np.array([0.4, -0.7, 0]), np.array([0.9, 0, 0]), dim=3) if conditional else None
         post = lc.localize(m, img, n_samples=n, condition=cond, rng=np.random.default_rng(3))
-        y = np.repeat(m.vae.encode(img[None], mode="mean").data, n, axis=0)
+        y = m.vae.encode(img[None], mode="mean").data
         z = np.random.default_rng(3).standard_normal((n, 3))
         c = None if cond is None else m.condition_vector(cond)[None]
         x = m.flow.inverse(y, z, c)
         assert x.requires_grad
         assert post.samples.tobytes() == m.decode_pose_vectors(x.data).tobytes()
+        # one latent row serves every draw: the per-row latent gives the
+        # same samples up to rounding, and a re-issue is bitwise equal
+        rep = m.flow.inverse(np.repeat(y, n, axis=0), z, c).data
+        assert np.max(np.abs(post.samples - m.decode_pose_vectors(rep))) <= 1e-12
+        again = lc.localize(m, img, n_samples=n, condition=cond, rng=np.random.default_rng(3))
+        assert again.samples.tobytes() == post.samples.tobytes()
+
+    @pytest.mark.parametrize("n", [2.5, True, "3", None, np.float64(3.0)])
+    def test_non_integer_n_samples_rejected(self, n):
+        img = np.zeros((16, 16, 3))
+        with pytest.raises(DomainError, match="n_samples must be an integer") as e:
+            lc.localize(tiny_model(), img, n_samples=n, rng=np.random.default_rng(0))
+        assert "\n" not in str(e.value)
+
+    def test_numpy_integer_n_samples_accepted(self):
+        m = tiny_model()
+        img = np.random.default_rng(1).uniform(0, 1, (16, 16, 3))
+        a = lc.localize(m, img, n_samples=np.int64(7), rng=np.random.default_rng(2))
+        b = lc.localize(m, img, n_samples=7, rng=np.random.default_rng(2))
+        assert a.samples.shape == (7, 3)
+        assert a.samples.tobytes() == b.samples.tobytes()
 
     @pytest.mark.parametrize("name", ["flow.block1.s.w0", "flow.block2.t.w2"])
     def test_nan_flow_weight_raises_one_line(self, name):
@@ -235,6 +256,12 @@ class TestHeadingModes:
         with pytest.raises(DomainError):
             lc.heading_modes(np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite headings") as e:
+            lc.heading_modes(np.array([bad, 0.1, 0.1]))
+        assert "\n" not in str(e.value)
+
 
 def random_psd(rng, n=3, scale=1.0):
     a = rng.normal(size=(n, n))
@@ -316,6 +343,33 @@ class TestEkf:
         bad[0, 1] = 0.5
         with pytest.raises(ConditioningError):
             lc.ekf_update(st, np.zeros(3), bad)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 3, 1)])
+    def test_covariance_shape_checked_first(self, shape):
+        st = lc.EkfState(np.zeros(3), np.eye(3))
+        for build in (lambda cov: lc.EkfState(np.zeros(3), cov),
+                      lambda cov: lc.ekf_update(st, np.zeros(3), cov)):
+            with pytest.raises(DimensionError, match=r"must be \(3, 3\)") as e:
+                build(np.zeros(shape))
+            assert "\n" not in str(e.value)
+
+    def test_symmetry_check_is_allclose(self):
+        # entries straddle np.allclose's |a - b| <= atol + rtol * |b| edge
+        # from both sides; the check must agree with it on every one
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            cov = np.diag(rng.uniform(1.0, 2.0, 3))
+            b = rng.choice([0.0, 1e-3, 0.3, -0.7, 5.0])
+            step = (1e-9 + 1e-5 * abs(b)) * rng.choice([0.5, 0.999999, 1.0, 1.000001, 2.0])
+            cov[1, 0] = b
+            cov[0, 1] = b + rng.choice([-1.0, 1.0]) * step
+            want = np.allclose(cov, cov.T, atol=1e-9)
+            try:
+                lc._check_psd(cov, "cov")
+                got = True
+            except ConditioningError as e:
+                got = "not symmetric" not in str(e)
+            assert got == want, (cov[0, 1], cov[1, 0])
 
     def test_singular_innovation_covariance(self):
         # an exact prior and a one-sample posterior: P + R = 0
