@@ -35,6 +35,11 @@ row and their scale and shift broadcast over the n active rows. That
 coupling mixes z into its active half, and the permutation after it
 spreads those columns over both halves, so every later coupling runs on
 n rows; the top coupling is the only one that gains.
+
+Between couplings the inverse does not permute the whole vector and then
+split it: it gathers the next coupling's passive and active halves
+straight from [v1 || u2], each through its half of the inverse
+permutation. Only the bottom coupling gathers the whole vector.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ if TYPE_CHECKING:
     from .model import ModelConfig
 
 CLAMP = 2.0  # soft bound of the coupling log-scales
+# the scalars of the clamp and of the inverse's exp(-s), made once
+_INV_CLAMP, _CLAMP, _NEG_ONE = Tensor(1.0 / CLAMP), Tensor(CLAMP), Tensor(-1.0)
 
 
 def _he_normal(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -90,25 +97,33 @@ class FlowModel:
             self.inv_perms.append(np.argsort(p).astype(np.intp))
 
         self.params: dict[str, Tensor] = {}
+        # each MLP's (weight, bias) per layer: the tensors of ``params``, so
+        # a call formats no parameter names (loading a checkpoint and Adam
+        # rebind their ``.data``, never the tensors)
+        self._layers: dict[str, list[tuple[Tensor, Tensor]]] = {}
         sub_in = self.half + (config.cond_width if config.conditional else 0)
         sizes = [sub_in] + [config.hidden] * config.layers + [self.width - self.half]
         for k in range(config.blocks):
             for net in ("s", "t"):
-                for i, (w, b) in enumerate(_init_mlp(rng, sizes, zero_last=True)):
-                    self.params[f"block{k}.{net}.w{i}"] = Tensor(w, requires_grad=True)
-                    self.params[f"block{k}.{net}.b{i}"] = Tensor(b, requires_grad=True)
+                self._add_mlp(f"block{k}.{net}", _init_mlp(rng, sizes, zero_last=True))
         if config.conditional:
             csizes = [config.cond_dim, 2 * config.cond_width, config.cond_width]
-            for i, (w, b) in enumerate(_init_mlp(rng, csizes, zero_last=False)):
-                self.params[f"cond.w{i}"] = Tensor(w, requires_grad=True)
-                self.params[f"cond.b{i}"] = Tensor(b, requires_grad=True)
+            self._add_mlp("cond", _init_mlp(rng, csizes, zero_last=False))
+
+    def _add_mlp(self, prefix: str, layers: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        self._layers[prefix] = []
+        for i, (w, b) in enumerate(layers):
+            wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+            self.params[f"{prefix}.w{i}"], self.params[f"{prefix}.b{i}"] = wt, bt
+            self._layers[prefix].append((wt, bt))
 
     # ------------------------------------------------------------------
     def _mlp(self, prefix: str, h: Tensor, n_layers: int, start: int = 0) -> Tensor:
         """Layers ``start`` .. ``n_layers - 1`` of an MLP, with a leaky ReLU
         after each but the last; ``h`` is the input of layer ``start``."""
+        layers = self._layers[prefix]
         for i in range(start, n_layers):
-            h = nd.linear(h, self.params[f"{prefix}.w{i}"], self.params[f"{prefix}.b{i}"])
+            h = nd.linear(h, *layers[i])
             if i < n_layers - 1:
                 h = nd.leaky_relu(h)
         return h
@@ -140,7 +155,7 @@ class FlowModel:
         rows over the condition rows; the condition's share of that layer
         is computed per condition row and added as the bias of the passive
         product, so one condition row serves a whole batch."""
-        w0, b0 = self.params[f"{prefix}.w0"], self.params[f"{prefix}.b0"]
+        w0, b0 = self._layers[prefix][0]
         if ce is not None:
             b0 = nd.linear(ce, nd.narrow(w0, self.half, w0.data.shape[0], axis=0), b0)
             w0 = nd.narrow(w0, 0, self.half, axis=0)
@@ -150,7 +165,7 @@ class FlowModel:
     def _subnets(self, k: int, passive: Tensor, ce: Tensor | None) -> tuple[Tensor, Tensor]:
         s_raw = self._subnet(f"block{k}.s", passive, ce)
         t = self._subnet(f"block{k}.t", passive, ce)
-        s = nd.mul(nd.tanh(nd.mul(s_raw, 1.0 / CLAMP)), CLAMP)
+        s = nd.mul(nd.tanh(nd.mul(s_raw, _INV_CLAMP)), _CLAMP)
         return s, t
 
     # ------------------------------------------------------------------
@@ -171,14 +186,17 @@ class FlowModel:
         ``v1`` and active half ``v2``; sampling needs no log-det. ``v1``
         may have one row beside the n rows of ``v2``: that coupling's
         subnets then run once and broadcast."""
-        n = v2.data.shape[0]
+        n, half = v2.data.shape[0], self.half
         for k in reversed(range(self.config.blocks)):
             s, t = self._subnets(k, v1, ce)
-            u2 = nd.mul(v2 - t, nd.exp(nd.mul(s, -1.0)))
-            w = nd.gather_cols(nd.concat([self._widen(v1, n), u2]), self.inv_perms[k])
-            if k:
-                v1, v2 = nd.split(w, [self.half, self.width - self.half])
-        return w
+            u2 = nd.mul(v2 - t, nd.exp(nd.mul(s, _NEG_ONE)))
+            w = nd.concat([self._widen(v1, n), u2])
+            # the permutations are read here, not cached: load_param_arrays
+            # replaces them
+            perm = self.inv_perms[k]
+            if not k:
+                return nd.gather_cols(w, perm)
+            v1, v2 = nd.gather_cols(w, perm[:half]), nd.gather_cols(w, perm[half:])
 
     @staticmethod
     def _widen(t: Tensor, n: int) -> Tensor:

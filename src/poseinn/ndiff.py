@@ -2,6 +2,11 @@
 
 Everything is float64. A ``Tensor`` wraps a numpy array and, when it is the
 result of a differentiable op, remembers its parents and a backward closure.
+``Tensor.__init__`` is the only constructor, and every op builds its
+result through it, so counting its calls counts every tensor made. It
+keeps a float64 ndarray as it is and converts anything else (a list,
+another dtype, the numpy scalar of a full reduction) to one, so an op
+result's ``.data`` is always a float64 ndarray, 0-d for a full reduction.
 Tensors are immutable values: ops never write into an input array, so the
 creation order of tensors is already a topological order of the compute
 graph. ``Tensor.backward`` exploits that: it collects the grad-requiring
@@ -26,7 +31,8 @@ layers, elementwise arithmetic with numpy-style broadcasting on
 add/sub/mul, a handful of nonlinearities, concat/split/column-gather,
 reshape, reductions, MSE, stride-2 convolutions (direct, and transposed
 as its adjoint through the same im2col/col2im pair). No GPU, no
-higher-order derivatives.
+higher-order derivatives. A shape op refuses a bad axis, index or size
+with one ``DimensionError``.
 """
 
 from __future__ import annotations
@@ -48,8 +54,7 @@ LEAKY_ALPHA = 0.01
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def _as_f64(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
+_F64, _INTP = np.dtype(np.float64), np.dtype(np.intp)
 
 
 class Tensor:
@@ -63,7 +68,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_nid", "_parents", "_bwd", "_op", "_spent")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _bwd=None, _op="leaf"):
-        self.data = _as_f64(data)
+        self.data = data if type(data) is np.ndarray and data.dtype is _F64 else np.asarray(data, _F64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._nid = next(_node_ids)
@@ -185,8 +190,8 @@ def no_grad():
 
 def _make(data: np.ndarray, parents: tuple, bwd, op: str) -> Tensor:
     if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=parents, _bwd=bwd, _op=op)
-    return Tensor(data, _op=op)
+        return Tensor(data, True, parents, bwd, op)
+    return Tensor(data, False, (), None, op)
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +252,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     made. ``b`` must broadcast into the product's shape; values and
     gradients equal those of ``matmul`` then ``add`` bitwise."""
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise DimensionError(f"linear needs 2-D operands, got {x.data.shape} @ {w.data.shape}")
-    if x.data.shape[1] != w.data.shape[0]:
-        raise DimensionError(f"linear inner dims disagree: {x.data.shape} @ {w.data.shape}")
-    out_data = x.data @ w.data
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2:
+        raise DimensionError(f"linear needs 2-D operands, got {xd.shape} @ {wd.shape}")
+    if xd.shape[1] != wd.shape[0]:
+        raise DimensionError(f"linear inner dims disagree: {xd.shape} @ {wd.shape}")
+    out_data = xd @ wd
     try:
         out_data += b.data
     except ValueError:
@@ -350,21 +356,31 @@ def sigmoid(a) -> Tensor:
 # shape ops
 # ---------------------------------------------------------------------------
 
+def _axis_len(t: Tensor, axis: int, op: str) -> int:
+    try:
+        return t.data.shape[axis]
+    except (IndexError, TypeError):
+        raise DimensionError(f"{op} axis {axis!r} outside a {t.data.ndim}-D tensor") from None
+
+
 def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
+    """Join along ``axis``; every other axis must agree, and numpy's refusal
+    of a mismatch or a bad axis becomes one ``DimensionError``."""
     parts = [_wrap(p) for p in parts]
-    ref = parts[0].data.shape
-    for p in parts:
-        s = p.data.shape
-        if len(s) != len(ref) or any(s[i] != ref[i] for i in range(len(ref)) if i != axis):
-            raise DimensionError(f"concat off-axis shape mismatch: {s} vs {ref}")
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
+    try:
+        out_data = np.concatenate([p.data for p in parts], axis=axis)
+    except (ValueError, TypeError) as e:
+        shapes = [p.data.shape for p in parts]
+        raise DimensionError(f"concat of {shapes} along axis {axis!r}: {e}") from None
 
     def bwd(g):
-        for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(a, b)
+        idx = [slice(None)] * g.ndim
+        at = 0
+        for p in parts:
+            n = p.data.shape[axis]
+            idx[axis] = slice(at, at + n)
             _accumulate(p, g[tuple(idx)])
+            at += n
 
     return _make(out_data, tuple(parts), bwd, "concat")
 
@@ -372,16 +388,16 @@ def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
 def narrow(t: Tensor, start: int, stop: int, axis: int = 1) -> Tensor:
     """Contiguous slice along one axis."""
     t = _wrap(t)
-    if not (0 <= start <= stop <= t.data.shape[axis]):
-        raise DimensionError(f"narrow [{start}:{stop}) outside axis of length {t.data.shape[axis]}")
-    idx = [slice(None)] * t.data.ndim
-    idx[axis] = slice(start, stop)
-    out_data = t.data[tuple(idx)].copy()
+    n = _axis_len(t, axis, "narrow")
+    if not (0 <= start <= stop <= n):
+        raise DimensionError(f"narrow [{start}:{stop}) outside axis of length {n}")
+    idx = (slice(None),) * (axis % t.data.ndim) + (slice(start, stop),)
+    out_data = t.data[idx].copy()
 
     def bwd(g):
         if t.requires_grad:
             full = np.zeros_like(t.data)
-            full[tuple(idx)] = g
+            full[idx] = g
             _accumulate(t, full)
 
     return _make(out_data, (t,), bwd, "narrow")
@@ -389,8 +405,9 @@ def narrow(t: Tensor, start: int, stop: int, axis: int = 1) -> Tensor:
 
 def split(t: Tensor, sizes: list[int], axis: int = 1) -> list[Tensor]:
     t = _wrap(t)
-    if sum(sizes) != t.data.shape[axis]:
-        raise DimensionError(f"split sizes {sizes} do not sum to axis length {t.data.shape[axis]}")
+    n = _axis_len(t, axis, "split")
+    if sum(sizes) != n:
+        raise DimensionError(f"split sizes {sizes} do not sum to axis length {n}")
     outs, at = [], 0
     for s in sizes:
         outs.append(narrow(t, at, at + s, axis))
@@ -398,11 +415,22 @@ def split(t: Tensor, sizes: list[int], axis: int = 1) -> list[Tensor]:
     return outs
 
 
-def gather_cols(t: Tensor, idx: np.ndarray) -> Tensor:
-    """Column permutation/selection: out[:, j] = t[:, idx[j]]."""
+def gather_cols(t: Tensor, idx) -> Tensor:
+    """Column permutation/selection: out[:, j] = t[:, idx[j]]. ``idx`` is
+    an intp array or converts to one from integers; a non-integer index,
+    or one outside the columns of a 2-D ``t``, is a ``DimensionError``."""
     t = _wrap(t)
-    idx = np.asarray(idx, dtype=np.intp)
-    out_data = t.data[:, idx]
+    if type(idx) is not np.ndarray or idx.dtype is not _INTP:
+        idx = np.asarray(idx)
+        if idx.dtype.kind not in "iu":
+            raise DimensionError(f"gather_cols index must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.intp)
+    try:
+        out_data = t.data[:, idx]
+    except IndexError:
+        raise DimensionError(
+            f"gather_cols index {idx} outside the columns of a tensor of shape {t.data.shape}"
+        ) from None
 
     def bwd(g):
         if t.requires_grad:
@@ -415,7 +443,10 @@ def gather_cols(t: Tensor, idx: np.ndarray) -> Tensor:
 
 def reshape(t: Tensor, shape) -> Tensor:
     t = _wrap(t)
-    out_data = t.data.reshape(shape)
+    try:
+        out_data = t.data.reshape(shape)
+    except (ValueError, TypeError):
+        raise DimensionError(f"cannot reshape a tensor of shape {t.data.shape} to {shape}") from None
 
     def bwd(g):
         _accumulate(t, g.reshape(t.data.shape))
@@ -472,29 +503,46 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     n, h, w, c = x.shape
     ho = (h + 2 * pad - k) // stride + 1
     wo = (w + 2 * pad - k) // stride + 1
-    xp = x
+    xp = np.ascontiguousarray(x)
     if pad:  # zero border, as np.pad's default, without its per-call overhead
         xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
         xp[:, pad:pad + h, pad:pad + w, :] = x
     sn, sh, sw, sc = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, ho, wo, k, k, c),
-        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
-        writeable=False,
-    )
+    # the read-only window view of np.lib.stride_tricks.as_strided, built
+    # directly over the contiguous buffer without that function's overhead
+    view = np.ndarray((n, ho, wo, k, k, c), xp.dtype, xp, 0,
+                      (sn, sh * stride, sw * stride, sh, sw, sc))
+    view.flags.writeable = False
     return view.reshape(n, ho, wo, k * k * c), ho, wo
 
 
 def _col2im(gcols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndarray:
+    """Scatter-add each output pixel's k*k taps back into the padded input.
+
+    Tap (i, j) of output (oy, ox) lands on padded pixel (oy*s + i, ox*s + j).
+    Writing i = a*s + r, that is row r of block oy + a of a buffer viewed
+    as (blocks, s) per axis, so all taps with one (a, b) = (i // s, j // s)
+    are one strided add of (ho, s, wo, s) blocks; taps past k in the last
+    block (r >= k - a*s) are left out. Each pixel receives its terms in
+    the order of a tap loop over i then j, so the sums are bitwise those
+    of k*k single-tap adds.
+    """
     n, h, w, c = x_shape
     _, ho, wo, _ = gcols.shape
+    s = stride
     gc = gcols.reshape(n, ho, wo, k, k, c)
-    gx = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
-    for i in range(k):
-        for j in range(k):
-            gx[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :] += gc[:, :, :, i, j, :]
-    return gx[:, pad:pad + h, pad:pad + w, :] if pad else gx
+    na = -(-k // s)  # tap blocks per axis
+    hb = max(ho + na - 1, -(-(h + 2 * pad) // s))
+    wb = max(wo + na - 1, -(-(w + 2 * pad) // s))
+    gx = np.zeros((n, hb * s, wb * s, c))
+    blocks = gx.reshape(n, hb, s, wb, s, c)
+    for a in range(na):
+        ra = min(s, k - a * s)
+        for b in range(na):
+            rb = min(s, k - b * s)
+            taps = gc[:, :, :, a * s:a * s + ra, b * s:b * s + rb, :]
+            blocks[:, a:a + ho, :ra, b:b + wo, :rb, :] += taps.transpose(0, 1, 3, 2, 4, 5)
+    return gx[:, pad:pad + h, pad:pad + w, :]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Tensor:

@@ -3,6 +3,7 @@ finite differences before anything downstream trusts it."""
 
 import contextlib
 import os
+import types
 
 import numpy as np
 import pytest
@@ -249,6 +250,34 @@ class TestShapeOps:
         with pytest.raises(DimensionError):
             nd.concat([nd.Tensor(np.zeros((2, 3))), nd.Tensor(np.zeros((3, 3)))])
 
+    def test_concat_negative_axis(self):
+        a = nd.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        b = nd.Tensor(np.arange(8.0).reshape(2, 4), requires_grad=True)
+        out = nd.concat([a, b], axis=-1)
+        np.testing.assert_array_equal(out.data, np.concatenate([a.data, b.data], axis=1))
+        nd.tsum(nd.mul(out, nd.Tensor(np.arange(14.0).reshape(2, 7)))).backward()
+        np.testing.assert_array_equal(a.grad, [[0, 1, 2], [7, 8, 9]])
+        np.testing.assert_array_equal(b.grad, [[3, 4, 5, 6], [10, 11, 12, 13]])
+
+    @pytest.mark.parametrize("call", [
+        lambda x: nd.concat([x, nd.Tensor(np.zeros((2, 4)))], axis=2),
+        lambda x: nd.concat([x, nd.Tensor(np.zeros((2, 3, 1)))]),
+        lambda x: nd.narrow(x, 0, 1, axis=2),
+        lambda x: nd.narrow(x, 0, 1, axis=-3),
+        lambda x: nd.split(x, [1, 1], axis=2),
+        lambda x: nd.gather_cols(x, [0, 5]),
+        lambda x: nd.gather_cols(x, [0.5]),
+        lambda x: nd.gather_cols(x, np.array([True, False])),
+        lambda x: nd.gather_cols(nd.Tensor(np.zeros(3)), [0]),
+        lambda x: nd.reshape(x, (4,)),
+    ], ids=["concat_axis", "concat_ndim", "narrow_axis", "narrow_negative_axis", "split_axis",
+            "gather_out_of_range", "gather_float_index", "gather_bool_index", "gather_1d",
+            "reshape_size"])
+    def test_bad_axis_or_index_is_one_dimension_error(self, call):
+        x = nd.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        with pytest.raises(DimensionError):
+            call(x)
+
 
 class TestReductions:
     def test_sum_axis_grads(self):
@@ -292,6 +321,9 @@ class TestConv:
         assert (ho, wo) == ref.shape[1:3]
         want = ref.reshape(shape[0], ho, wo, k * k * shape[3])
         assert cols.tobytes() == np.ascontiguousarray(want).tobytes()
+        # a non-contiguous input gives the same columns
+        strided = np.repeat(x, 2, axis=-1)[..., ::2]
+        assert nd._im2col(strided, k, stride, pad)[0].tobytes() == cols.tobytes()
 
     def test_conv2d_matches_direct(self):
         rng = np.random.default_rng(21)
@@ -417,6 +449,32 @@ class TestConv:
             np.testing.assert_allclose(wt.grad, wr.grad, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(bt.grad, br.grad, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("x_shape,k,stride,pad", [
+        # every encoder input and decoder output: (N, H, W, C) at k=4, stride 2, pad 1
+        ((2, 32, 32, 3), 4, 2, 1), ((2, 16, 16, 16), 4, 2, 1), ((2, 8, 8, 32), 4, 2, 1),
+        ((2, 4, 4, 64), 4, 2, 1),
+        # k not a multiple of the stride with odd H; odd H and W, unpadded, whose
+        # last row and column no tap reaches
+        ((2, 7, 6, 2), 3, 2, 1), ((2, 7, 5, 2), 4, 2, 0),
+        ((2, 5, 7, 4), 3, 1, 2), ((3, 6, 6, 2), 4, 2, 0), ((1, 9, 8, 2), 5, 3, 1)])
+    def test_col2im_is_bitwise_the_tap_loop(self, x_shape, k, stride, pad):
+        n, h, w, c = x_shape
+        ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+        gcols = np.random.default_rng(29).normal(size=(n, ho, wo, k * k * c))
+        gcols[gcols < -1.0] = -0.0
+
+        # oracle: one strided add per tap, in tap order
+        gc = gcols.reshape(n, ho, wo, k, k, c)
+        want = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+        for i in range(k):
+            for j in range(k):
+                want[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :] += gc[:, :, :, i, j, :]
+        want = want[:, pad:pad + h, pad:pad + w, :]
+
+        got = nd._col2im(gcols, x_shape, k, stride, pad)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("w_shape", [(4, 3, 2, 2), (4, 4, 3, 2)],
                              ids=["non_square_kernel", "cin_mismatch"])
     def test_conv_transpose_rejects_bad_weight(self, w_shape):
@@ -539,6 +597,93 @@ class TestNoGrad:
                     nd.matmul(x, nd.Tensor(np.ones((3, 1))))
             assert not (x * 2.0).requires_grad
         assert (x * 2.0).requires_grad
+
+
+# (op, Tensor.__init__ calls it makes on Tensor inputs, the call); a
+# Python scalar an op is given becomes one more tensor
+OP_CALLS = [
+    ("add", 1, lambda i: nd.add(i.a, i.b)),
+    ("sub", 1, lambda i: nd.sub(i.a, i.b)),
+    ("mul", 1, lambda i: nd.mul(i.a, i.b)),
+    ("mul_float", 2, lambda i: nd.mul(i.a, 0.5)),
+    ("matmul", 1, lambda i: nd.matmul(i.a, i.w)),
+    ("linear", 1, lambda i: nd.linear(i.a, i.w, i.bias)),
+    ("exp", 1, lambda i: nd.exp(i.a)),
+    ("tanh", 1, lambda i: nd.tanh(i.a)),
+    ("leaky_relu", 1, lambda i: nd.leaky_relu(i.a)),
+    ("sin", 1, lambda i: nd.sin(i.a)),
+    ("cos", 1, lambda i: nd.cos(i.a)),
+    ("acos", 1, lambda i: nd.acos(i.u)),
+    ("clip", 1, lambda i: nd.clip(i.a, -0.5, 0.5)),
+    ("sigmoid", 7, lambda i: nd.sigmoid(i.a)),
+    ("concat", 1, lambda i: nd.concat([i.a, i.b])),
+    ("narrow", 1, lambda i: nd.narrow(i.a, 1, 3)),
+    ("split", 2, lambda i: nd.split(i.a, [1, 3])),
+    ("gather_cols", 1, lambda i: nd.gather_cols(i.a, np.array([3, 0, 0], dtype=np.intp))),
+    ("gather_cols_list", 1, lambda i: nd.gather_cols(i.a, [3, 0, 0])),
+    ("reshape", 1, lambda i: nd.reshape(i.a, (4, 3))),
+    ("tsum", 1, lambda i: nd.tsum(i.a)),
+    ("tsum_axis", 1, lambda i: nd.tsum(i.a, axis=1, keepdims=True)),
+    ("tmean", 3, lambda i: nd.tmean(i.a)),
+    ("mse", 1, lambda i: nd.mse(i.a, i.b)),
+    ("conv2d", 1, lambda i: nd.conv2d(i.img, i.k, i.kb)),
+    ("conv_transpose2d", 1, lambda i: nd.conv_transpose2d(i.img, i.k, i.kb)),
+]
+
+
+class TestOpResults:
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(33)
+
+        def t(a):
+            return nd.Tensor(a, requires_grad=True)
+
+        return types.SimpleNamespace(
+            a=t(rng.normal(size=(3, 4))), b=t(rng.normal(size=(3, 4))),
+            u=t(rng.uniform(-0.9, 0.9, size=(3, 4))), w=t(rng.normal(size=(4, 2))),
+            bias=t(rng.normal(size=2)), img=t(rng.normal(size=(2, 4, 4, 3))),
+            k=t(rng.normal(size=(4, 4, 3, 3))), kb=t(rng.normal(size=3)))
+
+    @pytest.mark.parametrize("graph", [True, False], ids=["graph", "no_grad"])
+    @pytest.mark.parametrize("name,made,call", OP_CALLS, ids=[c[0] for c in OP_CALLS])
+    def test_result_is_float64_array_built_by_init(self, monkeypatch, name, made, call, graph):
+        i = self.inputs()
+        built = []
+        init = nd.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):  # counts calls, as perfbench's tracer does
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(nd.Tensor, "__init__", counting_init)
+        with contextlib.nullcontext() if graph else nd.no_grad():
+            out = call(i)
+        outs = out if isinstance(out, list) else [out]
+        assert len(built) == made
+        for o in outs:
+            assert any(o is b for b in built)
+            assert type(o.data) is np.ndarray and o.data.dtype == np.float64
+            assert o.requires_grad is graph
+            if graph:
+                assert o._parents and o._bwd is not None
+            else:
+                assert o._parents == () and o._bwd is None
+        if name in ("tsum", "tmean", "mse"):
+            assert out.data.shape == ()
+
+    @pytest.mark.parametrize("data", [[1, 2], np.arange(1, 3), np.array([1.0, 2.0], dtype=np.float32),
+                                      np.array([1.0, 2.0], dtype=">f8")],
+                             ids=["int_list", "int_array", "float32_array", "big_endian"])
+    def test_leaf_converts_to_float64(self, data):
+        t = nd.Tensor(data)
+        assert type(t.data) is np.ndarray and t.data.dtype == np.float64
+        assert t.data.dtype.isnative
+        np.testing.assert_array_equal(t.data, [1.0, 2.0])
+
+    def test_leaf_keeps_a_float64_array(self):
+        a = np.array([1.0, 2.0])
+        assert nd.Tensor(a).data is a
 
 
 def adam_over(**arrays) -> nd.Adam:
