@@ -264,8 +264,7 @@ def cmd_gen_data(args) -> None:
         for split, poses in splits.items():
             images = sg.render_batch(scene, intr, poses)
             vecs = np.array([p.as_vector() for p in poses])
-            ds.save_dataset(out, split, vecs, images, "scene.kv", intr,
-                            args.seed, digest, split=split)
+            ds.save_dataset(out, split, vecs, images, "scene.kv", intr, args.seed, digest)
             log.info("%s split: %d frames", split, len(poses))
     dt = time.perf_counter() - t0
     print(f"rendered {len(splits['train'])} train + {len(splits['test'])} test "
@@ -290,7 +289,7 @@ def cmd_sample_poses(args) -> None:
     with _OutputDir(args.out) as out:
         _copy_scene(data.scene_path, out)
         manifest = ds.save_dataset(out, "synth", poses, images, "scene.kv",
-                                   data.intrinsics, args.seed, digest, split="synth")
+                                   data.intrinsics, args.seed, digest)
     dt = time.perf_counter() - t0
     print(f"{manifest}: {len(poses)} synthetic frames in {dt:.1f} s")
 

@@ -47,9 +47,10 @@ class Dataset:
 
 def save_dataset(out_dir, name: str, poses: np.ndarray, images: np.ndarray,
                  scene_file: str, intr: CameraIntrinsics, seed: int,
-                 config_hash: str, split: str = "train") -> str:
+                 config_hash: str) -> str:
     """Write {name}_poses.f32, {name}_images.f32 and {name}.kv; returns the
-    manifest path. Blob paths in the manifest are relative to its directory."""
+    manifest path. ``name`` is the split, one of ``SPLITS``. Blob paths in
+    the manifest are relative to its directory."""
     poses = np.asarray(poses, dtype=np.float64)
     images = np.asarray(images, dtype=np.float64)
     if poses.ndim != 2 or poses.shape[1] != 3:
@@ -58,8 +59,8 @@ def save_dataset(out_dir, name: str, poses: np.ndarray, images: np.ndarray,
         raise ConfigError(
             f"images must be ({len(poses)}, {intr.height}, {intr.width}, 3), "
             f"got {images.shape}")
-    if split not in SPLITS:
-        raise ConfigError(f"split must be one of {SPLITS}, got {split!r}")
+    if name not in SPLITS:
+        raise ConfigError(f"split must be one of {SPLITS}, got {name!r}")
     poses_blob = f"{name}_poses.f32"
     images_blob = f"{name}_images.f32"
     poses_path = os.path.join(out_dir, poses_blob)
@@ -82,7 +83,7 @@ def save_dataset(out_dir, name: str, poses: np.ndarray, images: np.ndarray,
     write_kv(manifest, {
         "version": str(MANIFEST_VERSION),
         "kind": "dataset",
-        "split": split,
+        "split": name,
         "scene": scene_file,
         "pose_dim": str(poses.shape[1]),
         "count": str(len(poses)),

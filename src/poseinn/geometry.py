@@ -3,10 +3,9 @@ encoding.
 
 A pose is planar: a position (x, y) on the floor and a heading theta about
 the vertical axis, serialized as the 3-vector [x, y, theta]. It is stored
-as a 3-D position with z = 0 and Euler angles (theta_z, theta_x, theta_y)
-with theta_x = theta_y = 0, which is the layout the renderer and the
-frustum test rotate with: R = Rz(theta_z) @ Rx(theta_x) @ Ry(theta_y).
-Angles are always wrapped to [-pi, pi).
+as a 3-D position with z = 0 and Euler angles (theta, 0, 0). The renderer
+and the frustum test rotate with R = Rz(theta), the heading's rotation
+about the vertical axis. Angles are always wrapped to [-pi, pi).
 """
 
 from __future__ import annotations
@@ -70,19 +69,9 @@ class Pose:
         return cls(np.array([v[0], v[1], 0.0]), np.array([v[2], 0.0, 0.0]), dim=dim)
 
     def rotation(self) -> np.ndarray:
-        return euler_to_matrix(self.euler[0], self.euler[1], self.euler[2])
-
-
-def euler_to_matrix(tz: float, tx: float, ty: float) -> np.ndarray:
-    """Intrinsic Z-X-Y rotation: Rz(tz) @ Rx(tx) @ Ry(ty)."""
-    ca, sa = np.cos(tz), np.sin(tz)
-    cb, sb = np.cos(tx), np.sin(tx)
-    cc, sc = np.cos(ty), np.sin(ty)
-    return np.array([
-        [ca * cc - sa * sb * sc, -sa * cb, ca * sc + sa * sb * cc],
-        [sa * cc + ca * sb * sc, ca * cb, sa * sc - ca * sb * cc],
-        [-cb * sc, sb, cb * cc],
-    ])
+        """Rz(theta), the heading's rotation about the vertical axis."""
+        c, s = np.cos(self.euler[0]), np.sin(self.euler[0])
+        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True)

@@ -78,12 +78,13 @@ def as_float(pairs: dict[str, str], key: str) -> float:
         raise ConfigError(f"key '{key}': expected float, got {pairs[key]!r}") from None
 
 
-def as_floats(pairs: dict[str, str], key: str, n: int | None = None) -> np.ndarray:
+def as_floats(pairs: dict[str, str], key: str, n: int) -> np.ndarray:
+    """Exactly ``n`` space-separated floats."""
     try:
         vals = np.array([float(tok) for tok in pairs[key].split()])
     except ValueError:
         raise ConfigError(f"key '{key}': expected space-separated floats, got {pairs[key]!r}") from None
-    if n is not None and vals.size != n:
+    if vals.size != n:
         raise ConfigError(f"key '{key}': expected {n} floats, got {vals.size}")
     return vals
 

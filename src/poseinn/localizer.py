@@ -141,9 +141,7 @@ def variance_filter(posteriors: list[PosePosterior]) -> tuple[np.ndarray, list[P
 
 @dataclass(frozen=True)
 class TrackPoint:
-    frame: int
     posterior: PosePosterior
-    condition: Pose | None
     lost: bool
 
 
@@ -169,13 +167,13 @@ def sequential_localize(model: PoseRegressor, images: np.ndarray,
     track: list[TrackPoint] = []
     streak = 0
     lost = False
-    for t, img in enumerate(images):
+    for img in images:
         cond = prev if model.config.conditional else None
         post = localize(model, img, n_samples=n_samples, condition=cond, rng=rng)
         streak = streak + 1 if post.scalar_uncertainty() > var_ceiling else 0
         if streak >= lost_after:
             lost = True
-        track.append(TrackPoint(frame=t, posterior=post, condition=cond, lost=lost))
+        track.append(TrackPoint(posterior=post, lost=lost))
         prev = post.mean_pose
     return track
 

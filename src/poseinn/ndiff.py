@@ -26,13 +26,15 @@ every loaded weight.
 Callers run the ops under ``np.errstate(all="ignore")`` so that a
 non-finite value is reported by one of those checks, not by warnings.
 
-Only the layers this project uses are supported: 2-D matmul and affine
-layers, elementwise arithmetic with numpy-style broadcasting on
-add/sub/mul, a handful of nonlinearities, concat/split/column-gather,
-reshape, reductions, MSE, stride-2 convolutions (direct, and transposed
-as its adjoint through the same im2col/col2im pair). No GPU, no
-higher-order derivatives. A shape op refuses a bad axis, index or size
-with one ``DimensionError``.
+Only the layers this project uses are supported: 2-D affine layers
+(``linear`` is the one matrix product), elementwise arithmetic with
+numpy-style broadcasting on add/sub/mul, a handful of nonlinearities,
+concat/split/column-gather, reshape, full and per-axis sums, the full
+mean, MSE, stride-2 convolutions (direct, and transposed as its adjoint
+through the same im2col/col2im pair). ``+`` and ``-`` are the only
+operators a tensor takes; every other op is called by name. No GPU, no
+higher-order derivatives. A shape op or a reduction refuses a bad axis,
+index or size with one ``DimensionError``.
 """
 
 from __future__ import annotations
@@ -130,26 +132,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _wrap(x) -> Tensor:
@@ -231,26 +215,11 @@ def mul(a, b) -> Tensor:
     return _make(out_data, (a, b), bwd, "mul")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul needs 2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul inner dims disagree: {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def bwd(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _make(out_data, (a, b), bwd, "matmul")
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine layer ``x @ w + b`` as one node: the bias is added in place
     into the fresh product, so no second array of the output's size is
     made. ``b`` must broadcast into the product's shape; values and
-    gradients equal those of ``matmul`` then ``add`` bitwise."""
+    gradients equal bitwise those of numpy's ``x @ w`` then ``+ b``."""
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 2:
@@ -392,7 +361,10 @@ def narrow(t: Tensor, start: int, stop: int, axis: int = 1) -> Tensor:
     if not (0 <= start <= stop <= n):
         raise DimensionError(f"narrow [{start}:{stop}) outside axis of length {n}")
     idx = (slice(None),) * (axis % t.data.ndim) + (slice(start, stop),)
-    out_data = t.data[idx].copy()
+    try:
+        out_data = t.data[idx].copy()
+    except TypeError:
+        raise DimensionError(f"narrow bounds {start!r}, {stop!r} are not integers") from None
 
     def bwd(g):
         if t.requires_grad:
@@ -403,14 +375,16 @@ def narrow(t: Tensor, start: int, stop: int, axis: int = 1) -> Tensor:
     return _make(out_data, (t,), bwd, "narrow")
 
 
-def split(t: Tensor, sizes: list[int], axis: int = 1) -> list[Tensor]:
+def split(t: Tensor, sizes: list[int]) -> list[Tensor]:
+    """Consecutive column blocks of the given widths, which must add up to
+    the column count."""
     t = _wrap(t)
-    n = _axis_len(t, axis, "split")
+    n = _axis_len(t, 1, "split")
     if sum(sizes) != n:
         raise DimensionError(f"split sizes {sizes} do not sum to axis length {n}")
     outs, at = [], 0
     for s in sizes:
-        outs.append(narrow(t, at, at + s, axis))
+        outs.append(narrow(t, at, at + s))
         at += s
     return outs
 
@@ -458,24 +432,25 @@ def reshape(t: Tensor, shape) -> Tensor:
 # reductions and losses
 # ---------------------------------------------------------------------------
 
-def tsum(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tsum(t: Tensor, axis: int | None = None) -> Tensor:
+    """Sum of every entry, or along ``axis``."""
     t = _wrap(t)
-    out_data = t.data.sum(axis=axis, keepdims=keepdims)
+    try:
+        out_data = t.data.sum(axis=axis)
+    except (ValueError, TypeError):  # numpy's AxisError is a ValueError
+        raise DimensionError(f"tsum axis {axis!r} is not an axis of a {t.data.ndim}-D tensor") from None
 
     def bwd(g):
-        if axis is None:
-            _accumulate(t, np.broadcast_to(g, t.data.shape).copy())
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(t, np.broadcast_to(ge, t.data.shape).copy())
+        ge = g if axis is None else np.expand_dims(g, axis)
+        _accumulate(t, np.broadcast_to(ge, t.data.shape).copy())
 
     return _make(out_data, (t,), bwd, "sum")
 
 
-def tmean(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tmean(t: Tensor) -> Tensor:
+    """Mean of every entry."""
     t = _wrap(t)
-    n = t.data.size if axis is None else t.data.shape[axis]
-    return mul(tsum(t, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(tsum(t), 1.0 / t.data.size)
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:

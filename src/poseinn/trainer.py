@@ -380,24 +380,23 @@ class Checkpoint:
     epoch: int
     adam_t: int
     opt_arrays: dict
-    train: TrainConfig | None
+    train: TrainConfig
 
 
-def save_checkpoint(path, model: PoseRegressor, epoch: int = 0,
-                    train_cfg: TrainConfig | None = None,
-                    opt: nd.Adam | None = None) -> None:
-    """Write magic, version, JSON meta block, then named float64 records."""
+def save_checkpoint(path, model: PoseRegressor, epoch: int, train_cfg: TrainConfig,
+                    opt: nd.Adam) -> None:
+    """Write magic, version, JSON meta block, then named float64 records:
+    the model's, then every Adam moment."""
     meta = {
         "model": asdict(model.config),
         "bounds_lo": [float(v) for v in model.bounds.lo],
         "bounds_hi": [float(v) for v in model.bounds.hi],
         "epoch": int(epoch),
-        "adam_t": int(opt.state["t"]) if opt is not None else 0,
-        "train": asdict(train_cfg) if train_cfg is not None else None,
+        "adam_t": int(opt.state["t"]),
+        "train": asdict(train_cfg),
     }
     arrays = model.param_arrays()
-    if opt is not None:
-        arrays.update(opt.state_arrays())
+    arrays.update(opt.state_arrays())
     meta_b = json.dumps(meta).encode("utf-8")
     out = [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", len(meta_b)),
            meta_b, struct.pack("<I", len(arrays))]
@@ -426,10 +425,10 @@ def _meta_value(meta, key: str, decode):
 
 def load_checkpoint(path) -> Checkpoint:
     """Rebuild the model (architecture from the meta block, parameters and
-    optimizer moments bitwise from the records). The meta block fixes the
-    record set: the parameters, the flow permutations and every Adam
-    moment, which only a file at ``adam_t`` 0 may leave out (they are 0).
-    Each record name appears once; a repeated one is refused."""
+    optimizer moments bitwise from the records, the train config from the
+    meta block). The meta block fixes the record set: the parameters, the
+    flow permutations and every Adam moment. Each record name appears
+    once; a repeated one is refused."""
     with open(path, "rb") as f:
         r = _Reader(f.read())
     if r.take(4) != MAGIC:
@@ -459,12 +458,10 @@ def load_checkpoint(path) -> Checkpoint:
     epoch, adam_t = _meta_value(meta, "epoch", int), _meta_value(meta, "adam_t", int)
     if epoch < 0 or adam_t < 0:
         raise CheckpointError(f"checkpoint meta epoch {epoch} and adam_t {adam_t} must be >= 0")
-    train_cfg = _meta_value(meta, "train", lambda v: None if v is None else TrainConfig(**v))
+    train_cfg = _meta_value(meta, "train", lambda v: TrainConfig(**v))
 
     model.load_param_arrays(arrays)
     moments = {f"adam.{m}.{k}": t.data for k, t in model.params.items() for m in "mv"}
-    if adam_t == 0 and not arrays.keys() & moments.keys():
-        arrays.update((k, np.zeros_like(a)) for k, a in moments.items())
     odd = sorted(arrays.keys() ^ (model.param_arrays().keys() | moments.keys()))
     if odd:
         why = "unexpected" if odd[0] in arrays else "missing"

@@ -523,7 +523,8 @@ class TestOneErrorLine:
         w = ck.model.flow.width
         ck.model.flow.perms[0] = np.zeros(w, dtype=np.intp)
         bad = tmp_path / "bad.ckpt"
-        tr.save_checkpoint(bad, ck.model)
+        tr.save_checkpoint(bad, ck.model, epoch=ck.epoch, train_cfg=ck.train,
+                           opt=tr.restore_optimizer(ck))
         proc = run_module(["eval", "--ckpt", bad, "--data", pipeline["test"], "--seed", "0",
                            "--out", tmp_path / "o"], tmp_path)
         assert proc.returncode == 1

@@ -55,8 +55,8 @@ class TestRoundTrip:
         assert "\n" not in str(ei.value)
 
     def test_blob_bytes_little_endian_f32(self, tmp_path):
-        path, poses, _ = make(tmp_path, name="t")
-        raw = (tmp_path / "t_poses.f32").read_bytes()
+        path, poses, _ = make(tmp_path, name="test")
+        raw = (tmp_path / "test_poses.f32").read_bytes()
         assert raw == np.ascontiguousarray(poses, dtype="<f4").tobytes()
 
     def test_save_twice_identical_bytes(self, tmp_path):
@@ -123,34 +123,45 @@ class TestValidation:
         poses = rng.uniform(-1, 1, (5, 3))
         images = rng.uniform(0, 1, (4, 8, 8, 3))
         with pytest.raises(ConfigError, match="images must be"):
-            ds.save_dataset(tmp_path, "x", poses, images, "s.kv", INTR, 0, "h")
+            ds.save_dataset(tmp_path, "test", poses, images, "s.kv", INTR, 0, "h")
+
+    def test_save_rejects_unknown_split(self, tmp_path):
+        with pytest.raises(ConfigError, match="split must be one of .* got 'x'"):
+            ds.save_dataset(tmp_path, "x", np.zeros((2, 3)), np.zeros((2, 8, 8, 3)),
+                            "s.kv", INTR, 0, "h")
+        assert os.listdir(tmp_path) == []
+
+    def test_split_is_the_name(self, tmp_path):
+        for split in ds.SPLITS:
+            path, _, _ = make(tmp_path, name=split)
+            assert ds.load_dataset(path).split == split
 
     def test_save_rejects_bad_pose_dim(self, tmp_path):
         with pytest.raises(ConfigError, match="poses must be"):
-            ds.save_dataset(tmp_path, "x", np.zeros((5, 4)),
+            ds.save_dataset(tmp_path, "test", np.zeros((5, 4)),
                             np.zeros((5, 8, 8, 3)), "s.kv", INTR, 0, "h")
 
     def test_save_rejects_out_of_range_pixels(self, tmp_path):
         images = np.zeros((2, 8, 8, 3))
         images[0, 0, 0, 0] = 1.5
         with pytest.raises(ConfigError, match=r"\[0, 1\]"):
-            ds.save_dataset(tmp_path, "x", np.zeros((2, 3)), images,
+            ds.save_dataset(tmp_path, "test", np.zeros((2, 3)), images,
                             "s.kv", INTR, 0, "h")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])  # 1e39 is inf as float32
     def test_save_rejects_non_finite_pose(self, tmp_path, bad):
         poses = np.zeros((2, 3))
         poses[1, 2] = bad
-        with pytest.raises(ConfigError, match="x_poses.f32: pose values must be finite"):
-            ds.save_dataset(tmp_path, "x", poses, np.zeros((2, 8, 8, 3)), "s.kv", INTR, 0, "h")
+        with pytest.raises(ConfigError, match="test_poses.f32: pose values must be finite"):
+            ds.save_dataset(tmp_path, "test", poses, np.zeros((2, 8, 8, 3)), "s.kv", INTR, 0, "h")
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
     def test_save_rejects_non_finite_pixels(self, tmp_path, bad):
         images = np.zeros((2, 8, 8, 3))
         images[1, 4, 4, 2] = bad
-        with pytest.raises(ConfigError, match="x_images.f32: image values must be finite"):
-            ds.save_dataset(tmp_path, "x", np.zeros((2, 3)), images, "s.kv", INTR, 0, "h")
+        with pytest.raises(ConfigError, match="test_images.f32: image values must be finite"):
+            ds.save_dataset(tmp_path, "test", np.zeros((2, 3)), images, "s.kv", INTR, 0, "h")
         assert os.listdir(tmp_path) == []
 
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from poseinn import geometry as geo
+from poseinn import sampler as sp
+from poseinn import scenegen as sg
 from poseinn.errors import DimensionError, DomainError
 from poseinn.model import ModelConfig, PoseRegressor
 
@@ -56,23 +58,85 @@ class TestPose:
             geo.Pose.from_vector(np.zeros(4), 3)
 
 
+def euler_to_matrix(tz: float, tx: float, ty: float) -> np.ndarray:
+    """Intrinsic Z-X-Y rotation Rz(tz) @ Rx(tx) @ Ry(ty); at zero tilt, the
+    oracle for ``Pose.rotation``."""
+    ca, sa = np.cos(tz), np.sin(tz)
+    cb, sb = np.cos(tx), np.sin(tx)
+    cc, sc = np.cos(ty), np.sin(ty)
+    return np.array([
+        [ca * cc - sa * sb * sc, -sa * cb, ca * sc + sa * sb * cc],
+        [sa * cc + ca * sb * sc, ca * cb, sa * sc - ca * sb * cc],
+        [-cb * sc, sb, cb * cc],
+    ])
+
+
+def oracle_rotation(pose: geo.Pose) -> np.ndarray:
+    return euler_to_matrix(pose.euler[0], pose.euler[1], pose.euler[2])
+
+
 class TestEuler:
     def test_identity(self):
-        np.testing.assert_allclose(geo.euler_to_matrix(0, 0, 0), np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(euler_to_matrix(0, 0, 0), np.eye(3), atol=1e-15)
 
     def test_z_quarter_turn(self):
         np.testing.assert_allclose(
-            geo.euler_to_matrix(np.pi / 2, 0, 0),
+            euler_to_matrix(np.pi / 2, 0, 0),
             [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-15)
 
     def test_axis_rotations_match_scipy(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             tz, tx, ty = rng.uniform(-np.pi, np.pi, size=3)
-            ours = geo.euler_to_matrix(tz, tx, ty)
+            ours = euler_to_matrix(tz, tx, ty)
             ref = (Rotation.from_euler("z", tz) * Rotation.from_euler("x", tx)
                    * Rotation.from_euler("y", ty)).as_matrix()
             np.testing.assert_allclose(ours, ref, atol=1e-12)
+
+
+class TestPlanarRotation:
+    """``Pose.rotation`` is Rz(theta) written out. It equals the three-angle
+    oracle at zero tilt in value; the two differ only in the signs of zero
+    entries (the oracle's R[2, 0] is -0.0), which no rendered or filtered
+    bit may see."""
+
+    HEADINGS = np.concatenate([[np.pi, -np.pi, np.nextafter(np.pi, 0.0)],
+                               np.arange(-16, 17) * (np.pi / 8),
+                               np.random.default_rng(8).uniform(-4.0, 4.0, 200)])
+
+    def test_equals_the_oracle_in_value(self):
+        for h in self.HEADINGS:
+            p = geo.Pose(np.zeros(3), np.array([h, 0.0, 0.0]))
+            got, want = p.rotation(), oracle_rotation(p)
+            assert got.shape == (3, 3) and got.dtype == np.float64
+            assert np.array_equal(got, want), h
+            assert got[2, 2] == 1.0 and not np.any(got[2, :2]) and not np.any(got[:2, 2])
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["walkthrough", "symmetric"])
+    def test_render_and_frustum_bits_match_the_oracle(self, monkeypatch, symmetric):
+        scene = (sg.generate_symmetric_scene(5) if symmetric
+                 else sg.generate_scene(11, n_primitives=5))
+        intr = sg.CameraIntrinsics(width=16, height=16)
+        rng = np.random.default_rng(12)
+        lo, hi = scene.bounds.lo + 0.3, scene.bounds.hi - 0.3
+        poses = (sg.generate_trajectory(scene, "loop", 24) + sg.generate_trajectory(scene, "grid", 16)
+                 + [geo.Pose(np.array([x, y, 0.0]), np.array([h, 0.0, 0.0]))
+                    for x, y, h in zip(rng.uniform(lo[0], hi[0], 40), rng.uniform(lo[1], hi[1], 40),
+                                       self.HEADINGS[:40])])
+        cloud = sp.index_cloud(sg.export_point_cloud(scene, 4000, np.random.default_rng(2)))
+
+        def run():
+            # a pose that sees no point has delta nan, so deltas go by their bits
+            n, delta = zip(*(sp._frustum_stats(p, intr, cloud) for p in poses))
+            return (sg.render_batch(scene, intr, poses).view(np.uint64).copy(), list(n),
+                    np.array(delta).view(np.uint64))
+
+        images, n, delta = run()
+        monkeypatch.setattr(geo.Pose, "rotation", oracle_rotation)
+        images_oracle, n_oracle, delta_oracle = run()
+        assert np.array_equal(images, images_oracle)
+        assert n == n_oracle and np.array_equal(delta, delta_oracle)
+        assert sum(k > 0 for k in n) > len(poses) // 2
 
 
 class TestNormalize:

@@ -2,7 +2,9 @@
 top-level function, class and UPPER_CASE constant of the package is read by
 the package or by the benchmark: deletions tend to leave imports, helpers
 and constants behind. A name read only in an annotation, quoted or not,
-counts as used."""
+counts as used. Likewise every defaulted parameter of a package function
+or method is passed by some call in the package or the benchmark: a
+parameter that only tests pass is surface nothing uses."""
 
 import ast
 import re
@@ -71,6 +73,55 @@ def top_level_definitions(source: str) -> list[str]:
     return names
 
 
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """(callee, parameter, call position) for each defaulted parameter of a
+    function or method in ``source``. The callee is the name a call uses, so
+    an ``__init__`` goes by its class's name; the position counts the
+    arguments a call writes (a method's ``self`` or ``cls`` excepted) and is
+    None for a keyword-only parameter."""
+    tree = ast.parse(source)
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             for f in c.body if isinstance(f, ast.FunctionDef)}
+    found = []
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        a, cls = f.args, owner.get(id(f))
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list)
+        shift = 1 if cls and not static else 0
+        name = cls if cls and f.name == "__init__" else f.name
+        pos = a.posonlyargs + a.args
+        first = len(pos) - len(a.defaults)
+        found += [(name, p.arg, i - shift) for i, p in enumerate(pos) if i >= first]
+        found += [(name, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return found
+
+
+def arguments_passed(source: str) -> set[tuple[str, int | str]]:
+    """(callee, position or keyword) for each argument of each call in
+    ``source`` whose callee is a name or an attribute; a ``*args`` argument
+    is position "*" and a ``**kwargs`` one keyword "**"."""
+    passed = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+            name = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+            passed.update((name, "*" if isinstance(a, ast.Starred) else i)
+                          for i, a in enumerate(n.args))
+            passed.update((name, k.arg or "**") for k in n.keywords)
+    return passed
+
+
+def never_passed(sources: list[str], readers: list[str]) -> list[str]:
+    """``callee.parameter`` for each defaulted parameter in ``sources`` that
+    no call in ``readers`` passes; a call passes a parameter by its
+    position, its keyword, ``*args`` (positional parameters) or ``**kwargs``."""
+    passed = set().union(*(arguments_passed(r) for r in readers))
+    return [f"{name}.{param}" for source in sources
+            for name, param, i in defaulted_parameters(source)
+            if not {(name, param), (name, "**")} & passed
+            and not (i is not None and {(name, i), (name, "*")} & passed)]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -100,3 +151,23 @@ def test_read_checker_counts_strings_but_not_docstrings():
     read = names_read(source)
     assert {"m", "h", "PATCH", "mod", "k"} <= read
     assert not {"f", "g", "Mentions"} & read
+
+
+def test_every_defaulted_parameter_is_passed():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert never_passed(sources, [p.read_text(encoding="utf-8") for p in READERS]) == []
+
+
+def test_parameter_checker_matches_calls_by_position_keyword_and_class():
+    source = ("def f(a, b=1, c=2, *, d=3):\n    pass\n"
+              "def g(a=0, b=1):\n    pass\n"
+              "class K:\n"
+              "    def __init__(self, x, y=1, z=2):\n        pass\n"
+              "    def m(self, u=1, v=2):\n        pass\n"
+              "    @staticmethod\n"
+              "    def s(p=1):\n        pass\n")
+    assert defaulted_parameters(source) == [
+        ("f", "b", 1), ("f", "c", 2), ("f", "d", None), ("g", "a", 0), ("g", "b", 1),
+        ("K", "y", 1), ("K", "z", 2), ("m", "u", 0), ("m", "v", 1), ("s", "p", 0)]
+    calls = "f(0, 1, d=4)\nmod.g(*xs)\nK(0, z=5)\nk.m(**kw)\nmod.s()\n"
+    assert never_passed([source], [calls]) == ["f.c", "K.y", "s.p"]

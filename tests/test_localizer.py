@@ -204,8 +204,11 @@ class TestSequential:
         start = Pose(np.zeros(3), np.zeros(3), dim=3)
         track = lc.sequential_localize(m, imgs, start, np.random.default_rng(0),
                                        n_samples=5)
-        assert [t.frame for t in track] == [0, 1, 2]
-        assert all(t.condition is None for t in track)
+        rng = np.random.default_rng(0)
+        alone = [lc.localize(m, img, n_samples=5, rng=rng) for img in imgs]
+        assert len(track) == 3 and not any(t.lost for t in track)
+        for t, post in zip(track, alone):
+            assert np.array_equal(t.posterior.samples, post.samples)
 
     def test_divergence_flag(self):
         m = tiny_model()

@@ -13,7 +13,7 @@ from scipy.stats import chi2
 from poseinn import sampler as sp
 from poseinn import scenegen as sg
 from poseinn.errors import DomainError, SamplingError
-from poseinn.geometry import Aabb, Pose, euler_to_matrix, wrap_angle
+from poseinn.geometry import Aabb, Pose, wrap_angle
 
 BOUNDS = Aabb(np.array([-2.0, -2.0, -1.0]), np.array([2.0, 2.0, 1.0]))
 INTR = sg.CameraIntrinsics(32, 32)
@@ -290,7 +290,8 @@ class TestSampleOrientation:
         rng = np.random.default_rng(42)
         train_rots = np.stack([p.rotation() for p in train])
         headings = [sp.sample_orientation(train, max_angle, rng) for _ in range(10_000)]
-        samples = np.stack([euler_to_matrix(h, 0.0, 0.0) for h in headings])
+        samples = np.stack([Pose(np.zeros(3), np.array([h, 0.0, 0.0])).rotation()
+                            for h in headings])
         # trace-based angle to every training rotation, vectorized
         traces = np.einsum("nij,kij->nk", samples, train_rots)
         angles = np.arccos(np.clip((traces - 1.0) / 2.0, -1.0, 1.0))

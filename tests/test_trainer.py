@@ -353,6 +353,12 @@ def write_parts(path, meta: dict, records: list) -> None:
     path.write_bytes(b"".join(out))
 
 
+def save_fresh(path, m: PoseRegressor) -> None:
+    """Save ``m`` at epoch 0 with a fresh optimizer and the default train
+    config, so that every record and meta key is present."""
+    tr.save_checkpoint(path, m, epoch=0, train_cfg=tr.TrainConfig(), opt=nd.Adam(m.params))
+
+
 def stepped_checkpoint(path) -> tuple[dict, list]:
     """Save a tiny model after one Adam step and return its parts."""
     m = tiny_model()
@@ -360,7 +366,7 @@ def stepped_checkpoint(path) -> tuple[dict, list]:
     for t in m.params.values():
         t.grad = np.ones_like(t.data)
     opt.step(lr=1e-3)
-    tr.save_checkpoint(path, m, epoch=1, opt=opt)
+    tr.save_checkpoint(path, m, epoch=1, train_cfg=tr.TrainConfig(), opt=opt)
     return saved_meta(path), list({**m.param_arrays(), **opt.state_arrays()}.items())
 
 
@@ -371,7 +377,8 @@ class TestCheckpoint:
         assert p.read_bytes() == q.read_bytes()
 
     @pytest.mark.parametrize("case", ["stray", "missing_moment", "moment_shape",
-                                      "no_moments_after_a_step", "some_moments_at_step_0"])
+                                      "no_moments_after_a_step", "some_moments_at_step_0",
+                                      "one_moment_missing_at_step_0"])
     def test_record_set_fixed_by_meta(self, tmp_path, case):
         p = tmp_path / "m.ckpt"
         meta, records = stepped_checkpoint(p)
@@ -389,10 +396,14 @@ class TestCheckpoint:
         elif case == "no_moments_after_a_step":
             records = params
             why = "missing checkpoint record 'adam.m."
-        else:
+        elif case == "some_moments_at_step_0":
             meta["adam_t"] = 0
             records = params + [(f"adam.m.{first}", dict(records)[f"adam.m.{first}"])]
             why = "missing checkpoint record 'adam.m."
+        else:
+            meta["adam_t"] = 0
+            records = [r for r in records if r[0] != f"adam.v.{first}"]
+            why = f"missing checkpoint record 'adam.v.{first}'$"
         write_parts(p, meta, records)
         with pytest.raises(CheckpointError, match=why) as ei:
             tr.load_checkpoint(p)
@@ -408,30 +419,35 @@ class TestCheckpoint:
             tr.load_checkpoint(p)
         assert "\n" not in str(ei.value)
 
-    def test_moments_left_out_only_at_step_0(self, tmp_path):
+    def test_moments_required_at_step_0(self, tmp_path):
+        # a fresh optimizer's zero moments are saved and restored like any
+        # others, and a step-0 file without them is refused
         m = tiny_model()
-        for i, opt in enumerate([None, nd.Adam(m.params)]):
-            p = tmp_path / f"{i}.ckpt"
-            tr.save_checkpoint(p, m, opt=opt)
-            ck = tr.load_checkpoint(p)
-            assert ck.adam_t == 0 and len(ck.opt_arrays) == 2 * len(m.params)
-            restored = tr.restore_optimizer(ck)
-            assert restored.state["t"] == 0
-            for a in restored.state_arrays().values():
-                assert not np.any(a)
+        p = tmp_path / "m.ckpt"
+        save_fresh(p, m)
+        ck = tr.load_checkpoint(p)
+        assert ck.adam_t == 0 and len(ck.opt_arrays) == 2 * len(m.params)
+        restored = tr.restore_optimizer(ck)
+        assert restored.state["t"] == 0
+        for a in restored.state_arrays().values():
+            assert not np.any(a)
+        write_parts(p, saved_meta(p), list(m.param_arrays().items()))
+        with pytest.raises(CheckpointError, match="missing checkpoint record 'adam.m.") as ei:
+            tr.load_checkpoint(p)
+        assert "\n" not in str(ei.value)
 
-    @pytest.mark.parametrize("case", ["no_epoch", "model_key", "train_key", "model_not_mapping",
-                                      "epoch_not_int", "negative_epoch"])
+    @pytest.mark.parametrize("case", ["no_epoch", "model_key", "train_key", "train_null",
+                                      "model_not_mapping", "epoch_not_int", "negative_epoch"])
     def test_bad_meta_block_rejected(self, tmp_path, case):
         p = tmp_path / "m.ckpt"
         meta, records = stepped_checkpoint(p)
-        meta["train"] = {}
         edits = {
             "no_epoch": (lambda: meta.pop("epoch"), "meta block has no key 'epoch'"),
             "model_key": (lambda: meta["model"].update(bogus=1),
                           "meta key 'model' does not decode: .*'bogus'"),
             "train_key": (lambda: meta["train"].update(bogus=1),
                           "meta key 'train' does not decode: .*'bogus'"),
+            "train_null": (lambda: meta.update(train=None), "meta key 'train' does not decode"),
             "model_not_mapping": (lambda: meta.update(model=[3]),
                                   "meta key 'model' does not decode"),
             "epoch_not_int": (lambda: meta.update(epoch="one"),
@@ -454,14 +470,14 @@ class TestCheckpoint:
         w.data = w.data.copy()
         w.data[0, 0] = np.inf
         p = tmp_path / "inf.ckpt"
-        tr.save_checkpoint(p, m)
+        save_fresh(p, m)
         with pytest.raises(NonFiniteError, match="flow parameter 'block1.s.w1' is not finite"):
             tr.load_checkpoint(p)
 
     def test_round_trip_bitwise_forward(self, tmp_path):
         m = tiny_model(seed=7)
         p = tmp_path / "m.ckpt"
-        tr.save_checkpoint(p, m, epoch=0)
+        save_fresh(p, m)
         ck = tr.load_checkpoint(p)
         poses, _ = tiny_data(3)
         x = m.encode_pose_batch(poses)
@@ -474,7 +490,7 @@ class TestCheckpoint:
     def test_truncated_file_rejected(self, tmp_path):
         m = tiny_model()
         p = tmp_path / "m.ckpt"
-        tr.save_checkpoint(p, m)
+        save_fresh(p, m)
         blob = p.read_bytes()
         p.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
@@ -483,7 +499,7 @@ class TestCheckpoint:
     def test_version_bump_rejected(self, tmp_path):
         m = tiny_model()
         p = tmp_path / "m.ckpt"
-        tr.save_checkpoint(p, m)
+        save_fresh(p, m)
         blob = bytearray(p.read_bytes())
         blob[4:8] = (99).to_bytes(4, "little")
         p.write_bytes(bytes(blob))
@@ -498,7 +514,7 @@ class TestCheckpoint:
             m.params[f"vae.enc.{head}.w"].data = np.zeros((latent, latent))
         p = tmp_path / "v1.ckpt"
         monkeypatch.setattr(tr, "VERSION", 1)
-        tr.save_checkpoint(p, m)
+        save_fresh(p, m)
         monkeypatch.undo()
         with pytest.raises(CheckpointError, match="version 1") as ei:
             tr.load_checkpoint(p)
@@ -507,7 +523,7 @@ class TestCheckpoint:
     def test_version_2_meta_refused_in_one_line(self, tmp_path, monkeypatch):
         m = tiny_model()
         p = tmp_path / "v2.ckpt"
-        tr.save_checkpoint(p, m, train_cfg=tr.TrainConfig())
+        save_fresh(p, m)
         # version 2 also wrote five loss weights, clamp and cond_cell_*
         meta = saved_meta(p)
         meta["train"].update(w_fwd=1.0, w_rev_pos=1.0, w_rev_rot=1.0, w_rev_enc=0.1, w_recon=1.0)
@@ -531,7 +547,7 @@ class TestCheckpoint:
             m.flow.perms[0] = np.roll(np.arange(w), 1)
             why = "moves the pad channel 0"
         p = tmp_path / "perm.ckpt"
-        tr.save_checkpoint(p, m)
+        save_fresh(p, m)
         with pytest.raises(CheckpointError) as ei:
             tr.load_checkpoint(p)
         assert str(ei.value) == f"flow permutation 'perm0' {why}"
@@ -546,7 +562,7 @@ class TestCheckpoint:
         m = tiny_model()
         cfg = tr.TrainConfig(epochs=4, batch=2, w_kl=5e-4)
         p = tmp_path / "m.ckpt"
-        tr.save_checkpoint(p, m, epoch=4, train_cfg=cfg)
+        tr.save_checkpoint(p, m, epoch=4, train_cfg=cfg, opt=nd.Adam(m.params))
         ck = tr.load_checkpoint(p)
         assert ck.train == cfg and ck.epoch == 4
 
