@@ -24,6 +24,11 @@ def wrap_angle(a):
     return np.mod(np.asarray(a, dtype=np.float64) + np.pi, TWO_PI) - np.pi
 
 
+def is_int(v) -> bool:
+    """Whether v is an integer, numpy's included; a bool is not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def squared_norms(v: np.ndarray) -> np.ndarray:
     """Squared lengths of the 3-vectors along the last axis, summed as
     np.linalg.norm sums them, (x*x + y*y) + z*z, so their square roots are
@@ -101,10 +106,6 @@ class Aabb:
     @property
     def half(self) -> np.ndarray:
         return (self.hi - self.lo) / 2.0
-
-    def contains(self, point: np.ndarray, tol: float = 0.0) -> bool:
-        p = np.asarray(point, dtype=np.float64)
-        return bool(np.all(p >= self.lo - tol) and np.all(p <= self.hi + tol))
 
 
 def positional_encode_batch(vs: np.ndarray, L: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ndiff as nd
 from .errors import ConditioningError, DimensionError, DomainError, NonFiniteError
-from .geometry import Pose, wrap_angle
+from .geometry import Pose, is_int, wrap_angle
 from .model import PoseRegressor
 
 # eigenvalues may dip this far below zero before a covariance counts as broken
@@ -95,7 +95,7 @@ def localize(model: PoseRegressor, image: np.ndarray, n_samples: int = 50,
     No autodiff graph is built; non-finite flow outputs raise
     ``NonFiniteError``.
     """
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
+    if not is_int(n_samples):
         raise DomainError(f"n_samples must be an integer, got {type(n_samples).__name__}")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")

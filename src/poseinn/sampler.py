@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, SamplingError
-from .geometry import Pose, squared_norms, wrap_angle
+from .geometry import Pose, is_int, squared_norms, wrap_angle
 from .scenegen import CameraIntrinsics, Scene
 
 log = logging.getLogger(__name__)
@@ -65,6 +65,11 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("target", "budget_factor", "seed"):
+            if not is_int(getattr(self, name)):
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         # nan must fail: it would turn rule 1 off, or spend the whole budget
         if self.target < 1 or not self.max_delta_training > 0:
             raise DomainError("sampling config thresholds must be positive")

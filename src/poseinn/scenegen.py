@@ -12,6 +12,19 @@ cloud.
 poses in one array pass, and ``render`` is a batch of one pose. A frame's
 pixels do not depend on the other poses of its chunk.
 
+Each (primitive, frame) pair is culled before any ray is cast: a
+primitive's bounding sphere that lies outside one face of the frame's view
+pyramid (the depth plane or a side, all through the camera) by more than a
+slack (CULL_SLACK, relative to the size of the coordinates) cannot be
+reached by a pixel ray, since every pixel ray lies strictly inside the
+pyramid. Only the other pairs are intersected, and the box slab test's
+inverse ray directions are built only for frames that see some box. Rays
+are stored component by component, (3, m, H*W). The slack sits far
+above the rounding of the intersection tests, and a culled primitive would
+have given every ray of the frame t = inf, so the images are bitwise those
+of testing every ray against every primitive. A sphere's ray term b is one
+gemv per frame, so a sphere is always tested on whole frames.
+
 Camera frame: body x = forward (optical axis), y = left, z = up. A pixel
 at normalized image coordinates (a, b), a to the right and b down, maps
 to ray direction f - a*tan(hfov/2)*left - b*tan(hfov/2)*(H/W)*up.
@@ -25,12 +38,12 @@ import numpy as np
 
 from . import kvconfig as kv
 from .errors import ConfigError, DimensionError, DomainError, GenerationError
-from .geometry import Aabb, Pose, squared_norms
+from .geometry import Aabb, Pose, is_int, squared_norms
 
-# vertical light: Lambert shading then depends only on the normal's z
-# component, so rotating a scene about z rotates its images exactly and a
-# 180-degree-symmetric scene stays truly ambiguous
-LIGHT_DIR = np.array([0.0, 0.0, 1.0])
+# the light shines straight down (direction +z towards the light): Lambert
+# shading then depends only on the normal's z component, so rotating a scene
+# about z rotates its images exactly and a 180-degree-symmetric scene stays
+# truly ambiguous
 AMBIENT = 0.35
 DEPTH_FALLOFF = 0.08
 # a 4 m x 4 m x 2 m room, the box a scene gets when none is given
@@ -128,8 +141,8 @@ class CameraIntrinsics:
     hfov: float = np.deg2rad(90.0)
 
     def __post_init__(self):
-        if self.width < 8 or self.height < 8:
-            raise DimensionError(f"image dims must be >= 8, got {self.width}x{self.height}")
+        if not (is_int(self.width) and is_int(self.height)) or self.width < 8 or self.height < 8:
+            raise DimensionError(f"image dims must be integers >= 8, got {self.width}x{self.height}")
         if not 0.0 < self.hfov < np.pi:
             raise DomainError(f"horizontal fov must be in (0, pi), got {self.hfov}")
 
@@ -205,18 +218,24 @@ def generate_symmetric_scene(seed: int, bounds: Aabb | None = None) -> Scene:
 # ---------------------------------------------------------------------------
 
 CHUNK = 32  # poses rendered in one array pass
+# relative slack of the per-frame primitive cull. A ray tangent to a sphere
+# decides its hit from b*b - c, whose rounding is relative to |o - c|^2, so
+# that hit boundary is known only to about 1e-8 |o - c|: far below this
+CULL_SLACK = 1e-6
 
 
 def _unit_rays(intr: CameraIntrinsics, rots: np.ndarray) -> np.ndarray:
-    """(m, H*W, 3) unit ray directions in world coordinates, one image of
-    rays per rotation in the (m, 3, 3) stack."""
+    """(3, m, H*W) unit ray directions in world coordinates, one image of
+    rays per rotation in the (m, 3, 3) stack, stored component by
+    component; each component and norm is summed as np.linalg.norm sums
+    a ray stored as a row."""
     w, h = intr.width, intr.height
     a = (2.0 * (np.arange(w) + 0.5) / w - 1.0) * np.tan(intr.hfov / 2.0)
     b = (2.0 * (np.arange(h) + 0.5) / h - 1.0) * np.tan(intr.hfov / 2.0) * (h / w)
-    fwd, left, up = (rots[:, None, None, :, j] for j in range(3))  # (m, 1, 1, 3) each
-    dirs = fwd - a[None, None, :, None] * left - b[None, :, None, None] * up
-    dirs = dirs.reshape(len(rots), w * h, 3)
-    return dirs / np.sqrt(squared_norms(dirs))[..., None]
+    fwd, left, up = (rots[:, :, j].T[:, :, None, None] for j in range(3))  # (3, m, 1, 1) each
+    dirs = (fwd - a * left - b[:, None] * up).reshape(3, len(rots), h * w)
+    x, y, z = dirs
+    return dirs / np.sqrt((x * x + y * y) + z * z)
 
 
 def _intersect_sphere(origins, unit, sph: Sphere):
@@ -246,8 +265,10 @@ def _intersect_box(origins, inv, para, box: Box):
             t1 = (lo[k] - origins[:, k])[:, None] * inv[k]
             t2 = (hi[k] - origins[:, k])[:, None] * inv[k]
         if para is not None:
-            # rays parallel to a slab: hit iff origin within that slab
-            t1 = np.where(para[k], np.where(inside[:, k, None], -np.inf, np.inf), t1)
+            # a ray parallel to a slab meets the box only if its origin lies
+            # within that slab: (-inf, inf) leaves the interval as it is,
+            # (-inf, -inf) empties it
+            t1 = np.where(para[k], -np.inf, t1)
             t2 = np.where(para[k], np.where(inside[:, k, None], np.inf, -np.inf), t2)
         near, far = np.minimum(t1, t2), np.maximum(t1, t2)
         tnear = near if tnear is None else np.maximum(tnear, near)
@@ -257,67 +278,119 @@ def _intersect_box(origins, inv, para, box: Box):
     return np.where(hit & (t > 1e-9), t, np.inf)
 
 
-def _normals(rel: np.ndarray, prim) -> np.ndarray:
-    """Surface normals from hit points relative to the primitive center."""
+def _lambert(rel: np.ndarray, prim) -> np.ndarray:
+    """Lambert factor max(0, n . (0, 0, 1)) of the surface normals n at hit
+    points given relative to the primitive center: the normal's z component
+    clipped at 0. A dot product would add exact zeros to it, and a zero of
+    either sign shades alike."""
     if isinstance(prim, Sphere):
-        return rel / np.sqrt(squared_norms(rel))[:, None]
+        return np.maximum(0.0, rel[:, 2] / np.sqrt(squared_norms(rel)))
     scaled = rel / prim.half
-    axis = np.argmax(np.abs(scaled), axis=1)
-    n = np.zeros_like(rel)
-    n[np.arange(len(rel)), axis] = np.sign(scaled[np.arange(len(rel)), axis])
-    return n
+    # a box normal is the sign of the largest scaled axis, the first on a tie
+    top = (np.argmax(np.abs(scaled), axis=1) == 2) & (scaled[:, 2] > 0.0)
+    return top.astype(np.float64)
 
 
-def _render_chunk(scene: Scene, intr: CameraIntrinsics, poses: list[Pose],
-                  img: np.ndarray) -> None:
-    """Raycast the poses in one array pass into img, an (m*H*W, 3) view."""
-    origins = np.array([p.position for p in poses])
-    unit = _unit_rays(intr, np.array([p.rotation() for p in poses]))
-    axes = np.ascontiguousarray(unit.transpose(2, 0, 1))  # (3, m, H*W)
-    para = axes == 0.0
-    para = para if para.any() else None
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / axes
+def _visible(scene: Scene, intr: CameraIntrinsics, origins: np.ndarray,
+             rots: np.ndarray) -> np.ndarray:
+    """(P, n) mask of the (primitive, frame) pairs that a pixel ray may
+    reach: all but those whose bounding sphere lies outside one face of the
+    frame's view pyramid by more than the slack."""
+    tan_h = np.tan(intr.hfov / 2.0)
+    tan_v = tan_h * (intr.height / intr.width)
+    f, left, up = rots[:, :, 0], rots[:, :, 1], rots[:, :, 2]
+    # outward normals of the pyramid's faces, all through the camera: the
+    # depth plane, then the four sides; every pixel ray lies strictly inside
+    faces = np.stack([-f, left - tan_h * f, -left - tan_h * f,
+                      up - tan_v * f, -up - tan_v * f], axis=1)  # (n, 5, 3)
+    lengths = np.array([1.0, np.hypot(1.0, tan_h), np.hypot(1.0, tan_h),
+                        np.hypot(1.0, tan_v), np.hypot(1.0, tan_v)])
+    # bounding spheres of the primitives
+    centers = np.array([prim.center for prim in scene.primitives])
+    radii = np.array([prim.radius if isinstance(prim, Sphere) else np.sqrt(prim.half @ prim.half)
+                      for prim in scene.primitives])
+    dist = np.einsum("pnk,nfk->pnf", centers[:, None, :] - origins[None, :, :], faces)
+    scale = np.abs(origins).max(axis=1)[None, :] + (np.abs(centers).max(axis=1) + radii)[:, None]
+    reach = radii[:, None] + CULL_SLACK * scale  # (P, n), in metres
+    # a sphere that contains the camera reaches past every face, so it stays
+    return ~(dist > reach[:, :, None] * lengths).any(axis=2)
 
-    best_t = np.full(unit.shape[:2], np.inf)
-    best_prim = np.full(unit.shape[:2], -1, dtype=np.intp)
+
+def _render_chunk(scene: Scene, intr: CameraIntrinsics, origins: np.ndarray,
+                  rots: np.ndarray, visible: np.ndarray, img: np.ndarray) -> None:
+    """Raycast one chunk of frames into img, an (m*H*W, 3) view; a
+    primitive is intersected only with the frames ``visible`` marks."""
+    n_rays = intr.height * intr.width
+    # one frame's background per row: a broadcast over rows of 3 is slow
+    img.reshape(-1, 3 * n_rays)[...] = np.tile(scene.background, n_rays)
+    seen = np.flatnonzero(visible.any(axis=0))
+    if not len(seen):
+        return
+    origins, visible = origins[seen], visible[:, seen]
+    rays = _unit_rays(intr, rots[seen])  # (3, k, H*W)
+    is_box = np.array([isinstance(prim, Box) for prim in scene.primitives])
+    box_frames = np.flatnonzero(visible[is_box].any(axis=0))
+    if len(box_frames):
+        axes = rays[:, box_frames]
+        para = axes == 0.0
+        para = para if para.any() else None
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / axes
+        slot = np.zeros(len(seen), dtype=np.intp)
+        slot[box_frames] = np.arange(len(box_frames))
+
+    best_t = np.full(rays.shape[1:], np.inf)
+    best_prim = np.full(rays.shape[1:], -1, dtype=np.intp)
     for i, prim in enumerate(scene.primitives):
-        t = (_intersect_sphere(origins, unit, prim) if isinstance(prim, Sphere)
-             else _intersect_box(origins, inv, para, prim))
-        closer = t < best_t
-        np.copyto(best_t, t, where=closer)
-        np.copyto(best_prim, i, where=closer)
+        frames = np.flatnonzero(visible[i])
+        if not len(frames):
+            continue
+        if is_box[i]:
+            rows = slot[frames]
+            t = _intersect_box(origins[frames], inv[:, rows],
+                               None if para is None else para[:, rows], prim)
+        else:
+            # the gemv of _intersect_sphere reads each frame's rays as rows
+            unit = np.ascontiguousarray(rays[:, frames].transpose(1, 2, 0))
+            t = _intersect_sphere(origins[frames], unit, prim)
+        cur = best_t[frames]
+        closer = t < cur
+        best_t[frames] = np.where(closer, t, cur)
+        best_prim[frames] = np.where(closer, i, best_prim[frames])
 
-    img[...] = scene.background
-    n_rays = unit.shape[1]
-    best_t, rays = best_t.reshape(-1), unit.reshape(-1, 3)
+    best_t, rays = best_t.reshape(-1), rays.reshape(3, -1)
     for i, prim in enumerate(scene.primitives):
         hits = np.flatnonzero(best_prim == i)
         if not len(hits):
             continue
         t = best_t[hits]
+        frame, ray = np.divmod(hits, n_rays)
         # hit point relative to the primitive center; keeping the camera
         # offset separate makes rendering exactly rigid-translation invariant
-        rel = (origins - prim.center)[hits // n_rays] + t[:, None] * rays[hits]
-        n = _normals(rel, prim)
-        lambert = np.maximum(0.0, n @ LIGHT_DIR)
-        shade = (AMBIENT + (1.0 - AMBIENT) * lambert) / (1.0 + DEPTH_FALLOFF * t)
-        img[hits] = prim.albedo[None, :] * shade[:, None]
+        rel = (origins - prim.center)[frame] + t[:, None] * rays[:, hits].T
+        shade = (AMBIENT + (1.0 - AMBIENT) * _lambert(rel, prim)) / (1.0 + DEPTH_FALLOFF * t)
+        img[seen[frame] * n_rays + ray] = prim.albedo[None, :] * shade[:, None]
 
 
 def render_batch(scene: Scene, intr: CameraIntrinsics, poses: list[Pose]) -> np.ndarray:
     """Raycast one image per pose; (n, H, W, 3) floats in [0, 1]. Every
     pose is checked against the scene bounds before any is rendered."""
     poses = list(poses)
-    for pose in poses:
-        if not scene.bounds.contains(pose.position, tol=1e-9):
-            raise DomainError(f"camera position {pose.position} outside scene bounds")
+    origins = np.array([p.position for p in poses]).reshape(-1, 3)
+    lo, hi = scene.bounds.lo - 1e-9, scene.bounds.hi + 1e-9
+    inside = ((origins >= lo) & (origins <= hi)).all(axis=1)
+    if not inside.all():
+        raise DomainError(f"camera position {poses[np.argmin(inside)].position} "
+                          "outside scene bounds")
+    rots = np.array([p.rotation() for p in poses]).reshape(-1, 3, 3)
+    visible = _visible(scene, intr, origins, rots)
     n_rays = intr.height * intr.width
     out = np.empty((len(poses), intr.height, intr.width, 3))
     flat = out.reshape(-1, 3)
     for start in range(0, len(poses), CHUNK):
-        chunk = poses[start:start + CHUNK]
-        _render_chunk(scene, intr, chunk, flat[start * n_rays:(start + len(chunk)) * n_rays])
+        stop = min(start + CHUNK, len(poses))
+        _render_chunk(scene, intr, origins[start:stop], rots[start:stop],
+                      visible[:, start:stop], flat[start * n_rays:stop * n_rays])
     return out
 
 
@@ -332,8 +405,8 @@ def render(scene: Scene, intr: CameraIntrinsics, pose: Pose) -> np.ndarray:
 
 def export_point_cloud(scene: Scene, n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, 3) points sampled area-uniformly across primitive surfaces."""
-    if n < 1:
-        raise DomainError(f"point count must be >= 1, got {n}")
+    if not is_int(n) or n < 1:
+        raise DomainError(f"point count must be an integer >= 1, got {n!r}")
     areas = np.array([p.surface_area() for p in scene.primitives])
     counts = rng.multinomial(n, areas / areas.sum())
     chunks = []

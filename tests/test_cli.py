@@ -494,6 +494,38 @@ def run_module(argv, tmp_path) -> subprocess.CompletedProcess:
 
 
 class TestOneErrorLine:
+    @pytest.mark.parametrize("verb, cfg_key", [("gen-data", "image_hw"),
+                                                ("sample-poses", "cloud_points")])
+    def test_non_integer_side_or_point_count(self, pipeline, tmp_path, capsys, verb, cfg_key):
+        # the CLI paths to CameraIntrinsics and export_point_cloud parse these
+        # keys as integers, so 32.5 and 2.5 are refused before the library
+        if verb == "gen-data":
+            cfg = write(tmp_path / "d.cfg", DATA_CFG.format(scene=pipeline["scene"])
+                        .replace("image_hw = 16", "image_hw = 32.5"))
+            argv = ["gen-data", "--config", cfg]
+            bad = "32.5"
+        else:
+            cfg = write(tmp_path / "s.cfg", SAMPLING_CFG.replace("cloud_points = 2000",
+                                                                 "cloud_points = 2.5"))
+            argv = ["sample-poses", "--config", cfg, "--data", pipeline["train"]]
+            bad = "2.5"
+        assert cli.main(argv + ["--seed", "0", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR config: key '{cfg_key}': expected integer, got '{bad}'"]
+
+    def test_non_integer_manifest_side(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(os.path.dirname(pipeline["train"]), data)
+        manifest = data / "train.kv"
+        text = manifest.read_text()
+        assert "image_w = 16\n" in text
+        manifest.write_text(text.replace("image_w = 16\n", "image_w = 16.5\n"))
+        assert cli.main(["sample-poses", "--config", write(tmp_path / "s.cfg", SAMPLING_CFG),
+                         "--data", str(manifest), "--seed", "0",
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR config: key 'image_w': expected integer, got '16.5'"]
+
     def test_diverging_train(self, pipeline, tmp_path):
         cfg = write(tmp_path / "c.cfg", TRAIN_CFG + "lr_start = 1e300\nlr_end = 1e300\n")
         proc = run_module(["train", "--config", cfg, "--data", pipeline["train"],

@@ -448,7 +448,7 @@ class TestFilterPose:
         rejected_seen = False
         for dist in (0.6, 1.0, 1.5, 2.0):
             target = base.position + np.array([0.0, dist, 0.0])
-            if not scene.bounds.contains(target):
+            if np.any(target > scene.bounds.hi):
                 break
             cand = Pose(target, base.euler, dim=3)
             res = sp.filter_pose(cand, positions, cloud, INTR, ranges, cfg)
@@ -571,3 +571,22 @@ class TestSamplePoses:
             sp.SamplingConfig(target=0)
         with pytest.raises(DomainError):
             sp.SamplingConfig(widen=0.5)
+
+    @pytest.mark.parametrize("kw, msg", [
+        ({"target": 2.5}, "target must be an integer, got 2.5"),
+        ({"target": True}, "target must be an integer, got True"),
+        ({"budget_factor": 1.5}, "budget_factor must be an integer, got 1.5"),
+        ({"budget_factor": True}, "budget_factor must be an integer, got True"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": False}, "seed must be an integer, got False"),
+    ], ids=["target_float", "target_bool", "budget_float", "budget_bool", "seed_negative",
+            "seed_float", "seed_bool"])
+    def test_non_integer_counts_and_seed_refused(self, kw, msg):
+        # each used to pass construction and crash sample_poses with a bare
+        # TypeError or numpy's ValueError
+        with pytest.raises(DomainError) as info:
+            sp.SamplingConfig(**kw)
+        assert str(info.value) == msg
+        assert sp.SamplingConfig(target=np.int64(3), budget_factor=np.int32(2),
+                                 seed=np.uint8(1)).target == 3

@@ -119,7 +119,7 @@ def render_one(scene, intr, pose):
                 t2 = (hi[None, :] - origin[None, :]) * inv
             para = unit == 0.0
             inside = (origin >= lo) & (origin <= hi)
-            t1 = np.where(para, np.where(inside[None, :], -np.inf, np.inf), t1)
+            t1 = np.where(para, -np.inf, t1)
             t2 = np.where(para, np.where(inside[None, :], np.inf, -np.inf), t2)
             tnear = np.max(np.minimum(t1, t2), axis=1)
             tfar = np.min(np.maximum(t1, t2), axis=1)
@@ -142,7 +142,7 @@ def render_one(scene, intr, pose):
             axis = np.argmax(np.abs(scaled), axis=1)
             n = np.zeros_like(rel)
             n[np.arange(len(rel)), axis] = np.sign(scaled[np.arange(len(rel)), axis])
-        lambert = np.maximum(0.0, n @ sg.LIGHT_DIR)
+        lambert = np.maximum(0.0, n @ np.array([0.0, 0.0, 1.0]))  # the vertical light
         shade = (sg.AMBIENT + (1.0 - sg.AMBIENT) * lambert) / (1.0 + sg.DEPTH_FALLOFF * best_t[mask])
         img[mask] = prim.albedo[None, :] * shade[:, None]
     return img.reshape(intr.height, intr.width, 3)
@@ -187,16 +187,88 @@ def association_split(rng, n):
     return v[differ], left[differ], right[differ]
 
 
+BIG = Aabb(np.full(3, -10.0), np.full(3, 10.0))
+GREY = np.full(3, 0.5)
+
+
+def intersected(monkeypatch):
+    """(primitive, frame count) of every _intersect_sphere and
+    _intersect_box call made from now on."""
+    calls = []
+
+    def counting(fn):
+        def wrapped(origins, *args):
+            calls.append((args[-1], len(origins)))
+            return fn(origins, *args)
+        return wrapped
+
+    monkeypatch.setattr(sg, "_intersect_sphere", counting(sg._intersect_sphere))
+    monkeypatch.setattr(sg, "_intersect_box", counting(sg._intersect_box))
+    return calls
+
+
+def frames_of(calls, prim):
+    return sum(n for p, n in calls if p is prim)
+
+
+def bounding_radius(prim):
+    return prim.radius if isinstance(prim, sg.Sphere) else float(np.linalg.norm(prim.half))
+
+
+def slack(origin, prim):
+    """The cull's slack in metres for one camera and primitive."""
+    return sg.CULL_SLACK * (np.abs(origin).max() + np.abs(prim.center).max()
+                            + bounding_radius(prim))
+
+
+def pyramid_faces(pose, intr):
+    """Face name -> (outward unit normal, unit direction along the face's
+    middle line, on the inner side of every other face), for the view
+    pyramid with its apex at the camera; the depth face, which meets the
+    pyramid only at the camera, gets a zero direction."""
+    rot = pose.rotation()
+    f, left, up = rot[:, 0], rot[:, 1], rot[:, 2]
+    tan_h = np.tan(intr.hfov / 2.0)
+    tan_v = tan_h * intr.height / intr.width
+    faces = {"depth": (-f, np.zeros(3)),
+             "left": (left - tan_h * f, f + tan_h * left),
+             "right": (-left - tan_h * f, f - tan_h * left),
+             "top": (up - tan_v * f, f + tan_v * up),
+             "bottom": (-up - tan_v * f, f - tan_v * up)}
+    return {k: (n / np.linalg.norm(n), e / np.linalg.norm(e) if e.any() else e)
+            for k, (n, e) in faces.items()}
+
+
+def culled_oracle(pose, intr, prim):
+    """Whether the primitive's bounding sphere lies outside a face of the
+    view pyramid by more than the slack, face by face in metres."""
+    rel = prim.center - pose.position
+    reach = bounding_radius(prim) + slack(pose.position, prim)
+    return any(rel @ n > reach for n, _ in pyramid_faces(pose, intr).values())
+
+
+CULL_INTRINSICS = [sg.CameraIntrinsics(16, 16), sg.CameraIntrinsics(16, 16, 0.2),
+                   sg.CameraIntrinsics(16, 16, 3.0), sg.CameraIntrinsics(20, 9, 1.2),
+                   sg.CameraIntrinsics(9, 20, 1.2)]
+
+
 class TestRenderBatch:
     @pytest.mark.parametrize("k", [1, sg.CHUNK - 1, sg.CHUNK, sg.CHUNK + 1, 2 * sg.CHUNK + 3])
-    def test_bitwise_per_pose_oracle(self, k):
+    def test_bitwise_per_pose_oracle(self, monkeypatch, k):
         scene = sg.generate_scene(3)
         intr = sg.CameraIntrinsics(16, 12)
         poses = random_poses(scene, k, np.random.default_rng(k))
+        calls = intersected(monkeypatch)
         images = sg.render_batch(scene, intr, poses)
         assert images.shape == (k, 12, 16, 3) and images.flags.c_contiguous
         for pose, image in zip(poses, images):
             assert image.tobytes() == render_one(scene, intr, pose).tobytes()
+        # each primitive is intersected with exactly the frames it is not
+        # culled from, and both kinds of pair occur
+        kept = [sum(not culled_oracle(pose, intr, prim) for pose in poses)
+                for prim in scene.primitives]
+        assert [frames_of(calls, prim) for prim in scene.primitives] == kept
+        assert 0 < sum(kept) < k * len(scene.primitives) or k == 1
 
     def test_slab_parallel_rays_odd_width(self):
         scene = sg.generate_scene(4)
@@ -247,10 +319,136 @@ class TestRenderBatch:
         intr = sg.CameraIntrinsics(15, 11)
         rots = np.array([Pose(np.zeros(3), np.array([h, 0.0, 0.0])).rotation()
                          for h in rng.uniform(-np.pi, np.pi, 40)])
-        for rot, unit in zip(rots, sg._unit_rays(intr, rots)):
+        for rot, unit in zip(rots, sg._unit_rays(intr, rots).transpose(1, 2, 0)):
             dirs = ray_dirs(intr, rot)
             want = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
             assert unit.tobytes() == want.tobytes()
+
+
+class TestCull:
+    """The per-frame primitive cull: images bitwise as the per-pose oracle
+    renders them testing every ray, and a primitive is intersected exactly
+    with the frames whose view pyramid its bounding sphere may reach."""
+
+    CAMERA = (0.25, -0.5)
+
+    @staticmethod
+    def anchor(pose):
+        """A sphere 3 m ahead that every view sees."""
+        return sg.Sphere(pose.position + 3.0 * pose.rotation()[:, 0], 0.4, np.array([0.2, 0.7, 0.3]))
+
+    @staticmethod
+    def assert_oracle(scene, intr, poses):
+        for pose, image in zip(poses, sg.render_batch(scene, intr, poses)):
+            assert image.tobytes() == render_one(scene, intr, pose).tobytes()
+
+    @pytest.mark.parametrize("intr", CULL_INTRINSICS,
+                             ids=["90deg", "hfov0.2", "hfov3.0", "wide", "tall"])
+    @pytest.mark.parametrize("heading", [0.0, 2.1])
+    @pytest.mark.parametrize("kind", ["sphere", "box"])
+    def test_face_slack(self, monkeypatch, intr, heading, kind):
+        # a primitive placed outside one face by s: culled only when s is more
+        # than the slack; inside, or outside by less, it is intersected
+        pose = pose_at(*self.CAMERA, heading)
+        half = np.array([0.2, 0.15, 0.25])
+        radius = 0.3 if kind == "sphere" else float(np.linalg.norm(half))
+        calls = intersected(monkeypatch)
+        for face, (normal, edge) in pyramid_faces(pose, intr).items():
+            base = pose.position + 2.0 * edge + radius * normal
+            m = sg.CULL_SLACK * (np.abs(pose.position).max() + np.abs(base).max() + radius)
+            for s in (-2.0 * m, -0.5 * m, 0.5 * m, 2.0 * m):
+                center = base + s * normal
+                prim = (sg.Sphere(center, radius, GREY) if kind == "sphere"
+                        else sg.Box(center, half, GREY))
+                scene = sg.Scene(BIG, (self.anchor(pose), prim), np.zeros(3))
+                del calls[:]
+                self.assert_oracle(scene, intr, [pose])
+                assert frames_of(calls, prim) == (0 if s > m else 1), (face, s / m)
+                assert frames_of(calls, scene.primitives[0]) == 1
+
+    def test_bounding_sphere_containing_camera(self, monkeypatch):
+        pose = pose_at(*self.CAMERA, 0.7)
+        f = pose.rotation()[:, 0]
+        # the camera sits inside the sphere: every ray hits it from inside
+        inside = sg.Sphere(pose.position + np.array([0.1, 0.05, 0.0]), 0.5, GREY)
+        # the box lies wholly behind the camera, 0.15 m from it, but its
+        # bounding sphere (radius 0.52) contains the camera
+        behind = sg.Box(pose.position - 0.45 * f, np.full(3, 0.3), np.array([0.9, 0.1, 0.1]))
+        assert not behind.contains(*pose.position)
+        assert np.linalg.norm(behind.center - pose.position) < bounding_radius(behind)
+        calls = intersected(monkeypatch)
+        for prims in ((inside,), (self.anchor(pose), behind)):
+            scene = sg.Scene(BIG, prims, np.zeros(3))
+            del calls[:]
+            self.assert_oracle(scene, CULL_INTRINSICS[0], [pose])
+            assert [n for _, n in calls] == [1] * len(prims)
+        image = sg.render(sg.Scene(BIG, (inside,), np.zeros(3)), CULL_INTRINSICS[0], pose)
+        assert not np.any(np.all(image == 0.0, axis=-1))
+
+    def test_primitive_behind_camera(self, monkeypatch):
+        pose = pose_at(*self.CAMERA, -1.2)
+        f = pose.rotation()[:, 0]
+        hidden = (sg.Sphere(pose.position - 3.0 * f, 0.5, GREY),
+                  sg.Box(pose.position - 2.0 * f + np.array([0.0, 0.0, 0.5]), np.full(3, 0.4), GREY))
+        scene = sg.Scene(BIG, (self.anchor(pose),) + hidden, np.zeros(3))
+        calls = intersected(monkeypatch)
+        for intr in CULL_INTRINSICS:
+            del calls[:]
+            self.assert_oracle(scene, intr, [pose])
+            assert [p for p, _ in calls] == [scene.primitives[0]]
+
+    def test_chunk_that_sees_nothing(self, monkeypatch):
+        scene = sg.Scene(BIG, (sg.Sphere(np.array([5.0, 0.0, 0.0]), 0.5, GREY),), np.zeros(3))
+        rng = np.random.default_rng(4)
+        poses = [pose_at(x, y, np.pi + h) for x, y, h in zip(
+            rng.uniform(-5.0, 0.0, sg.CHUNK + 3), rng.uniform(-3.0, 3.0, sg.CHUNK + 3),
+            rng.uniform(-0.3, 0.3, sg.CHUNK + 3))]
+        calls = intersected(monkeypatch)
+        rays = []
+        unit_rays = sg._unit_rays
+        monkeypatch.setattr(sg, "_unit_rays", lambda intr, rots: rays.append(len(rots))
+                            or unit_rays(intr, rots))
+        intr = sg.CameraIntrinsics(16, 16)
+        images = sg.render_batch(scene, intr, poses)
+        assert calls == [] and rays == []
+        assert np.all(images == 0.0)
+        for pose, image in zip(poses, images):
+            assert image.tobytes() == render_one(scene, intr, pose).tobytes()
+
+    def test_hidden_primitive_never_intersected(self, monkeypatch):
+        # the README walkthrough's scene and training loop, plus a box that
+        # no camera on the loop can see: it sits below every view pyramid
+        base = sg.generate_scene(11)
+        hidden = sg.Box(np.array([0.0, 0.0, -0.95]), np.array([0.05, 0.05, 0.05]), GREY)
+        scene = sg.Scene(base.bounds, base.primitives + (hidden,), base.background)
+        poses = sg.generate_trajectory(base, "loop", 200, 3, loop_factor=0.35)
+        intr = sg.CameraIntrinsics(32, 32)
+        calls = intersected(monkeypatch)
+        images = sg.render_batch(scene, intr, poses)
+        assert frames_of(calls, hidden) == 0
+        # most (primitive, frame) pairs are culled, and every other pair is
+        # intersected once
+        kept = [sum(not culled_oracle(pose, intr, prim) for pose in poses)
+                for prim in base.primitives]
+        assert [frames_of(calls, prim) for prim in base.primitives] == kept
+        assert sum(kept) < 0.5 * len(poses) * len(base.primitives)
+        assert images.tobytes() == sg.render_batch(base, intr, poses).tobytes()
+        for i in range(0, len(poses), 25):
+            assert images[i].tobytes() == render_one(scene, intr, poses[i]).tobytes()
+
+    def test_slab_parallel_ray_beside_box(self):
+        # heading 0 at an odd width: the middle column's rays have y = 0
+        # exactly; the box's y slab [0.7, 1.3] excludes the camera's y = 0,
+        # so those rays pass beside it, while columns to the left see it
+        box = sg.Box(np.array([1.4, 1.0, 0.0]), np.array([0.4, 0.3, 0.5]), np.array([0.9, 0.4, 0.1]))
+        scene = sg.Scene(BOUNDS, (box,), np.array([0.04, 0.05, 0.08]))
+        intr = sg.CameraIntrinsics(9, 9)
+        pose = pose_at(0.0, 0.0, 0.0)
+        unit = sg._unit_rays(intr, pose.rotation()[None])[:, 0].reshape(3, 9, 9)
+        assert np.all(unit[1, :, 4] == 0.0)
+        for image in (sg.render(scene, intr, pose), render_one(scene, intr, pose)):
+            np.testing.assert_array_equal(image[:, 4], np.tile(scene.background, (9, 1)))
+            assert np.any(np.all(image[:, :4] != scene.background, axis=-1))
 
 
 class TestPositionCollides:
@@ -338,6 +536,13 @@ class TestSceneValidation:
         with pytest.raises(DomainError):
             sg.CameraIntrinsics(16, 16, hfov=3.5)
 
+    @pytest.mark.parametrize("dims", [(32.5, 32), (32, 32.0), (True, 32), ("32", 32)])
+    def test_intrinsics_refuse_non_integer_sides(self, dims):
+        # 32.5 used to pass here and fail in render_batch with a bare TypeError
+        with pytest.raises(DimensionError, match="image dims must be integers >= 8"):
+            sg.CameraIntrinsics(*dims)
+        assert sg.CameraIntrinsics(np.int64(9), np.int32(11)).width == 9
+
     def test_generated_scene_deterministic(self):
         a, b = sg.generate_scene(11), sg.generate_scene(11)
         assert len(a.primitives) == len(b.primitives)
@@ -383,6 +588,14 @@ class TestPointCloud:
         with pytest.raises(DomainError):
             sg.export_point_cloud(sg.generate_scene(1), 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True])
+    def test_non_integer_count_refused(self, n):
+        # 2.5 used to return 2 points
+        with pytest.raises(DomainError, match="point count must be an integer >= 1"):
+            sg.export_point_cloud(sg.generate_scene(1), n, np.random.default_rng(0))
+        assert len(sg.export_point_cloud(sg.generate_scene(1), np.int64(3),
+                                         np.random.default_rng(0))) == 3
+
 
 class TestTrajectory:
     def test_loop_circle_tangent(self):
@@ -401,7 +614,7 @@ class TestTrajectory:
         for style, k in (("loop", 12), ("grid", 9)):
             for p in sg.generate_trajectory(scene, style, k):
                 assert not scene.position_collides(p.position)
-                assert scene.bounds.contains(p.position)
+                assert np.all((p.position >= scene.bounds.lo) & (p.position <= scene.bounds.hi))
 
     def test_grid_coverage_gap(self):
         scene = one_sphere_scene([1.5, 1.5, 0.0], radius=0.3)
