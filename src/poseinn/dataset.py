@@ -6,6 +6,8 @@ Poses are planar 3-float records (x, y, theta); the manifest's
 disagrees is rejected rather than silently reinterpreted. Values are
 checked on save and again on load: poses must be finite and image values
 finite and in [0, 1], so bad data stops where it enters the program.
+Blobs are written and read in chunks of ``BLOB_CHUNK`` values, so neither
+direction holds a whole-blob copy beside the float64 array.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ _REQUIRED = {"version", "kind", "split", "scene", "pose_dim", "count",
              "image_h", "image_w", "hfov", "poses_blob", "images_blob",
              "seed", "config_hash"}
 SPLITS = ("train", "test", "synth")
+BLOB_CHUNK = 1 << 17  # float values cast and moved per blob write or read
 
 
 @dataclass(frozen=True)
@@ -70,14 +73,15 @@ def save_dataset(out_dir, name: str, poses: np.ndarray, images: np.ndarray,
         poses32 = np.ascontiguousarray(poses, dtype="<f4")
     if not np.all(np.isfinite(poses32)):
         raise ConfigError(f"blob {poses_path}: pose values must be finite as float32")
-    # written so that NaN fails it too
-    if not np.all((images >= 0) & (images <= 1)):
+    if not _in_unit_range(images):
         raise ConfigError(f"blob {images_path}: image values must be finite and lie in [0, 1]")
 
     with open(poses_path, "wb") as f:
-        f.write(poses32.tobytes())
+        f.write(poses32)
+    flat = images.reshape(-1)
     with open(images_path, "wb") as f:
-        f.write(np.ascontiguousarray(images, dtype="<f4").tobytes())
+        for at in range(0, flat.size, BLOB_CHUNK):
+            f.write(flat[at:at + BLOB_CHUNK].astype("<f4"))
 
     manifest = os.path.join(out_dir, f"{name}.kv")
     write_kv(manifest, {
@@ -125,7 +129,7 @@ def load_dataset(manifest_path) -> Dataset:
     if not np.all(np.isfinite(poses)):
         raise ConfigError(f"{manifest_path}: blob {poses_path} holds a non-finite pose")
     images = _read_blob(images_path, count * h * w * 3, manifest_path).reshape(count, h, w, 3)
-    if not np.all((images >= 0) & (images <= 1)):
+    if not _in_unit_range(images):
         raise ConfigError(f"{manifest_path}: blob {images_path} holds an image value "
                           "that is not finite or lies outside [0, 1]")
     return Dataset(poses=poses, images=images, pose_dim=dim, intrinsics=intr,
@@ -135,14 +139,32 @@ def load_dataset(manifest_path) -> Dataset:
                    config_hash=as_str(pairs, "config_hash"))
 
 
+def _in_unit_range(values: np.ndarray) -> bool:
+    """Every value finite and in [0, 1]; NaN fails, as min and max carry it.
+    An empty array passes."""
+    return values.size == 0 or bool(values.min() >= 0.0 and values.max() <= 1.0)
+
+
 def _read_blob(path: str, n_values: int, manifest: str) -> np.ndarray:
+    """The blob's float32 values as float64, cast chunk by chunk into the
+    result; its byte size must be exactly ``4 * n_values``."""
+    out = np.empty(n_values)
     try:
         with open(path, "rb") as f:
-            raw = f.read()
+            size = os.fstat(f.fileno()).st_size
+            if size == 4 * n_values:
+                buf = np.empty(min(n_values, BLOB_CHUNK), dtype="<f4")
+                for at in range(0, n_values, BLOB_CHUNK):
+                    part = buf[:n_values - at]
+                    got = f.readinto(part)
+                    if got != part.nbytes:  # the file shrank while it was read
+                        size = 4 * at + got
+                        break
+                    out[at:at + len(part)] = part
     except OSError as e:
         raise ConfigError(f"{manifest}: cannot read blob {path}: {e}") from e
-    if len(raw) != 4 * n_values:
+    if size != 4 * n_values:
         raise ConfigError(
-            f"{manifest}: blob {path} holds {len(raw)} bytes, "
+            f"{manifest}: blob {path} holds {size} bytes, "
             f"expected exactly {4 * n_values} ({n_values} float32 values)")
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    return out

@@ -11,7 +11,11 @@ Tensors are immutable values: ops never write into an input array, so the
 creation order of tensors is already a topological order of the compute
 graph. ``Tensor.backward`` exploits that: it collects the grad-requiring
 nodes reachable from a scalar root and walks them in exact reverse creation
-order.
+order. The graph is freed as it is consumed: once an op node's backward
+closure has run, the node drops its gradient, its closure and its parents
+and is marked spent, so the arrays each op saved for backward go while the
+pass walks down the graph. Only leaves keep ``.grad``. A graph is consumed
+once: a backward pass that reaches a spent node raises ``TapeError``.
 
 An op builds a graph node when one of its inputs requires a gradient;
 model parameters always do, so training and any direct call into a model
@@ -99,31 +103,41 @@ class Tensor:
         immutable: every op's inputs exist before its output. The root is
         seeded with gradient 1, the grad-requiring nodes reachable from it
         are visited in exact reverse creation order, and each node's
-        backward closure accumulates into its parents. A root can only be
-        run once; rerunning would silently double-accumulate leaf gradients.
+        backward closure accumulates into its parents. Each op node is freed
+        as soon as its closure has run: its ``grad``, closure and parents are
+        dropped and it is marked spent, so only leaves keep ``.grad``. A pass
+        that would reach a spent node (the same root again, or a subgraph an
+        earlier pass consumed) raises ``TapeError`` before any gradient is
+        touched; rerunning would silently double-count or lose gradients.
         """
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar root")
         if not self.requires_grad:
             raise TapeError("backward() on a tensor with no grad-requiring ancestry")
-        if self._spent:
-            raise TapeError("second backward pass on the same root; rebuild the graph first")
         seen: dict[int, Tensor] = {}
         stack = [self]
         while stack:
             t = stack.pop()
             if t._nid in seen:
                 continue
+            if t._spent:
+                raise TapeError(f"backward() reaches a '{t._op}' node an earlier backward "
+                                "consumed; rebuild the graph first")
             seen[t._nid] = t
             for p in t._parents:
                 if p.requires_grad and p._nid not in seen:
                     stack.append(p)
-        self._spent = True
         self.grad = np.ones_like(self.data)
         for nid in sorted(seen, reverse=True):
-            node = seen[nid]
-            if node._bwd is not None and node.grad is not None:
+            # popped, so that nothing here keeps a consumed node alive
+            node = seen.pop(nid)
+            if node._bwd is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._bwd(node.grad)
+            node.grad = node._bwd = None
+            node._parents = ()
+            node._spent = True
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r}, grad={self.requires_grad})"

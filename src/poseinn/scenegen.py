@@ -317,10 +317,11 @@ def _visible(scene: Scene, intr: CameraIntrinsics, origins: np.ndarray,
 
 
 def _render_chunk(scene: Scene, intr: CameraIntrinsics, origins: np.ndarray,
-                  rots: np.ndarray, visible: np.ndarray, img: np.ndarray) -> None:
+                  rots: np.ndarray, img: np.ndarray) -> None:
     """Raycast one chunk of frames into img, an (m*H*W, 3) view; a
-    primitive is intersected only with the frames ``visible`` marks."""
+    primitive is intersected only with the frames ``_visible`` marks."""
     n_rays = intr.height * intr.width
+    visible = _visible(scene, intr, origins, rots)
     # one frame's background per row: a broadcast over rows of 3 is slow
     img.reshape(-1, 3 * n_rays)[...] = np.tile(scene.background, n_rays)
     seen = np.flatnonzero(visible.any(axis=0))
@@ -383,14 +384,13 @@ def render_batch(scene: Scene, intr: CameraIntrinsics, poses: list[Pose]) -> np.
         raise DomainError(f"camera position {poses[np.argmin(inside)].position} "
                           "outside scene bounds")
     rots = np.array([p.rotation() for p in poses]).reshape(-1, 3, 3)
-    visible = _visible(scene, intr, origins, rots)
     n_rays = intr.height * intr.width
     out = np.empty((len(poses), intr.height, intr.width, 3))
     flat = out.reshape(-1, 3)
     for start in range(0, len(poses), CHUNK):
         stop = min(start + CHUNK, len(poses))
         _render_chunk(scene, intr, origins[start:stop], rots[start:stop],
-                      visible[:, start:stop], flat[start * n_rays:stop * n_rays])
+                      flat[start * n_rays:stop * n_rays])
     return out
 
 

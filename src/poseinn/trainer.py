@@ -386,7 +386,8 @@ class Checkpoint:
 def save_checkpoint(path, model: PoseRegressor, epoch: int, train_cfg: TrainConfig,
                     opt: nd.Adam) -> None:
     """Write magic, version, JSON meta block, then named float64 records:
-    the model's, then every Adam moment."""
+    the model's, then every Adam moment. Each record goes straight to the
+    open file; no copy of the whole file is built."""
     meta = {
         "model": asdict(model.config),
         "bounds_lo": [float(v) for v in model.bounds.lo],
@@ -398,18 +399,15 @@ def save_checkpoint(path, model: PoseRegressor, epoch: int, train_cfg: TrainConf
     arrays = model.param_arrays()
     arrays.update(opt.state_arrays())
     meta_b = json.dumps(meta).encode("utf-8")
-    out = [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", len(meta_b)),
-           meta_b, struct.pack("<I", len(arrays))]
-    for name, arr in arrays.items():
-        name_b = name.encode("utf-8")
-        a = np.ascontiguousarray(arr, dtype="<f8")
-        out.append(struct.pack("<I", len(name_b)))
-        out.append(name_b)
-        out.append(struct.pack("<I", a.ndim))
-        out.append(struct.pack(f"<{a.ndim}I", *a.shape))
-        out.append(a.tobytes())
     with open(path, "wb") as f:
-        f.write(b"".join(out))
+        f.write(MAGIC + struct.pack("<IQ", VERSION, len(meta_b)) + meta_b
+                + struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
+            name_b = name.encode("utf-8")
+            a = np.ascontiguousarray(arr, dtype="<f8")
+            f.write(struct.pack("<I", len(name_b)) + name_b
+                    + struct.pack(f"<I{a.ndim}I", a.ndim, *a.shape))
+            f.write(a)
 
 
 def _meta_value(meta, key: str, decode):

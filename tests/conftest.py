@@ -6,6 +6,7 @@ locking, and serialization exactly as a user run would.
 """
 
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,6 +64,18 @@ def run_cli(argv: list[str]) -> float:
     dt = time.perf_counter() - t0
     assert rc == 0, f"command failed: {argv}"
     return dt
+
+
+def traced_peak(fn):
+    """Call ``fn()``; return the peak bytes it held allocated at once, as
+    tracemalloc counts them (numpy's buffers included), and its result.
+    The count is of allocations, not RSS, so it is the same on any host."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def _pipeline(root, seed, scene_cfg, data_cfg, sample_cfg, train_cfg):

@@ -8,6 +8,8 @@ import poseinn.dataset as ds
 from poseinn.errors import ConfigError
 from poseinn.scenegen import CameraIntrinsics
 
+from conftest import traced_peak
+
 INTR = CameraIntrinsics(width=8, height=8, hfov=np.deg2rad(90.0))
 
 
@@ -195,3 +197,75 @@ class TestLoadValues:
         path, _ = self.poke(tmp_path, "train_images.f32", [0.0, 1.0])
         d = ds.load_dataset(path)
         assert d.images.reshape(-1)[:2].tolist() == [0.0, 1.0]
+
+
+class TestChunkedBlobs:
+    """Blobs are written and read in chunks of ``BLOB_CHUNK`` values."""
+
+    @pytest.mark.parametrize("chunk,n", [(5, 3), (7, 5), (191, 5), (1000, 5), (None, 700)],
+                             ids=["chunk5", "chunk7", "chunk191", "chunk1000", "chunk_real"])
+    def test_bytes_equal_whole_array_cast(self, tmp_path, monkeypatch, chunk, n):
+        # n frames of 8x8x3 values are never a whole number of chunks
+        if chunk is not None:
+            monkeypatch.setattr(ds, "BLOB_CHUNK", chunk)
+        assert (n * 192) % ds.BLOB_CHUNK != 0
+        path, poses, images = make(tmp_path, n=n)
+        raw = (tmp_path / "train_images.f32").read_bytes()
+        assert raw == np.ascontiguousarray(images, dtype="<f4").tobytes()
+        d = ds.load_dataset(path)
+        assert d.images.tobytes() == images.astype(np.float32).astype(np.float64).tobytes()
+        assert d.poses.tobytes() == poses.astype(np.float32).astype(np.float64).tobytes()
+
+    def test_empty_split_round_trips(self, tmp_path):
+        path = ds.save_dataset(tmp_path, "test", np.zeros((0, 3)), np.zeros((0, 8, 8, 3)),
+                               "s.kv", INTR, 0, "h")
+        assert (tmp_path / "test_images.f32").read_bytes() == b""
+        d = ds.load_dataset(path)
+        assert d.poses.shape == (0, 3) and d.images.shape == (0, 8, 8, 3)
+
+    @pytest.mark.parametrize("at", [0, 191, -1], ids=["first", "chunk_end", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0001, -1e-6])
+    def test_bad_value_in_any_chunk(self, tmp_path, monkeypatch, at, bad):
+        monkeypatch.setattr(ds, "BLOB_CHUNK", 192)
+        rng = np.random.default_rng(1)
+        images = rng.uniform(0, 1, (4, 8, 8, 3))
+        images.reshape(-1)[at] = bad
+        with pytest.raises(ConfigError, match="test_images.f32: image values must be finite"):
+            ds.save_dataset(tmp_path, "test", np.zeros((4, 3)), images, "s.kv", INTR, 0, "h")
+        assert os.listdir(tmp_path) == []
+        # the same value written behind save's back is refused on load
+        images.reshape(-1)[at] = 0.5
+        path = ds.save_dataset(tmp_path, "test", np.zeros((4, 3)), images, "s.kv", INTR, 0, "h")
+        blob = os.path.join(tmp_path, "test_images.f32")
+        vals = np.fromfile(blob, dtype="<f4")
+        vals[at] = bad
+        vals.tofile(blob)
+        with pytest.raises(ConfigError) as e:
+            ds.load_dataset(path)
+        assert str(e.value) == (f"{path}: blob {blob} holds an image value that is not "
+                                "finite or lies outside [0, 1]")
+
+
+class TestBlobMemory:
+    """tracemalloc bounds on what saving and loading allocate beyond the
+    arrays themselves; 600 frames of 32x32 are 14.7 MB of float64."""
+
+    INTR32 = CameraIntrinsics(width=32, height=32, hfov=np.deg2rad(90.0))
+
+    def frames(self):
+        rng = np.random.default_rng(2)
+        return rng.uniform(-1, 1, (600, 3)), rng.uniform(0, 1, (600, 32, 32, 3))
+
+    def test_save_makes_no_whole_copy(self, tmp_path):
+        # a float32 copy of the images and its bytes would add 14.7 MB
+        poses, images = self.frames()
+        peak, _ = traced_peak(lambda: ds.save_dataset(
+            tmp_path, "synth", poses, images, "s.kv", self.INTR32, 0, "h"))
+        assert peak < 1.5e6
+
+    def test_load_holds_no_raw_bytes(self, tmp_path):
+        # the raw blob beside the float64 result would add 7.4 MB
+        poses, images = self.frames()
+        path = ds.save_dataset(tmp_path, "synth", poses, images, "s.kv", self.INTR32, 0, "h")
+        peak, d = traced_peak(lambda: ds.load_dataset(path))
+        assert peak - d.images.nbytes < 1.5e6

@@ -4,6 +4,7 @@ finite differences before anything downstream trusts it."""
 import contextlib
 import os
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -511,6 +512,52 @@ class TestTape:
         out.backward()
         with pytest.raises(TapeError):
             out.backward()
+
+    def test_shared_subgraph_consumed_once(self):
+        # s is consumed by the first pass; a second root over it would
+        # count its gradient again (or, with s freed, lose it), so the
+        # pass refuses before any gradient is touched
+        x = nd.Tensor([[0.4, -0.9]], requires_grad=True)
+        s = nd.tanh(x)
+        nd.tsum(s).backward()
+        np.testing.assert_allclose(x.grad, 1.0 - np.tanh(x.data) ** 2, rtol=1e-15)
+        x.grad = None
+        with pytest.raises(TapeError, match="'tanh' node an earlier backward consumed") as e:
+            nd.tsum(nd.mul(s, 2.0)).backward()
+        assert "\n" not in str(e.value)
+        assert x.grad is None
+        # a rebuilt graph over the same leaf is a new graph
+        nd.tsum(nd.mul(nd.tanh(x), 2.0)).backward()
+        np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(x.data) ** 2), rtol=1e-15)
+
+    def test_graph_released_as_consumed(self):
+        # every op once, a node used by two children (h), and a leaf used twice (x)
+        rng = np.random.default_rng(3)
+        xd, wd, bd = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=(2,))
+        x, w, b = (nd.Tensor(a.copy(), requires_grad=True) for a in (xd, wd, bd))
+        h = nd.tanh(nd.linear(x, w, b))
+        out = nd.add(nd.tsum(nd.mul(h, h)), nd.tsum(nd.mul(nd.exp(x), 0.5)))
+        nodes, stack = {}, [out]
+        while stack:
+            t = stack.pop()
+            if t._nid not in nodes:
+                nodes[t._nid] = t
+                stack.extend(t._parents)
+        saved = weakref.ref(h._parents[0].data)  # the linear node's output, saved by tanh
+        del h
+        out.backward()
+        ops = [t for t in nodes.values() if t._op != "leaf"]
+        assert len(ops) == 8
+        for t in ops:
+            assert t.grad is None and t._bwd is None and t._parents == () and t._spent
+        # written out by hand: d/dx of sum(tanh(xw + b)^2) + sum(exp(x)) / 2
+        hd = np.tanh(xd @ wd + bd)
+        gz = 2.0 * hd * (1.0 - hd * hd)
+        np.testing.assert_allclose(x.grad, gz @ wd.T + 0.5 * np.exp(xd), rtol=1e-12)
+        np.testing.assert_allclose(w.grad, xd.T @ gz, rtol=1e-12)
+        np.testing.assert_allclose(b.grad, gz.sum(axis=0), rtol=1e-12)
+        del nodes, ops, t
+        assert saved() is None  # nothing kept the consumed graph's arrays
 
     def test_backward_needs_scalar(self):
         t = nd.Tensor(np.ones((2, 2)), requires_grad=True)

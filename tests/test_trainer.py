@@ -16,6 +16,8 @@ from poseinn.geometry import Aabb, Pose
 from poseinn.model import ModelConfig, PoseRegressor, round_to_grid
 from poseinn.ndiff import Tensor
 
+from conftest import traced_peak
+
 BOUNDS = Aabb(np.array([-2.0, -2.0, -1.0]), np.array([2.0, 2.0, 1.0]))
 
 
@@ -582,3 +584,35 @@ class TestLossTable:
         header = tr.format_loss_table([]).rstrip("\n")
         assert header == "\t".join(["epoch", "lr", "total", "fwd", "rev_pos", "rev_rot", "rev_enc",
                                     "recon", "kl", "nll", "fwd_mmd", "rev_mmd"])
+
+
+class TestMemory:
+    """tracemalloc bounds at the default model width (408k parameters,
+    32x32 images, batch 25)."""
+
+    def model(self):
+        return PoseRegressor(ModelConfig(dim=3, image_hw=32, seed=1), BOUNDS)
+
+    def test_joint_step_frees_the_graph_it_consumes(self):
+        # holding every saved activation and every intermediate gradient
+        # until the step returns reaches about 48 MB
+        m = self.model()
+        opt = nd.Adam(m.params)
+        rng = np.random.default_rng(4)
+        poses = np.column_stack([rng.uniform(-1.5, 1.5, 25), rng.uniform(-1.5, 1.5, 25),
+                                 rng.uniform(-np.pi, np.pi, 25)])
+        imgs = rng.uniform(0.0, 1.0, (25, 32, 32, 3))
+        cfg = tr.TrainConfig(epochs=1, batch=25)
+        fixed_step(m, opt, poses, imgs, cfg, 0)
+        peak, _ = traced_peak(lambda: fixed_step(m, opt, poses, imgs, cfg, 1))
+        assert peak < 36e6
+        assert all(t.grad is not None for t in m.params.values())
+
+    def test_checkpoint_written_record_by_record(self, tmp_path):
+        # the file is 9.8 MB; a joined copy of it and its parts is 19.6 MB
+        m = self.model()
+        opt = nd.Adam(m.params)
+        peak, _ = traced_peak(lambda: tr.save_checkpoint(
+            tmp_path / "m.ckpt", m, epoch=0, train_cfg=tr.TrainConfig(), opt=opt))
+        assert os.path.getsize(tmp_path / "m.ckpt") > 9e6
+        assert peak < 1e6
