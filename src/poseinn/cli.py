@@ -1,6 +1,6 @@
 """Command-line pipeline: scene generation, dataset rendering, pose
-augmentation, training, evaluation and sequential tracking, which fuses
-odometry through an EKF exactly when --odom is given.
+augmentation, training, evaluation and tracking, which fuses odometry
+through an EKF.
 
 Every artifact a command writes is a pure function of its inputs and the
 root --seed, so a rerun at the same BLAS thread count produces
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import logging
 import os
 import shutil
@@ -79,8 +78,8 @@ class _OutputDir:
 # ---------------------------------------------------------------------------
 
 def _read_config(path, kind: str, optional: set[str],
-                 required: set[str] = frozenset()) -> tuple[dict[str, str], str]:
-    """Strict-parse a config file; returns (pairs, sha256 hash of the text)."""
+                 required: set[str] = frozenset()) -> dict[str, str]:
+    """Strict-parse a config file into its key-value pairs."""
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
@@ -90,7 +89,7 @@ def _read_config(path, kind: str, optional: set[str],
     ensure_keys(pairs, required | {"kind"}, optional, source=str(path))
     if as_str(pairs, "kind") != kind:
         raise ConfigError(f"{path}: kind must be '{kind}', got {pairs['kind']!r}")
-    return pairs, hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return pairs
 
 
 def _reject_unread(pairs: dict[str, str], keys: set[str], path, why: str) -> None:
@@ -103,10 +102,6 @@ def _reject_unread(pairs: dict[str, str], keys: set[str], path, why: str) -> Non
 
 def _gi(pairs: dict[str, str], key: str, default: int) -> int:
     return as_int(pairs, key) if key in pairs else default
-
-
-def _gf(pairs: dict[str, str], key: str, default: float) -> float:
-    return as_float(pairs, key) if key in pairs else default
 
 
 def _gs(pairs, key: str, default: str, allowed=None) -> str:
@@ -221,8 +216,8 @@ def _frames_table(rep: MetricsReport) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_scene(args) -> None:
-    pairs, _ = _read_config(args.config, "scene_config",
-                            optional={"bounds", "primitives", "symmetric"})
+    pairs = _read_config(args.config, "scene_config",
+                         optional={"bounds", "primitives", "symmetric"})
     bounds = None
     if "bounds" in pairs:
         b = as_floats(pairs, "bounds", 6)
@@ -238,7 +233,7 @@ def cmd_gen_scene(args) -> None:
 
 
 def cmd_gen_data(args) -> None:
-    pairs, digest = _read_config(
+    pairs = _read_config(
         args.config, "data_config", required={"scene"},
         optional={"dim", "image_hw", "train_count", "test_count",
                   "train_style", "test_style", "train_loop_factor",
@@ -264,7 +259,7 @@ def cmd_gen_data(args) -> None:
         for split, poses in splits.items():
             images = sg.render_batch(scene, intr, poses)
             vecs = np.array([p.as_vector() for p in poses])
-            ds.save_dataset(out, split, vecs, images, "scene.kv", intr, args.seed, digest)
+            ds.save_dataset(out, split, vecs, images, "scene.kv", intr, args.seed)
             log.info("%s split: %d frames", split, len(poses))
     dt = time.perf_counter() - t0
     print(f"rendered {len(splits['train'])} train + {len(splits['test'])} test "
@@ -272,7 +267,7 @@ def cmd_gen_data(args) -> None:
 
 
 def cmd_sample_poses(args) -> None:
-    pairs, digest = _read_config(
+    pairs = _read_config(
         args.config, "sampling_config",
         optional={"target", "max_delta_training", "widen", "budget_factor",
                   "cloud_points"})
@@ -289,7 +284,7 @@ def cmd_sample_poses(args) -> None:
     with _OutputDir(args.out) as out:
         _copy_scene(data.scene_path, out)
         manifest = ds.save_dataset(out, "synth", poses, images, "scene.kv",
-                                   data.intrinsics, args.seed, digest)
+                                   data.intrinsics, args.seed)
     dt = time.perf_counter() - t0
     print(f"{manifest}: {len(poses)} synthetic frames in {dt:.1f} s")
 
@@ -331,7 +326,7 @@ def _check_model_data(cfg: ModelConfig, data: ds.Dataset, what: str) -> None:
 
 
 def cmd_train(args) -> None:
-    pairs, _ = _read_config(args.config, "train_config", optional=_TRAIN_KEYS)
+    pairs = _read_config(args.config, "train_config", optional=_TRAIN_KEYS)
     data = ds.load_dataset(args.data)
     if data.intrinsics.width != data.intrinsics.height:
         raise ConfigError("training needs square images")
@@ -441,21 +436,11 @@ def _finite_floats(pairs: dict[str, str], key: str, path,
 
 
 def cmd_track(args) -> None:
-    pairs, _ = _read_config(
-        args.config, "track_config", required={"init"},
-        optional={"n_samples", "var_ceiling", "lost_after", "init_var", "odom_var"})
-    ekf = args.odom is not None
-    if ekf:
-        _reject_unread(pairs, {"var_ceiling", "lost_after"}, args.config, "by track --odom")
-    else:
-        _reject_unread(pairs, {"init_var", "odom_var"}, args.config, "by track without --odom")
+    pairs = _read_config(args.config, "track_config", required={"init"},
+                         optional={"n_samples", "init_var", "odom_var"})
     init = _finite_floats(pairs, "init", args.config)
     init_var = _finite_floats(pairs, "init_var", args.config, np.array([1e-2, 1e-2, 1e-2]))
     odom_var = _finite_floats(pairs, "odom_var", args.config, np.array([1e-4, 1e-4, 7.6e-5]))
-    var_ceiling = _gf(pairs, "var_ceiling", float("inf"))
-    if np.isnan(var_ceiling):
-        # no uncertainty exceeds nan, so no frame would ever be flagged lost
-        raise ConfigError(f"{args.config}: key 'var_ceiling' must not be nan")
     n_samples = _gi(pairs, "n_samples", 50)
     ck = tr.load_checkpoint(args.ckpt)
     model = ck.model
@@ -467,43 +452,28 @@ def cmd_track(args) -> None:
     t0 = time.perf_counter()
     means = np.zeros((data.count, 3))
     variances = np.zeros((data.count, 3))
-    lost_flags = np.zeros(data.count, dtype=int)
-    if ekf:
-        steps = _read_odom(args.odom, data.count, odom_var)
-        state = loc.EkfState(init, np.diag(init_var))
-        for i in range(data.count):
-            state = loc.ekf_predict(state, steps[i])
-            cond = Pose.from_vector(state.mean, 3) if model.config.conditional else None
-            post = loc.localize(model, data.images[i], n_samples, condition=cond,
-                                rng=np.random.default_rng([args.seed, i]))
-            state = loc.ekf_update(state, *loc.posterior_measurement(post))
-            means[i] = state.mean
-            variances[i] = np.diag(state.cov)
-    else:
-        track = loc.sequential_localize(
-            model, data.images, Pose.from_vector(init, 3),
-            np.random.default_rng([args.seed]), n_samples=n_samples,
-            var_ceiling=var_ceiling,
-            lost_after=_gi(pairs, "lost_after", 5))
-        for i, tp in enumerate(track):
-            means[i] = tp.posterior.mean
-            variances[i] = tp.posterior.variance
-            lost_flags[i] = int(tp.lost)
+    steps = _read_odom(args.odom, data.count, odom_var)
+    state = loc.EkfState(init, np.diag(init_var))
+    for i in range(data.count):
+        state = loc.ekf_predict(state, steps[i])
+        cond = Pose.from_vector(state.mean, 3) if model.config.conditional else None
+        post = loc.localize(model, data.images[i], n_samples, condition=cond,
+                            rng=np.random.default_rng([args.seed, i]))
+        state = loc.ekf_update(state, *loc.posterior_measurement(post))
+        means[i] = state.mean
+        variances[i] = np.diag(state.cov)
 
     errs = np.array([pose_errors(means[i], data.poses[i]) for i in range(data.count)])
     with _OutputDir(args.out) as out:
-        lines = ["frame\tx\ty\ttheta\tvar_x\tvar_y\tvar_theta\tlost"
-                 "\terr_trans_m\terr_rot_deg"]
+        lines = ["frame\tx\ty\ttheta\tvar_x\tvar_y\tvar_theta\terr_trans_m\terr_rot_deg"]
         for i in range(data.count):
-            cells = [str(i)] + [repr(float(v)) for v in (*means[i], *variances[i])] \
-                + [str(lost_flags[i]), repr(float(errs[i, 0])), repr(float(errs[i, 1]))]
-            lines.append("\t".join(cells))
+            lines.append("\t".join([str(i)] + [repr(float(v)) for v in
+                                              (*means[i], *variances[i], *errs[i])]))
         with open(os.path.join(out, "track.tsv"), "w", encoding="utf-8") as f:
             f.write("\n".join(lines) + "\n")
         write_kv(os.path.join(out, "report.kv"), {
-            "kind": "track_report", "version": "1",
+            "kind": "track_report", "version": "2",
             "seed": str(args.seed), "n_frames": str(data.count),
-            "ekf": str(int(ekf)), "n_lost": str(int(lost_flags.sum())),
             "median_trans_m": repr(float(np.median(errs[:, 0]))),
             "mean_trans_m": repr(float(np.mean(errs[:, 0]))),
             "median_rot_deg": repr(float(np.median(errs[:, 1]))),
@@ -566,11 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--data", required=True, help="test split manifest")
     q.add_argument("--samples", type=int, default=50,
                    help="posterior samples per frame (default 50)")
-    q = add("track", help="sequential localization over an image stream")
+    q = add("track", help="localize an image stream, fused with odometry")
     q.add_argument("--config", required=True)
     q.add_argument("--ckpt", required=True)
     q.add_argument("--data", required=True, help="ordered frames manifest")
-    q.add_argument("--odom", help="odometry to fuse, one 'df dl dtheta' line per frame")
+    q.add_argument("--odom", required=True,
+                   help="odometry to fuse, one 'df dl dtheta' line per frame")
     return p
 
 

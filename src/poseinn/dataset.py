@@ -21,11 +21,10 @@ from .errors import ConfigError
 from .kvconfig import as_float, as_int, as_str, ensure_keys, read_kv, write_kv
 from .scenegen import CameraIntrinsics
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 _REQUIRED = {"version", "kind", "split", "scene", "pose_dim", "count",
-             "image_h", "image_w", "hfov", "poses_blob", "images_blob",
-             "seed", "config_hash"}
+             "image_h", "image_w", "hfov", "poses_blob", "images_blob", "seed"}
 SPLITS = ("train", "test", "synth")
 BLOB_CHUNK = 1 << 17  # float values cast and moved per blob write or read
 
@@ -41,7 +40,6 @@ class Dataset:
     scene_path: str
     split: str
     seed: int
-    config_hash: str
 
     @property
     def count(self) -> int:
@@ -49,8 +47,7 @@ class Dataset:
 
 
 def save_dataset(out_dir, name: str, poses: np.ndarray, images: np.ndarray,
-                 scene_file: str, intr: CameraIntrinsics, seed: int,
-                 config_hash: str) -> str:
+                 scene_file: str, intr: CameraIntrinsics, seed: int) -> str:
     """Write {name}_poses.f32, {name}_images.f32 and {name}.kv; returns the
     manifest path. ``name`` is the split, one of ``SPLITS``. Blob paths in
     the manifest are relative to its directory."""
@@ -97,7 +94,6 @@ def save_dataset(out_dir, name: str, poses: np.ndarray, images: np.ndarray,
         "poses_blob": poses_blob,
         "images_blob": images_blob,
         "seed": str(int(seed)),
-        "config_hash": config_hash,
     })
     return manifest
 
@@ -108,10 +104,12 @@ def load_dataset(manifest_path) -> Dataset:
     [0, 1], rejects its blob."""
     manifest_path = os.fspath(manifest_path)
     pairs = read_kv(manifest_path)
-    ensure_keys(pairs, _REQUIRED, source=manifest_path)
-    version = as_int(pairs, "version")
+    # the version before the key set, which differs between versions; a
+    # missing version is one of the missing keys
+    version = as_int(pairs, "version") if "version" in pairs else MANIFEST_VERSION
     if version != MANIFEST_VERSION:
         raise ConfigError(f"{manifest_path}: unsupported manifest version {version}")
+    ensure_keys(pairs, _REQUIRED, source=manifest_path)
     if as_str(pairs, "kind") != "dataset":
         raise ConfigError(f"{manifest_path}: not a dataset manifest")
 
@@ -135,8 +133,7 @@ def load_dataset(manifest_path) -> Dataset:
     return Dataset(poses=poses, images=images, pose_dim=dim, intrinsics=intr,
                    scene_path=os.path.join(base, as_str(pairs, "scene")),
                    split=as_str(pairs, "split", allowed=SPLITS),
-                   seed=as_int(pairs, "seed"),
-                   config_hash=as_str(pairs, "config_hash"))
+                   seed=as_int(pairs, "seed"))
 
 
 def _in_unit_range(values: np.ndarray) -> bool:

@@ -1,4 +1,4 @@
-"""Inference: pose posteriors from the flow, filtering, tracking, EKF fusion.
+"""Inference: pose posteriors from the flow, filtering, EKF fusion.
 
 localize() encodes an image once, draws N residual latents, and inverts the
 flow to get N pose samples; downstream consumers use the sample spread as an
@@ -45,10 +45,6 @@ class PosePosterior:
     def __post_init__(self):
         if self.dim != 3:
             raise DimensionError(f"posterior dim must be 3 (planar poses only), got {self.dim}")
-
-    @property
-    def mean_pose(self) -> Pose:
-        return Pose.from_vector(self.mean, self.dim)
 
     def scalar_uncertainty(self) -> float:
         """Sum of position variances."""
@@ -133,49 +129,6 @@ def variance_filter(posteriors: list[PosePosterior]) -> tuple[np.ndarray, list[P
     u = np.array([p.scalar_uncertainty() for p in posteriors])
     mask = u <= np.median(u)
     return mask, [p for p, m in zip(posteriors, mask) if m]
-
-
-# ---------------------------------------------------------------------------
-# sequential localization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TrackPoint:
-    posterior: PosePosterior
-    lost: bool
-
-
-def sequential_localize(model: PoseRegressor, images: np.ndarray,
-                        initial_pose: Pose, rng: np.random.Generator,
-                        n_samples: int = 50, var_ceiling: float = np.inf,
-                        lost_after: int = 5) -> list[TrackPoint]:
-    """Per-frame localization where each frame is conditioned on the rounded
-    previous estimate (for conditional models; unconditional models just run
-    frame-independent localization).
-
-    A frame whose scalar uncertainty exceeds ``var_ceiling`` counts toward a
-    divergence streak; once ``lost_after`` consecutive frames exceed it, the
-    remaining track points are flagged lost (tracking continues regardless).
-    """
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4 or len(images) == 0:
-        raise DimensionError("need a non-empty (t, h, w, 3) image stream")
-    if lost_after < 1:
-        raise DomainError("lost_after must be >= 1")
-
-    prev = initial_pose
-    track: list[TrackPoint] = []
-    streak = 0
-    lost = False
-    for img in images:
-        cond = prev if model.config.conditional else None
-        post = localize(model, img, n_samples=n_samples, condition=cond, rng=rng)
-        streak = streak + 1 if post.scalar_uncertainty() > var_ceiling else 0
-        if streak >= lost_after:
-            lost = True
-        track.append(TrackPoint(posterior=post, lost=lost))
-        prev = post.mean_pose
-    return track
 
 
 # ---------------------------------------------------------------------------

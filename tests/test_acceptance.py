@@ -506,6 +506,8 @@ def test_reruns_are_bitwise_identical(tmp_path):
     x, y, th = (float(v) for v in test_d.poses[0])
     (cfg / "track.cfg").write_text(
         f"kind = track_config\ninit = {x!r} {y!r} {th!r}\nn_samples = 6\n")
+    (cfg / "odom.txt").write_text("0.05 0.0 0.1\n" * test_d.count)
     pair("track", ["--config", cfg / "track.cfg",
                    "--ckpt", run_dir / "model.ckpt",
-                   "--data", data_dir / "test.kv", "--seed", 5])
+                   "--data", data_dir / "test.kv", "--odom", cfg / "odom.txt",
+                   "--seed", 5])

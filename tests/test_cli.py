@@ -17,8 +17,9 @@ import poseinn.dataset as ds
 import poseinn.localizer as loc
 import poseinn.sampler as sp
 import poseinn.trainer as tr
-from poseinn.model import ModelConfig
 from poseinn.geometry import Pose, wrap_angle
+from poseinn.kvconfig import read_kv
+from poseinn.model import ModelConfig
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -130,15 +131,24 @@ class TestPipeline:
         assert outs[0] == outs[1]
 
     def test_track_sequential(self, pipeline, tmp_path):
+        # the columns and report fields README "Formats" lists
         cfg = write(tmp_path / "track.cfg",
                     "kind = track_config\ninit = 1.0 0.0 1.5\nn_samples = 10\n")
         out = tmp_path / "track"
         assert cli.main(["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
                          "--data", pipeline["test"], "--seed", "2",
+                         "--odom", write(tmp_path / "o.txt", "0 0 0\n" * 4),
                          "--out", str(out)]) == 0
-        rows = (out / "track.tsv").read_text().strip().splitlines()
-        assert len(rows) == 1 + 4
-        assert "median_trans_m" in (out / "report.kv").read_text()
+        rows = [r.split("\t") for r in (out / "track.tsv").read_text().strip().splitlines()]
+        assert rows[0] == ["frame", "x", "y", "theta", "var_x", "var_y", "var_theta",
+                           "err_trans_m", "err_rot_deg"]
+        assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3"]
+        assert all(len(r) == 9 for r in rows)
+        report = read_kv(out / "report.kv")
+        assert list(report) == ["kind", "version", "seed", "n_frames", "median_trans_m",
+                                "mean_trans_m", "median_rot_deg", "mean_rot_deg"]
+        assert (report["kind"], report["version"], report["n_frames"]) == (
+            "track_report", "2", "4")
 
     def test_loss_table_epochs(self, pipeline):
         rows = (pipeline["root"] / "run" / "loss.tsv").read_text().strip().splitlines()
@@ -336,43 +346,32 @@ class TestErrors:
         with pytest.raises(SystemExit) as ei:
             cli.main(["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
                       "--data", pipeline["test"], "--ekf",
+                      "--odom", write(tmp_path / "o.txt", "0 0 0\n" * 4),
                       "--seed", "0", "--out", str(tmp_path / "o")])
         assert ei.value.code == 2
         assert "--ekf" in one_error_line(capsys, "usage")
 
-    @pytest.mark.parametrize("odom, key, value", [
-        (False, "init", "nan 0.0 inf"), (True, "init", "nan 0.0 0.0"),
-        (True, "init_var", "0.01 inf 0.01"), (True, "odom_var", "nan 0 0")])
-    def test_track_non_finite_value(self, pipeline, tmp_path, capsys, odom, key, value):
+    def test_track_requires_odom(self, pipeline, tmp_path, capsys):
+        # track is odometry fusion; without odometry it has nothing to run
+        cfg = write(tmp_path / "t.cfg", "kind = track_config\ninit = 0 0 0\n")
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
+                      "--data", pipeline["test"], "--seed", "0", "--out", str(tmp_path / "o")])
+        assert ei.value.code == 2
+        assert "--odom" in one_error_line(capsys, "usage")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("init", "nan 0.0 0.0"), ("init_var", "0.01 inf 0.01"), ("odom_var", "nan 0 0")])
+    def test_track_non_finite_value(self, pipeline, tmp_path, capsys, key, value):
         keys = {"init": "0 0 0", key: value}
         cfg = write(tmp_path / "t.cfg", "kind = track_config\n"
                     + "".join(f"{k} = {v}\n" for k, v in keys.items()))
-        argv = ["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
-                "--data", pipeline["test"], "--out", str(tmp_path / "o")]
-        if odom:
-            argv += ["--odom", write(tmp_path / "o.txt", "0 0 0\n" * 4)]
-        assert cli.main(argv) == 1
+        assert cli.main(["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
+                         "--data", pipeline["test"], "--out", str(tmp_path / "o"),
+                         "--odom", write(tmp_path / "o.txt", "0 0 0\n" * 4)]) == 1
         assert f"key '{key}' must be finite" in one_error_line(capsys, "config")
         assert not (tmp_path / "o").exists()
-
-    def test_track_nan_var_ceiling(self, pipeline, tmp_path, capsys):
-        # no uncertainty exceeds nan, so a nan ceiling would never flag a
-        # frame lost; a negative one flags every frame, the default none
-        argv = ["track", "--ckpt", pipeline["ckpt"], "--data", pipeline["test"]]
-        for value, n_lost in (("nan", None), ("-1", "4"), (None, "0")):
-            lines = "kind = track_config\ninit = 0 0 0\nlost_after = 1\n"
-            if value is not None:
-                lines += f"var_ceiling = {value}\n"
-            out = tmp_path / f"o_{value}"
-            rc = cli.main(argv + ["--config", write(tmp_path / "t.cfg", lines),
-                                  "--out", str(out)])
-            if n_lost is None:
-                assert rc == 1
-                assert "key 'var_ceiling' must not be nan" in one_error_line(capsys, "config")
-                assert not out.exists()
-            else:
-                assert rc == 0
-                assert f"n_lost = {n_lost}\n" in (out / "report.kv").read_text(encoding="utf-8")
 
     def test_odom_line_count_mismatch(self, pipeline, tmp_path, capsys):
         cfg = write(tmp_path / "t.cfg", "kind = track_config\ninit = 0 0 0\n")
@@ -432,14 +431,10 @@ class TestErrors:
         assert "voids bitwise determinism" in capsys.readouterr().err
 
 
-# track mode: (--odom given, the keys that mode does not read); measure and
-# fuse_heading are unknown keys in both modes
-TRACK_MODES = {
-    "sequential": (False, ["measure", "fuse_heading", "init_var", "odom_var"]),
-    "ekf": (True, ["measure", "fuse_heading", "var_ceiling", "lost_after"]),
-}
-KEY_VALUES = {"measure": "0", "fuse_heading": "0", "init_var": "0 0 0", "odom_var": "0 0 0",
-              "var_ceiling": "1.0", "lost_after": "3", "n_samples": "10"}
+# keys track does not read, with a value each, by mode; track has one mode,
+# odometry fusion (ekf)
+TRACK_MODES = {"ekf": {"measure": "0", "fuse_heading": "0", "var_ceiling": "1.0",
+                       "lost_after": "3"}}
 
 
 def one_error_line(capsys, code: str) -> str:
@@ -452,17 +447,14 @@ class TestModeKeys:
     """A config key that the chosen mode does not read is rejected, like an
     unknown key, with one error line that names it."""
 
-    @pytest.mark.parametrize("mode, key", [(m, k) for m, (_, keys) in TRACK_MODES.items()
+    @pytest.mark.parametrize("mode, key", [(m, k) for m, keys in TRACK_MODES.items()
                                            for k in keys])
     def test_track_rejects_unread_key(self, pipeline, tmp_path, capsys, mode, key):
-        odom = TRACK_MODES[mode][0]
         cfg = write(tmp_path / "t.cfg",
-                    f"kind = track_config\ninit = 0 0 0\n{key} = {KEY_VALUES[key]}\n")
-        argv = ["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
-                "--data", pipeline["test"], "--out", str(tmp_path / "o")]
-        if odom:
-            argv += ["--odom", write(tmp_path / "o.txt", "0 0 0\n" * 4)]
-        assert cli.main(argv) == 1
+                    f"kind = track_config\ninit = 0 0 0\n{key} = {TRACK_MODES[mode][key]}\n")
+        assert cli.main(["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
+                         "--data", pipeline["test"], "--out", str(tmp_path / "o"),
+                         "--odom", write(tmp_path / "o.txt", "0 0 0\n" * 4)]) == 1
         assert f"'{key}'" in one_error_line(capsys, "config")
         assert not (tmp_path / "o").exists()
 
@@ -641,6 +633,8 @@ class TestOneErrorLine:
             argv += ["--data", pipeline["train"]]
         if verb in ("eval", "track"):
             argv += ["--ckpt", pipeline["ckpt"], "--data", pipeline["test"]]
+        if verb == "track":
+            argv += ["--odom", write(tmp_path / "o.txt", "0 0 0\n" * 4)]
         proc = run_module(argv, tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["ERROR config: --seed must be >= 0, got -1"]
@@ -756,9 +750,6 @@ class TestParser:
               "--odom", "odom.txt", "--out", "o"],
              {"verb": "track", "config": "k.cfg", "ckpt": "m.ckpt", "data": "d.kv",
               "odom": "odom.txt", **common}),
-            (["track", "--config", "k.cfg", "--ckpt", "m.ckpt", "--data", "d.kv", "--out", "o"],
-             {"verb": "track", "config": "k.cfg", "ckpt": "m.ckpt", "data": "d.kv",
-              "odom": None, **common}),
             (["gen-scene", "--config", "s.cfg", "--out", "o"],
              {"verb": "gen-scene", "config": "s.cfg", **common}),
         ]

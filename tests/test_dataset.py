@@ -17,8 +17,7 @@ def make(tmp_path, n=5, dim=3, name="train"):
     rng = np.random.default_rng(0)
     poses = rng.uniform(-1, 1, (n, dim))
     images = rng.uniform(0, 1, (n, 8, 8, 3))
-    path = ds.save_dataset(tmp_path, name, poses, images, "scene.kv", INTR,
-                           seed=42, config_hash="abc123")
+    path = ds.save_dataset(tmp_path, name, poses, images, "scene.kv", INTR, seed=42)
     return path, poses, images
 
 
@@ -37,7 +36,6 @@ class TestRoundTrip:
         assert d.count == 7
         assert d.pose_dim == 3
         assert d.seed == 42
-        assert d.config_hash == "abc123"
         assert d.intrinsics.width == 8 and d.intrinsics.height == 8
         assert abs(d.intrinsics.hfov - INTR.hfov) < 1e-15
         assert d.scene_path == os.path.join(str(tmp_path), "scene.kv")
@@ -99,19 +97,31 @@ class TestValidation:
             ds.load_dataset(path)
 
     def test_missing_manifest_key_rejected(self, tmp_path):
-        path, _, _ = make(tmp_path)
-        lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines()
-                 if not ln.startswith("seed")]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="seed"):
-            ds.load_dataset(path)
+        # the version too, which is read before the other keys are checked
+        for key in ("seed", "version"):
+            path, _, _ = make(tmp_path)
+            lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines()
+                     if not ln.startswith(key)]
+            Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with pytest.raises(ConfigError) as e:
+                ds.load_dataset(path)
+            assert str(e.value) == f"{path}: missing required keys: ['{key}']"
 
     def test_bad_version(self, tmp_path):
         path, _, _ = make(tmp_path)
-        text = Path(path).read_text(encoding="utf-8").replace("version = 1", "version = 9")
+        text = Path(path).read_text(encoding="utf-8").replace("version = 2", "version = 9")
         Path(path).write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match="version"):
             ds.load_dataset(path)
+
+    def test_version_1_manifest_names_its_version(self, tmp_path):
+        # version 1 carried a config_hash; its version is the error, not its keys
+        path, _, _ = make(tmp_path)
+        text = Path(path).read_text(encoding="utf-8").replace("version = 2", "version = 1")
+        Path(path).write_text(text + "config_hash = abc123\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as e:
+            ds.load_dataset(path)
+        assert str(e.value) == f"{path}: unsupported manifest version 1"
 
     def test_bad_kind(self, tmp_path):
         path, _, _ = make(tmp_path)
@@ -125,12 +135,12 @@ class TestValidation:
         poses = rng.uniform(-1, 1, (5, 3))
         images = rng.uniform(0, 1, (4, 8, 8, 3))
         with pytest.raises(ConfigError, match="images must be"):
-            ds.save_dataset(tmp_path, "test", poses, images, "s.kv", INTR, 0, "h")
+            ds.save_dataset(tmp_path, "test", poses, images, "s.kv", INTR, 0)
 
     def test_save_rejects_unknown_split(self, tmp_path):
         with pytest.raises(ConfigError, match="split must be one of .* got 'x'"):
             ds.save_dataset(tmp_path, "x", np.zeros((2, 3)), np.zeros((2, 8, 8, 3)),
-                            "s.kv", INTR, 0, "h")
+                            "s.kv", INTR, 0)
         assert os.listdir(tmp_path) == []
 
     def test_split_is_the_name(self, tmp_path):
@@ -141,21 +151,21 @@ class TestValidation:
     def test_save_rejects_bad_pose_dim(self, tmp_path):
         with pytest.raises(ConfigError, match="poses must be"):
             ds.save_dataset(tmp_path, "test", np.zeros((5, 4)),
-                            np.zeros((5, 8, 8, 3)), "s.kv", INTR, 0, "h")
+                            np.zeros((5, 8, 8, 3)), "s.kv", INTR, 0)
 
     def test_save_rejects_out_of_range_pixels(self, tmp_path):
         images = np.zeros((2, 8, 8, 3))
         images[0, 0, 0, 0] = 1.5
         with pytest.raises(ConfigError, match=r"\[0, 1\]"):
             ds.save_dataset(tmp_path, "test", np.zeros((2, 3)), images,
-                            "s.kv", INTR, 0, "h")
+                            "s.kv", INTR, 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])  # 1e39 is inf as float32
     def test_save_rejects_non_finite_pose(self, tmp_path, bad):
         poses = np.zeros((2, 3))
         poses[1, 2] = bad
         with pytest.raises(ConfigError, match="test_poses.f32: pose values must be finite"):
-            ds.save_dataset(tmp_path, "test", poses, np.zeros((2, 8, 8, 3)), "s.kv", INTR, 0, "h")
+            ds.save_dataset(tmp_path, "test", poses, np.zeros((2, 8, 8, 3)), "s.kv", INTR, 0)
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
@@ -163,7 +173,7 @@ class TestValidation:
         images = np.zeros((2, 8, 8, 3))
         images[1, 4, 4, 2] = bad
         with pytest.raises(ConfigError, match="test_images.f32: image values must be finite"):
-            ds.save_dataset(tmp_path, "test", np.zeros((2, 3)), images, "s.kv", INTR, 0, "h")
+            ds.save_dataset(tmp_path, "test", np.zeros((2, 3)), images, "s.kv", INTR, 0)
         assert os.listdir(tmp_path) == []
 
 
@@ -218,7 +228,7 @@ class TestChunkedBlobs:
 
     def test_empty_split_round_trips(self, tmp_path):
         path = ds.save_dataset(tmp_path, "test", np.zeros((0, 3)), np.zeros((0, 8, 8, 3)),
-                               "s.kv", INTR, 0, "h")
+                               "s.kv", INTR, 0)
         assert (tmp_path / "test_images.f32").read_bytes() == b""
         d = ds.load_dataset(path)
         assert d.poses.shape == (0, 3) and d.images.shape == (0, 8, 8, 3)
@@ -231,11 +241,11 @@ class TestChunkedBlobs:
         images = rng.uniform(0, 1, (4, 8, 8, 3))
         images.reshape(-1)[at] = bad
         with pytest.raises(ConfigError, match="test_images.f32: image values must be finite"):
-            ds.save_dataset(tmp_path, "test", np.zeros((4, 3)), images, "s.kv", INTR, 0, "h")
+            ds.save_dataset(tmp_path, "test", np.zeros((4, 3)), images, "s.kv", INTR, 0)
         assert os.listdir(tmp_path) == []
         # the same value written behind save's back is refused on load
         images.reshape(-1)[at] = 0.5
-        path = ds.save_dataset(tmp_path, "test", np.zeros((4, 3)), images, "s.kv", INTR, 0, "h")
+        path = ds.save_dataset(tmp_path, "test", np.zeros((4, 3)), images, "s.kv", INTR, 0)
         blob = os.path.join(tmp_path, "test_images.f32")
         vals = np.fromfile(blob, dtype="<f4")
         vals[at] = bad
@@ -260,12 +270,12 @@ class TestBlobMemory:
         # a float32 copy of the images and its bytes would add 14.7 MB
         poses, images = self.frames()
         peak, _ = traced_peak(lambda: ds.save_dataset(
-            tmp_path, "synth", poses, images, "s.kv", self.INTR32, 0, "h"))
+            tmp_path, "synth", poses, images, "s.kv", self.INTR32, 0))
         assert peak < 1.5e6
 
     def test_load_holds_no_raw_bytes(self, tmp_path):
         # the raw blob beside the float64 result would add 7.4 MB
         poses, images = self.frames()
-        path = ds.save_dataset(tmp_path, "synth", poses, images, "s.kv", self.INTR32, 0, "h")
+        path = ds.save_dataset(tmp_path, "synth", poses, images, "s.kv", self.INTR32, 0)
         peak, d = traced_peak(lambda: ds.load_dataset(path))
         assert peak - d.images.nbytes < 1.5e6

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, and every
-top-level function, class and UPPER_CASE constant of the package is read by
-the package or by the benchmark: deletions tend to leave imports, helpers
-and constants behind. A name read only in an annotation, quoted or not,
+top-level function, class and UPPER_CASE constant of the package, and every
+method and property of its classes, is read by the package or by the
+benchmark: deletions tend to leave imports, helpers, constants and
+accessors behind. A name read only in an annotation, quoted or not,
 counts as used. Likewise every defaulted parameter of a package function
 or method is passed by some call in the package or the benchmark: a
 parameter that only tests pass is surface nothing uses."""
@@ -73,6 +74,23 @@ def top_level_definitions(source: str) -> list[str]:
     return names
 
 
+def method_definitions(source: str) -> list[str]:
+    """``Class.name`` for each method and property defined in a class body,
+    dunders excepted (the language calls those)."""
+    return [f"{c.name}.{f.name}" for c in ast.walk(ast.parse(source))
+            if isinstance(c, ast.ClassDef)
+            for f in c.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (f.name.startswith("__") and f.name.endswith("__"))]
+
+
+def unread_methods(sources: list[str], readers: list[str]) -> list[str]:
+    """``Class.name`` for each method or property in ``sources`` whose name
+    no source in ``readers`` reads."""
+    read = set().union(*(names_read(r) for r in readers))
+    return [m for source in sources for m in method_definitions(source)
+            if m.split(".")[1] not in read]
+
+
 def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
     """(callee, parameter, call position) for each defaulted parameter of a
     function or method in ``source``. The callee is the name a call uses, so
@@ -135,6 +153,11 @@ def test_every_top_level_definition_is_read():
     assert unread == []
 
 
+def test_every_method_and_property_is_read():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert unread_methods(sources, [p.read_text(encoding="utf-8") for p in READERS]) == []
+
+
 def test_checker_finds_unused_and_accepts_annotation_only_imports():
     source = ("from __future__ import annotations\n"
               "import os.path\nimport numpy as np\nfrom a import B, C, D\n"
@@ -151,6 +174,18 @@ def test_read_checker_counts_strings_but_not_docstrings():
     read = names_read(source)
     assert {"m", "h", "PATCH", "mod", "k"} <= read
     assert not {"f", "g", "Mentions"} & read
+
+
+def test_method_checker_reports_unread_methods_and_properties():
+    source = ("class K:\n"
+              "    def __init__(self):\n        self.used()\n"
+              "    def used(self):\n        pass\n"
+              "    def unread(self):\n        pass\n"
+              "    @property\n"
+              "    def size(self):\n        return 1\n"
+              "def f(k):\n    return k.size\n")
+    assert method_definitions(source) == ["K.used", "K.unread", "K.size"]
+    assert unread_methods([source], [source]) == ["K.unread"]
 
 
 def test_every_defaulted_parameter_is_passed():

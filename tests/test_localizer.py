@@ -1,4 +1,4 @@
-"""Localizer tests: posterior statistics, filtering, tracking, EKF."""
+"""Localizer tests: posterior statistics, filtering, EKF."""
 
 import numpy as np
 import pytest
@@ -59,7 +59,6 @@ class TestSummarize:
         p = lc.summarize_samples(s, 3)
         want = np.cov(s[:, :2].T, ddof=0)
         np.testing.assert_allclose(p.position_cov, want, atol=1e-12)
-        assert p.mean_pose.dim == 3
 
     def test_scalar_uncertainty_positions_only(self):
         p = make_posterior([1.0, 2.0, 7.0])
@@ -185,50 +184,6 @@ class TestVarianceFilter:
     def test_needs_two(self):
         with pytest.raises(DomainError):
             lc.variance_filter([make_posterior([1, 0, 0])])
-
-
-class TestSequential:
-    def test_same_cell_initials_identical_tracks(self):
-        m = tiny_model(conditional=True)
-        imgs = np.random.default_rng(3).uniform(0, 1, (4, 16, 16, 3))
-        a = Pose(np.array([1.26, 0.74, 0]), np.array([np.deg2rad(31.0), 0, 0]), dim=3)
-        b = Pose(np.array([1.41, 0.55, 0]), np.array([np.deg2rad(58.0), 0, 0]), dim=3)
-        ta = lc.sequential_localize(m, imgs, a, np.random.default_rng(7), n_samples=10)
-        tb = lc.sequential_localize(m, imgs, b, np.random.default_rng(7), n_samples=10)
-        for pa, pb in zip(ta, tb):
-            assert np.array_equal(pa.posterior.samples, pb.posterior.samples)
-
-    def test_unconditional_runs_frame_independent(self):
-        m = tiny_model()
-        imgs = np.random.default_rng(3).uniform(0, 1, (3, 16, 16, 3))
-        start = Pose(np.zeros(3), np.zeros(3), dim=3)
-        track = lc.sequential_localize(m, imgs, start, np.random.default_rng(0),
-                                       n_samples=5)
-        rng = np.random.default_rng(0)
-        alone = [lc.localize(m, img, n_samples=5, rng=rng) for img in imgs]
-        assert len(track) == 3 and not any(t.lost for t in track)
-        for t, post in zip(track, alone):
-            assert np.array_equal(t.posterior.samples, post.samples)
-
-    def test_divergence_flag(self):
-        m = tiny_model()
-        imgs = np.random.default_rng(3).uniform(0, 1, (4, 16, 16, 3))
-        start = Pose(np.zeros(3), np.zeros(3), dim=3)
-        # negative ceiling: every frame counts toward the divergence streak
-        track = lc.sequential_localize(m, imgs, start, np.random.default_rng(0),
-                                       n_samples=6, var_ceiling=-1.0, lost_after=2)
-        assert not track[0].lost and all(t.lost for t in track[1:])
-
-    def test_planar_only_and_empty_stream(self):
-        # a 6-D model or start pose cannot be built to track with
-        with pytest.raises(DimensionError, match="planar poses only"):
-            tiny_model(dim=6)
-        with pytest.raises(DimensionError, match="planar poses only"):
-            Pose(np.zeros(3), np.zeros(3), dim=6)
-        with pytest.raises(DimensionError):
-            lc.sequential_localize(tiny_model(), np.zeros((0, 16, 16, 3)),
-                                   Pose(np.zeros(3), np.zeros(3), dim=3),
-                                   np.random.default_rng(0))
 
 
 class TestHeadingModes:
