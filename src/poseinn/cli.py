@@ -30,8 +30,8 @@ from . import scenegen as sg
 from . import trainer as tr
 from .errors import ConditioningError, ConfigError, PoseInnError
 from .geometry import Aabb, Pose, wrap_angle
-from .kvconfig import as_float, as_floats, as_int, as_str, ensure_keys, \
-    parse_kv_text, write_kv
+from .kvconfig import as_float, as_floats, as_int, as_str, ensure_keys, read_kv, \
+    read_text, write_kv
 from .model import ModelConfig, PoseRegressor
 
 log = logging.getLogger("poseinn")
@@ -80,12 +80,7 @@ class _OutputDir:
 def _read_config(path, kind: str, optional: set[str],
                  required: set[str] = frozenset()) -> dict[str, str]:
     """Strict-parse a config file into its key-value pairs."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from None
-    pairs = parse_kv_text(text, source=str(path))
+    pairs = read_kv(path)
     ensure_keys(pairs, required | {"kind"}, optional, source=str(path))
     if as_str(pairs, "kind") != kind:
         raise ConfigError(f"{path}: kind must be '{kind}', got {pairs['kind']!r}")
@@ -404,11 +399,8 @@ def cmd_eval(args) -> None:
 
 def _read_odom(path, n_frames: int, noise_var: np.ndarray) -> list[loc.OdometryStep]:
     """One 'd_forward d_lateral d_theta' line per frame, body-frame meters/rad."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = [ln.strip() for ln in f if ln.strip() and not ln.startswith("#")]
-    except OSError as e:
-        raise ConfigError(f"cannot read odometry file {path}: {e}") from None
+    lines = [ln.strip() for ln in read_text(path).splitlines()
+             if ln.strip() and not ln.startswith("#")]
     if len(lines) != n_frames:
         raise ConfigError(f"{path}: {len(lines)} odometry lines for {n_frames} frames")
     steps = []

@@ -117,6 +117,8 @@ def load_dataset(manifest_path) -> Dataset:
     if dim != 3:
         raise ConfigError(f"{manifest_path}: pose_dim must be 3 (planar poses only), got {dim}")
     count = as_int(pairs, "count")
+    if count < 0:
+        raise ConfigError(f"{manifest_path}: count must be >= 0, got {count}")
     h, w = as_int(pairs, "image_h"), as_int(pairs, "image_w")
     intr = CameraIntrinsics(width=w, height=h, hfov=as_float(pairs, "hfov"))
 

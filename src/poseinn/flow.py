@@ -129,6 +129,9 @@ class FlowModel:
         return h
 
     def embed_condition(self, c) -> Tensor:
+        """Condition rows (n, cond_dim) -> their embedding (n, cond_width).
+        Every condition passes through here, so this is where an
+        unconditional model refuses one."""
         if not self.config.conditional:
             raise ConditioningError("model is unconditional but a condition was given")
         c = nd._wrap(c)
@@ -140,8 +143,6 @@ class FlowModel:
         """The embedded condition for a batch of ``n`` rows, or None."""
         if self.config.conditional and c is None:
             raise ConditioningError("conditional model requires a condition vector")
-        if not self.config.conditional and c is not None:
-            raise ConditioningError("model is unconditional but a condition was given")
         if c is None:
             return None
         ce = self.embed_condition(c)

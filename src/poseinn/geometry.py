@@ -20,8 +20,13 @@ TWO_PI = 2.0 * np.pi
 
 
 def wrap_angle(a):
-    """Wrap angle(s) to [-pi, pi)."""
-    return np.mod(np.asarray(a, dtype=np.float64) + np.pi, TWO_PI) - np.pi
+    """Wrap angle(s) to [-pi, pi). Idempotent: a wrapped angle wraps to
+    itself."""
+    r = np.mod(np.asarray(a, dtype=np.float64) + np.pi, TWO_PI)
+    # np.mod rounds a tiny negative a + pi up to 2 pi, which would leave +pi
+    r *= r < TWO_PI
+    r -= np.pi
+    return r
 
 
 def is_int(v) -> bool:

@@ -5,6 +5,10 @@ lines of ``key = value``, ``#`` comments, blank lines allowed. Parsing is
 strict by design: duplicate keys, missing required keys, and keys outside
 the declared schema are errors, never silently ignored. Floats are written
 with repr so they round-trip exactly.
+
+``read_text`` is the package's one reader of text files: these and the
+odometry file. A file that is missing, unreadable or not UTF-8 is one
+``ConfigError`` that names it.
 """
 
 from __future__ import annotations
@@ -39,15 +43,19 @@ def format_kv(pairs: dict[str, str]) -> str:
     return "".join(f"{k} = {v}\n" for k, v in pairs.items())
 
 
-def read_kv(path) -> dict[str, str]:
-    p = Path(path)
+def read_text(path) -> str:
+    """The whole of a UTF-8 text file. A file that is missing, unreadable
+    or not UTF-8 raises one ``ConfigError`` line that names it."""
     try:
-        text = p.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"file not found: {p}") from None
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
-        raise ConfigError(f"{p} is not valid UTF-8: {e}") from None
-    return parse_kv_text(text, source=str(p))
+        raise ConfigError(f"{path} is not valid UTF-8: {e}") from None
+
+
+def read_kv(path) -> dict[str, str]:
+    return parse_kv_text(read_text(path), source=str(path))
 
 
 def write_kv(path, pairs: dict[str, str]) -> None:

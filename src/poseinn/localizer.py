@@ -82,8 +82,10 @@ def localize(model: PoseRegressor, image: np.ndarray, n_samples: int = 50,
     The image is encoded once with the VAE mean; each sample inverts the flow
     at a fresh z ~ N(0, 1) drawn from ``rng``, a required keyword that the
     caller seeds (e.g. ``np.random.default_rng(seed)``). Conditional models
-    require ``condition`` (the previous-state estimate); unconditional
-    models reject one. The flow gets the image latent and the condition as
+    require ``condition`` (the previous-state estimate), which
+    ``condition_vector`` snaps to its grid cell and encodes; unconditional
+    models reject one. The flow raises either mismatch as
+    ``ConditioningError``. The flow gets the image latent and the condition as
     one row each that serves all n_samples draws: the condition is embedded,
     and multiplied into each subnet's first layer, once per call, and the
     top coupling, whose passive half holds only the pad and latent
@@ -99,8 +101,6 @@ def localize(model: PoseRegressor, image: np.ndarray, n_samples: int = 50,
     hw = model.config.image_hw
     if image.shape != (hw, hw, 3):
         raise DimensionError(f"image must be ({hw}, {hw}, 3), got {image.shape}")
-    if model.config.conditional and condition is None:
-        raise ConditioningError("conditional model requires a previous-state condition")
 
     z = rng.standard_normal((n_samples, model.config.dim))
     c = None

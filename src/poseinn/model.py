@@ -4,7 +4,8 @@
 the VAE are built from it. ``PoseRegressor`` glues the invertible flow over
 encoded poses to the convolutional VAE over images, owns the pose
 normalization bounds and the checkpoint parameter table, and encodes the
-optional rounded-previous-state condition for sequential localization.
+optional previous-state condition for tracking: pose vectors snapped to the
+``COND_CELL_*`` grid and positionally encoded, in one array pass.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import numpy as np
 
 from . import ndiff as nd
 from .encoder import Vae
-from .errors import (CheckpointError, ConditioningError, DimensionError, DomainError,
-                     NonFiniteError)
+from .errors import CheckpointError, DimensionError, DomainError, NonFiniteError
 from .flow import FlowModel
 from .geometry import Aabb, Pose, positional_encode_batch, wrap_angle
 
@@ -74,21 +74,6 @@ class ModelConfig:
         return self.x_len if self.conditional else 0
 
 
-def round_to_grid(pose: Pose) -> Pose:
-    """Snap a pose to the center of its conditioning grid cell.
-
-    Cell membership uses floor, so e.g. x = 1.26 with 0.5 m cells lands in
-    [1.0, 1.5) and is reported as its center 1.25.
-    """
-    def center(v: float, cell: float) -> float:
-        return (np.floor(v / cell) + 0.5) * cell
-
-    x = center(pose.position[0], COND_CELL_XY)
-    y = center(pose.position[1], COND_CELL_XY)
-    th = wrap_angle(center(wrap_angle(pose.euler[0]), COND_CELL_THETA))
-    return Pose(np.array([x, y, 0.0]), np.array([th, 0.0, 0.0]))
-
-
 class PoseRegressor:
     """Flow + VAE pair sharing one named-parameter dict for the optimizer."""
 
@@ -141,27 +126,29 @@ class PoseRegressor:
     # conditioning
     # ------------------------------------------------------------------
     def condition_vector(self, prev: Pose) -> np.ndarray:
-        """Previous-state estimate -> encoded condition row (cond_dim,).
+        """Previous-state estimate -> encoded condition row (cond_dim,):
+        row 0 of ``condition_batch``."""
+        return self.condition_batch(prev.as_vector()[None])[0]
 
-        Clamps the estimate into bounds first so a slightly drifted track
-        still produces a valid cell, then rounds to the grid and encodes.
+    def condition_batch(self, vs: np.ndarray) -> np.ndarray:
+        """Pose vectors (n, 3) -> encoded condition rows (n, cond_dim).
+
+        Clamps each position into bounds first so a slightly drifted track
+        still produces a valid cell, snaps each coordinate to the center of
+        its ``COND_CELL_*`` cell (cell membership uses floor, so x = 1.26
+        with 0.5 m cells lands in [1.0, 1.5) and becomes 1.25), and encodes.
         """
-        if not self.config.conditional:
-            raise ConditioningError("model is unconditional but a condition was given")
-        pos = np.clip(prev.position, self.bounds.lo, self.bounds.hi)
-        clamped = Pose(np.array([pos[0], pos[1], 0.0]),
-                       np.array([prev.euler[0], 0.0, 0.0]))
-        cell = round_to_grid(clamped)
+        vs = np.asarray(vs, dtype=np.float64)
+        if vs.ndim != 2 or vs.shape[1] != self.config.dim:
+            raise DimensionError(f"expected (n, {self.config.dim}) pose vectors, got {vs.shape}")
+        lo = np.append(self.bounds.lo[:2], -np.pi)
+        hi = np.append(self.bounds.hi[:2], np.pi)
+        v = np.clip(np.column_stack([vs[:, :2], wrap_angle(vs[:, 2])]), lo, hi)
+        cell = np.array([COND_CELL_XY, COND_CELL_XY, COND_CELL_THETA])
+        v = (np.floor(v / cell) + 0.5) * cell
         # cell centers sit strictly inside the bounds whenever the cell size
         # divides the box, but clamp again so odd geometry cannot escape
-        v = self.normalize_vectors(np.clip(
-            cell.as_vector()[None, :],
-            np.append(self.bounds.lo[:2], -np.pi),
-            np.append(self.bounds.hi[:2], np.pi)))
-        return positional_encode_batch(v, self.config.enc_L)[0]
-
-    def condition_batch(self, poses: list[Pose]) -> np.ndarray:
-        return np.stack([self.condition_vector(p) for p in poses])
+        return self.encode_pose_batch(np.clip(v, lo, hi))
 
     # ------------------------------------------------------------------
     # serialization

@@ -35,7 +35,7 @@ import numpy as np
 from . import ndiff as nd
 from .encoder import kl_divergence
 from .errors import CheckpointError, DomainError, NonFiniteError
-from .geometry import Aabb, Pose
+from .geometry import Aabb
 from .model import ModelConfig, PoseRegressor
 from .ndiff import Tensor
 
@@ -303,8 +303,8 @@ def train(model: PoseRegressor, poses: np.ndarray, images: np.ndarray,
         if cfg.batch > len(pp):
             raise DomainError(f"batch size {cfg.batch} exceeds a training pool of {len(pp)}")
 
-    conds = [model.condition_batch([Pose.from_vector(v, model.config.dim) for v in pp])
-             if model.config.conditional else None for pp, _ in pools]
+    conds = [model.condition_batch(pp) if model.config.conditional else None
+             for pp, _ in pools]
 
     if opt is None:
         opt = nd.Adam(model.params)

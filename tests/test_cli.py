@@ -640,6 +640,43 @@ class TestOneErrorLine:
         assert proc.stderr.splitlines() == ["ERROR config: --seed must be >= 0, got -1"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("verb, role", [
+        *[(verb, "config") for verb in ("gen-scene", "gen-data", "sample-poses", "train",
+                                        "track")],
+        ("track", "odom"), ("gen-data", "scene"), ("eval", "data")])
+    def test_non_utf8_text_input(self, pipeline, tmp_path, capsys, verb, role):
+        # every text input goes through one reader: a byte that is not
+        # UTF-8 is one config line naming the file, before any output
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"kind = x\n\xff\n")
+        cfgs = {"gen-scene": SCENE_CFG,
+                "gen-data": DATA_CFG.format(scene=bad if role == "scene" else pipeline["scene"]),
+                "sample-poses": SAMPLING_CFG, "train": TRAIN_CFG,
+                "track": "kind = track_config\ninit = 0 0 0\n"}
+        args = {"--out": str(tmp_path / "o")}
+        if verb in cfgs:
+            args["--config"] = write(tmp_path / "c.cfg", cfgs[verb])
+        if verb in ("sample-poses", "train"):
+            args["--data"] = pipeline["train"]
+        if verb in ("eval", "track"):
+            args.update({"--ckpt": pipeline["ckpt"], "--data": pipeline["test"]})
+        if verb == "track":
+            args["--odom"] = write(tmp_path / "o.txt", "0 0 0\n" * 4)
+        if role != "scene":
+            args[f"--{role}"] = str(bad)
+        assert cli.main([verb, *(x for pair in args.items() for x in pair)]) == 1
+        assert one_error_line(capsys, "config").startswith(
+            f"ERROR config: {bad} is not valid UTF-8:")
+        assert not (tmp_path / "o").exists()
+
+    def test_unreadable_scene_file_is_a_config_error(self, tmp_path, capsys):
+        # a directory where the scene file should be
+        cfg = write(tmp_path / "d.cfg", DATA_CFG.format(scene=tmp_path))
+        assert cli.main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR config: cannot read {tmp_path}: Is a directory"]
+        assert not (tmp_path / "o").exists()
+
     def test_resume_with_other_architecture(self, pipeline, tmp_path):
         cfg = write(tmp_path / "t.cfg", TRAIN_CFG.replace("blocks = 2", "blocks = 5")
                     .replace("hidden = 16", "hidden = 64"))

@@ -123,6 +123,16 @@ class TestValidation:
             ds.load_dataset(path)
         assert str(e.value) == f"{path}: unsupported manifest version 1"
 
+    def test_negative_count_refused_before_any_blob(self, tmp_path):
+        path, _, _ = make(tmp_path)
+        text = Path(path).read_text(encoding="utf-8").replace("count = 5", "count = -1")
+        Path(path).write_text(text, encoding="utf-8")
+        for blob in ("train_poses.f32", "train_images.f32"):
+            os.remove(tmp_path / blob)
+        with pytest.raises(ConfigError) as e:
+            ds.load_dataset(path)
+        assert str(e.value) == f"{path}: count must be >= 0, got -1"
+
     def test_bad_kind(self, tmp_path):
         path, _, _ = make(tmp_path)
         text = Path(path).read_text(encoding="utf-8").replace("kind = dataset", "kind = scene")

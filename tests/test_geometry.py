@@ -28,6 +28,17 @@ class TestWrapAngle:
         np.testing.assert_allclose(np.sin(w), np.sin(a), atol=1e-9)
         np.testing.assert_allclose(np.cos(w), np.cos(a), atol=1e-9)
 
+    def test_range_holds_next_to_odd_multiples_of_pi(self):
+        # just below -pi, a + pi is a tiny negative number that np.mod rounds
+        # up to 2 pi; the result is -pi, never +pi
+        assert geo.wrap_angle(np.nextafter(-np.pi, -np.inf)) == -np.pi
+        steps = np.arange(-40, 41)[:, None]
+        a = np.concatenate([k * np.pi + steps * np.spacing(k * np.pi)
+                            for k in (-5, -3, -1, 1, 3, 5)]).ravel()
+        w = geo.wrap_angle(a)
+        assert np.all((-np.pi <= w) & (w < np.pi))
+        assert np.array_equal(geo.wrap_angle(w), w)  # idempotent on its outputs
+
 
 class TestPose:
     def test_planar_invariant(self):

@@ -10,10 +10,9 @@ import pytest
 import poseinn.localizer as lc
 import poseinn.ndiff as nd
 import poseinn.trainer as tr
-from poseinn.errors import (CheckpointError, ConditioningError, DimensionError,
-                            DomainError, NonFiniteError)
+from poseinn.errors import CheckpointError, DimensionError, DomainError, NonFiniteError
 from poseinn.geometry import Aabb, Pose
-from poseinn.model import ModelConfig, PoseRegressor, round_to_grid
+from poseinn.model import COND_CELL_THETA, ModelConfig, PoseRegressor
 from poseinn.ndiff import Tensor
 
 from conftest import traced_peak
@@ -57,11 +56,45 @@ class TestModelWrapper:
             m.normalize_vectors(np.array([[5.0, 0.0, 0.0]]))
 
     def test_grid_rounding_example(self):
-        p = Pose(np.array([1.26, 0.74, 0.0]),
-                 np.array([np.deg2rad(31.0), 0.0, 0.0]), dim=3)
-        c = round_to_grid(p)
-        np.testing.assert_allclose(c.position[:2], [1.25, 0.75], atol=1e-12)
-        np.testing.assert_allclose(np.rad2deg(c.euler[0]), 45.0, atol=1e-9)
+        m = tiny_model(conditional=True)
+        rows = m.condition_batch(np.array([[1.26, 0.74, np.deg2rad(31.0)]]))
+        cell = m.decode_pose_vectors(rows)[0]
+        np.testing.assert_allclose(cell[:2], [1.25, 0.75], atol=1e-12)
+        np.testing.assert_allclose(np.rad2deg(cell[2]), 45.0, atol=1e-9)
+
+    def test_condition_clamps_position_into_bounds(self):
+        # a drifted estimate is clamped to the box (-2..2) first: x = 5 snaps
+        # like x = 2, whose cell [2, 2.5) has its center clamped back to 2,
+        # and y = -7 like y = -2, in the edge cell [-2, -1.5)
+        m = tiny_model(conditional=True)
+        rows = m.condition_batch(np.array([[5.0, -7.0, 0.0], [2.0, -2.0, 0.0]]))
+        assert rows[0].tobytes() == rows[1].tobytes()
+        np.testing.assert_allclose(m.decode_pose_vectors(rows)[0, :2], [2.0, -1.75],
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("heading, center", [
+        (0.0, 0.5 * COND_CELL_THETA),                   # on a cell edge: the cell above
+        (3 * COND_CELL_THETA, 3.5 * COND_CELL_THETA),
+        (-3 * COND_CELL_THETA, -2.5 * COND_CELL_THETA),
+        (np.pi - 1e-12, 5.5 * COND_CELL_THETA),         # a hair below pi: the top cell
+        (-np.pi, -5.5 * COND_CELL_THETA),               # -pi: the bottom cell
+        (np.nextafter(-np.pi, -np.inf), -5.5 * COND_CELL_THETA),  # wraps to -pi
+        (3 * np.pi, -5.5 * COND_CELL_THETA)])
+    def test_condition_heading_cells(self, heading, center):
+        m = tiny_model(conditional=True)
+        cell = m.decode_pose_vectors(m.condition_batch(np.array([[0.1, 0.1, heading]])))[0]
+        np.testing.assert_allclose(cell[2], center, atol=1e-12)
+
+    def test_condition_vector_is_a_batch_row(self):
+        # bit for bit: training conditions on the batch, tracking on one row
+        m = tiny_model(conditional=True)
+        poses, _ = tiny_data(20)
+        rows = m.condition_batch(poses)
+        for i, v in enumerate(poses):
+            p = Pose.from_vector(v, 3)
+            assert m.condition_vector(p).tobytes() == rows[i].tobytes()
+            assert (m.condition_vector(p).tobytes()
+                    == m.condition_batch(p.as_vector()[None])[0].tobytes())
 
     def test_condition_same_cell_same_vector(self):
         m = tiny_model(conditional=True)
@@ -72,11 +105,6 @@ class TestModelWrapper:
         assert np.array_equal(va, vb)       # same 0.5 m / 30 deg cell
         assert not np.array_equal(va, vc)   # different x cell
         assert va.shape == (m.config.cond_dim,)
-
-    def test_condition_on_unconditional_model_rejected(self):
-        m = tiny_model()
-        with pytest.raises(ConditioningError):
-            m.condition_vector(Pose(np.zeros(3), np.zeros(3), dim=3))
 
     def test_conditional_requires_planar(self):
         # every model is planar, conditional or not
@@ -201,7 +229,7 @@ class TestTrainStep:
     def test_conditional_step_runs(self):
         m = tiny_model(conditional=True)
         poses, imgs = tiny_data(5)
-        cond = m.condition_batch([Pose.from_vector(v, 3) for v in poses])
+        cond = m.condition_batch(poses)
         e = tr.train_step(m, poses, imgs, tr.TrainConfig(epochs=2, batch=5),
                           np.random.default_rng(0), 5e-4, nd.Adam(m.params),
                           cond_vecs=cond)
