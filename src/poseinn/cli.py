@@ -398,20 +398,26 @@ def cmd_eval(args) -> None:
 
 
 def _read_odom(path, n_frames: int, noise_var: np.ndarray) -> list[loc.OdometryStep]:
-    """One 'd_forward d_lateral d_theta' line per frame, body-frame meters/rad."""
-    lines = [ln.strip() for ln in read_text(path).splitlines()
+    """One 'd_forward d_lateral d_theta' line per frame, body-frame meters/rad.
+
+    A line with ``#`` in its first column is a comment, and blank lines are
+    skipped. An error names the file and the line's number in the file,
+    counting every line from 1."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(read_text(path).splitlines(), 1)
              if ln.strip() and not ln.startswith("#")]
     if len(lines) != n_frames:
         raise ConfigError(f"{path}: {len(lines)} odometry lines for {n_frames} frames")
     steps = []
-    for i, ln in enumerate(lines):
+    for no, ln in lines:
         tok = ln.split()
         if len(tok) != 3:
-            raise ConfigError(f"{path}: line {i + 1}: expected 3 values, got {len(tok)}")
+            raise ConfigError(f"{path}: line {no}: expected 3 values, got {len(tok)}")
         try:
             df, dl, dth = (float(t) for t in tok)
         except ValueError:
-            raise ConfigError(f"{path}: line {i + 1}: not parseable as floats") from None
+            raise ConfigError(f"{path}: line {no}: not parseable as floats") from None
+        if not np.all(np.isfinite((df, dl, dth))):
+            raise ConfigError(f"{path}: line {no}: odometry values must be finite, got {ln!r}")
         steps.append(loc.OdometryStep(df, dl, dth, noise=noise_var))
     return steps
 

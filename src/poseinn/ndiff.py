@@ -16,6 +16,13 @@ closure has run, the node drops its gradient, its closure and its parents
 and is marked spent, so the arrays each op saved for backward go while the
 pass walks down the graph. Only leaves keep ``.grad``. A graph is consumed
 once: a backward pass that reaches a spent node raises ``TapeError``.
+A closure computes a parent's gradient only when that parent requires one,
+so a constant operand (a target, a scalar factor, the data a first layer
+reads) costs no backward work. The first gradient a tensor receives is
+kept as it is, not copied; later ones are summed into a new array, never
+in place, and no closure writes an array once it has handed it over. So
+one array may be the gradient of several tensors, as ``add`` hands the
+same ``g`` to both parents.
 
 An op builds a graph node when one of its inputs requires a gradient;
 model parameters always do, so training and any direct call into a model
@@ -155,12 +162,12 @@ def _wrap(x) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.array(g)
-    else:
-        t.grad += g
+    """Hand ``g`` to ``t``: the first gradient is kept as it is, later ones
+    are summed into a new array. Closures call it only for a parent that
+    requires a gradient, and never write an array once it is handed over,
+    so a kept gradient may be shared (``add`` hands one ``g`` to both
+    parents) or be a view."""
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -201,8 +208,10 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make(out_data, (a, b), bwd, "add")
 
@@ -212,8 +221,10 @@ def sub(a, b) -> Tensor:
     out_data = a.data - b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.data.shape))
 
     return _make(out_data, (a, b), bwd, "sub")
 
@@ -223,8 +234,10 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out_data, (a, b), bwd, "mul")
 
@@ -248,9 +261,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"linear bias {b.data.shape} does not broadcast into {out_data.shape}") from None
 
     def bwd(g):
-        _accumulate(x, g @ w.data.T)
-        _accumulate(w, x.data.T @ g)
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, x.data.T @ g)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make(out_data, (x, w, b), bwd, "linear")
 
@@ -276,12 +292,19 @@ def tanh(a) -> Tensor:
 
 
 def leaky_relu(a) -> Tensor:
+    """``x`` where ``x > 0``, else ``LEAKY_ALPHA * x``. The backward slope is
+    ``max(sign(x), LEAKY_ALPHA)``: 1 where ``x > 0`` and ``LEAKY_ALPHA`` at
+    ±0 and below, bitwise the ``np.where(x > 0, 1, LEAKY_ALPHA)`` form on
+    every non-NaN input but without its per-element branch on a
+    random-sign mask. A NaN input gets a NaN gradient."""
     a = _wrap(a)
     out_data = LEAKY_ALPHA * a.data
     np.maximum(a.data, out_data, out=out_data)
 
     def bwd(g):
-        _accumulate(a, g * np.where(a.data > 0.0, 1.0, LEAKY_ALPHA))
+        slope = np.sign(a.data, out=np.empty_like(a.data))
+        np.maximum(slope, LEAKY_ALPHA, out=slope)
+        _accumulate(a, np.multiply(g, slope, out=slope))
 
     return _make(out_data, (a,), bwd, "leaky_relu")
 
@@ -361,8 +384,9 @@ def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
         at = 0
         for p in parts:
             n = p.data.shape[axis]
-            idx[axis] = slice(at, at + n)
-            _accumulate(p, g[tuple(idx)])
+            if p.requires_grad:
+                idx[axis] = slice(at, at + n)
+                _accumulate(p, g[tuple(idx)])
             at += n
 
     return _make(out_data, tuple(parts), bwd, "concat")
@@ -478,8 +502,10 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 
     def bwd(g):
         scaled = (2.0 / n) * float(g) * diff
-        _accumulate(pred, scaled)
-        _accumulate(target, -scaled)
+        if pred.requires_grad:
+            _accumulate(pred, scaled)
+        if target.requires_grad:
+            _accumulate(target, -scaled)
 
     return _make(out_data, (pred, target), bwd, "mse")
 
@@ -551,8 +577,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Te
 
     def bwd(g):
         gflat = g.reshape(-1, cout)
-        _accumulate(w, (flat.T @ gflat).reshape(w.data.shape))
-        _accumulate(b, gflat.sum(axis=0))
+        if w.requires_grad:
+            _accumulate(w, (flat.T @ gflat).reshape(w.data.shape))
+        if b.requires_grad:
+            _accumulate(b, gflat.sum(axis=0))
         if x.requires_grad:
             gcols = (gflat @ wmat.T).reshape(n, ho, wo, -1)
             _accumulate(x, _col2im(gcols, x.data.shape, k, stride, pad))
@@ -588,9 +616,11 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int 
     def bwd(g):
         gcols, _, _ = _im2col(g, k, stride, pad)
         gflat = gcols.reshape(-1, gcols.shape[-1])
-        gw = (flat.T @ gflat).reshape(cin, k, k, cout).transpose(1, 2, 0, 3)[::-1, ::-1]
-        _accumulate(w, gw)
-        _accumulate(b, g.sum(axis=(0, 1, 2)))
+        if w.requires_grad:
+            gw = (flat.T @ gflat).reshape(cin, k, k, cout).transpose(1, 2, 0, 3)[::-1, ::-1]
+            _accumulate(w, gw)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=(0, 1, 2)))
         if x.requires_grad:
             _accumulate(x, (gflat @ wmat.T).reshape(x.data.shape))
 

@@ -382,6 +382,21 @@ class TestErrors:
         assert rc == 1
         assert "odometry lines" in capsys.readouterr().err
 
+    # a header comment and a blank line come first, so the file's line 4
+    # is the second data line
+    @pytest.mark.parametrize("bad, message", [
+        ("0 0 x", "line 4: not parseable as floats"),
+        ("0 nan 0", "line 4: odometry values must be finite")])
+    def test_odom_error_names_file_line(self, pipeline, tmp_path, capsys, bad, message):
+        cfg = write(tmp_path / "t.cfg", "kind = track_config\ninit = 0 0 0\n")
+        odom = write(tmp_path / "o.txt", f"# header\n\n0 0 0\n{bad}\n0 0 0\n0 0 0\n")
+        assert cli.main(["track", "--config", cfg, "--ckpt", pipeline["ckpt"],
+                         "--data", pipeline["test"], "--odom", odom,
+                         "--out", str(tmp_path / "o")]) == 1
+        err = one_error_line(capsys, "config")
+        assert odom in err and message in err
+        assert not (tmp_path / "o").exists()
+
     def test_eval_rejects_conditional_checkpoint(self, pipeline, tmp_path, capsys):
         cfg = write(tmp_path / "c.cfg", TRAIN_CFG.replace("epochs = 2", "epochs = 1")
                     + "conditional = 1\n")

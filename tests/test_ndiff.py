@@ -123,6 +123,20 @@ class TestUnaryGrads:
             got = nd.leaky_relu(nd.Tensor(x)).data
             assert got.tobytes() == np.where(x > 0, x, 0.01 * x).tobytes()
 
+    def test_leaky_relu_grad_is_bitwise_the_where_form(self):
+        # the backward's max(sign(x), alpha) slope, against g * where(x > 0, 1, alpha)
+        rng = np.random.default_rng(5)
+        sub = np.finfo(np.float64).smallest_subnormal
+        special = np.array([0.0, -0.0, np.inf, -np.inf, sub, -sub, 7 * sub, -7 * sub,
+                            1e-310, -1e-310, np.finfo(np.float64).tiny, -1.0, 1.0])
+        scaled = rng.normal(size=(6, 50)) * 10.0 ** rng.integers(-300, 300, size=(6, 50))
+        for x in (rng.normal(size=(8, 40)), scaled, special):
+            g = rng.normal(size=x.shape)
+            t = nd.Tensor(x, requires_grad=True)
+            with np.errstate(all="ignore"):  # the forward sum meets inf - inf
+                nd.tsum(nd.mul(nd.leaky_relu(t), g)).backward()
+            assert t.grad.tobytes() == (g * np.where(x > 0, 1.0, nd.LEAKY_ALPHA)).tobytes()
+
     def test_exp_trivial(self):
         assert nd.exp(nd.Tensor(0.0)).item() == 1.0
 
@@ -503,6 +517,74 @@ class TestComposite:
             outs.append((float(out.data), t.grad.copy()))
         assert outs[0][0] == outs[1][0]
         np.testing.assert_array_equal(outs[0][1], outs[1][1])
+
+
+def record_accumulate(monkeypatch) -> list:
+    """Wrap ``nd._accumulate`` so that each call's (tensor, gradient) is
+    recorded before it is handed on."""
+    calls, inner = [], nd._accumulate
+
+    def spy(t, g):
+        calls.append((t, g))
+        inner(t, g)
+
+    monkeypatch.setattr(nd, "_accumulate", spy)
+    return calls
+
+
+class TestGradientWork:
+    """Backward forms a gradient only for a parent that requires one; a
+    handed-over gradient is kept as it is and never written again."""
+
+    OPS = {
+        "add": (nd.add, [(3, 4), (1, 4)]),
+        "sub": (nd.sub, [(3, 4), (3, 1)]),
+        "mul": (nd.mul, [(3, 4), ()]),
+        "linear": (nd.linear, [(5, 3), (3, 4), (4,)]),
+        "mse": (nd.mse, [(3, 4), (3, 4)]),
+        "concat": (lambda a, b: nd.concat([a, b]), [(3, 2), (3, 5)]),
+    }
+
+    @pytest.mark.parametrize("op, const", [(op, i) for op, (_, shapes) in OPS.items()
+                                           for i in range(len(shapes))])
+    def test_constant_parent_gets_no_gradient(self, monkeypatch, op, const):
+        f, shapes = self.OPS[op]
+        rng = np.random.default_rng(6)
+        ins = [nd.Tensor(rng.normal(size=s), requires_grad=i != const)
+               for i, s in enumerate(shapes)]
+        out = nd.tsum(f(*ins))
+        calls = record_accumulate(monkeypatch)
+        out.backward()
+        reached = [t for t, _ in calls if any(t is p for p in ins)]
+        assert len(reached) == len(ins) - 1
+        assert all(t.requires_grad for t, _ in calls)
+        for i, t in enumerate(ins):
+            assert (t.grad is None) == (i == const)
+            if i != const:
+                assert t.grad.shape == t.data.shape
+
+    def test_shared_gradient_stays_independent(self, monkeypatch):
+        a = nd.Tensor([[1.0, -2.0]], requires_grad=True)
+        b = nd.Tensor([[0.5, 4.0]], requires_grad=True)
+        late = nd.mul(a, 3.0)  # made first, so its gradient reaches a last
+        out = nd.tsum(nd.add(nd.mul(nd.add(a, b), 2.0), late))
+        calls = record_accumulate(monkeypatch)
+        out.backward()
+        shared = [g for t, g in calls if t is a or t is b][:2]
+        assert shared[0] is shared[1]  # add hands one array to both parents
+        assert a.grad is not b.grad
+        assert b.grad.tobytes() == np.full((1, 2), 2.0).tobytes()
+        assert a.grad.tobytes() == np.full((1, 2), 5.0).tobytes()
+        assert shared[0].tobytes() == np.full((1, 2), 2.0).tobytes()
+
+    @pytest.mark.parametrize("op, want", [
+        (nd.add, lambda x: np.full_like(x, 2.0)),
+        (nd.mul, lambda x: x + x)])
+    def test_tensor_used_twice_gets_summed_gradient(self, op, want):
+        xd = np.random.default_rng(7).normal(size=(3, 4))
+        x = nd.Tensor(xd.copy(), requires_grad=True)
+        nd.tsum(op(x, x)).backward()
+        assert x.grad.tobytes() == want(xd).tobytes()
 
 
 class TestTape:

@@ -303,6 +303,22 @@ class TestTrainStep:
             assert f" {name}=" in msg
         assert state() == before
 
+    def test_handed_gradients_are_never_written(self, monkeypatch):
+        # a kept gradient is the closure's own array, so no later step of
+        # backward or of Adam may write into any array handed over
+        calls, inner = [], nd._accumulate
+
+        def spy(t, g):
+            calls.append((g, np.array(g, copy=True)))
+            inner(t, g)
+
+        monkeypatch.setattr(nd, "_accumulate", spy)
+        m = tiny_model()
+        poses, imgs = tiny_data(5)
+        fixed_step(m, nd.Adam(m.params), poses, imgs, tr.TrainConfig(epochs=2, batch=5), 0)
+        assert len(calls) > 100
+        assert all(g.tobytes() == kept.tobytes() for g, kept in calls)
+
     def test_step_after_a_failed_localize_fills_every_gradient(self):
         m = tiny_model()
         w = m.params["flow.block0.s.w0"]
