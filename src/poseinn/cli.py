@@ -123,26 +123,17 @@ def _copy_scene(scene_path: str, out: str) -> None:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Raw and variance-filtered localization errors over evaluated frames.
-
-    Translation in meters, rotation in degrees; median and mean are both
-    reported since neither subsumes the other under heavy-tailed errors.
+    """Localization errors over evaluated frames: per frame the translation
+    error in meters, the rotation error in degrees, the scalar uncertainty
+    and whether the variance filter kept it; ``summary`` holds the raw and
+    filtered ``error_summary`` fields under their ``report.kv`` keys.
     """
 
-    n_frames: int
-    n_kept: int
-    raw_median_trans: float
-    raw_mean_trans: float
-    raw_median_rot: float
-    raw_mean_rot: float
-    filt_median_trans: float
-    filt_mean_trans: float
-    filt_median_rot: float
-    filt_mean_rot: float
     trans_errors: np.ndarray
     rot_errors: np.ndarray
     uncertainties: np.ndarray
     kept: np.ndarray
+    summary: dict[str, float]
 
 
 def pose_errors(pred: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
@@ -153,6 +144,18 @@ def pose_errors(pred: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
     t = float(np.linalg.norm(pred[:2] - gt[:2]))
     r = abs(float(wrap_angle(pred[2] - gt[2])))
     return t, float(np.degrees(r))
+
+
+def error_summary(errs: np.ndarray, prefix: str) -> dict[str, float]:
+    """Median and mean of the translation (m) and rotation (deg) columns of
+    (n, 2) per-frame errors, under their ``report.kv`` keys after
+    ``prefix``; both are reported since neither subsumes the other under
+    heavy-tailed errors."""
+    t, r = errs[:, 0], errs[:, 1]
+    return {f"{prefix}median_trans_m": float(np.median(t)),
+            f"{prefix}mean_trans_m": float(np.mean(t)),
+            f"{prefix}median_rot_deg": float(np.median(r)),
+            f"{prefix}mean_rot_deg": float(np.mean(r))}
 
 
 def evaluate_posteriors(posteriors: list, gt_poses: np.ndarray) -> MetricsReport:
@@ -170,37 +173,16 @@ def evaluate_posteriors(posteriors: list, gt_poses: np.ndarray) -> MetricsReport
         raise ConfigError(f"ground truth shape {gt_poses.shape} != ({n}, 3)")
 
     errs = np.array([pose_errors(p.mean, gt_poses[i]) for i, p in enumerate(posteriors)])
-    unc = np.array([p.scalar_uncertainty() for p in posteriors])
-    kept = loc.variance_filter(posteriors)[0] if n >= 2 else np.ones(1, dtype=bool)
-
-    te, re = errs[:, 0], errs[:, 1]
+    kept = loc.variance_filter(posteriors)
     return MetricsReport(
-        n_frames=n, n_kept=int(np.sum(kept)),
-        raw_median_trans=float(np.median(te)), raw_mean_trans=float(np.mean(te)),
-        raw_median_rot=float(np.median(re)), raw_mean_rot=float(np.mean(re)),
-        filt_median_trans=float(np.median(te[kept])), filt_mean_trans=float(np.mean(te[kept])),
-        filt_median_rot=float(np.median(re[kept])), filt_mean_rot=float(np.mean(re[kept])),
-        trans_errors=te, rot_errors=re, uncertainties=unc, kept=kept)
-
-
-def _report_fields(rep: MetricsReport) -> dict[str, str]:
-    return {
-        "n_frames": str(rep.n_frames),
-        "n_kept": str(rep.n_kept),
-        "raw_median_trans_m": repr(rep.raw_median_trans),
-        "raw_mean_trans_m": repr(rep.raw_mean_trans),
-        "raw_median_rot_deg": repr(rep.raw_median_rot),
-        "raw_mean_rot_deg": repr(rep.raw_mean_rot),
-        "filt_median_trans_m": repr(rep.filt_median_trans),
-        "filt_mean_trans_m": repr(rep.filt_mean_trans),
-        "filt_median_rot_deg": repr(rep.filt_median_rot),
-        "filt_mean_rot_deg": repr(rep.filt_mean_rot),
-    }
+        trans_errors=errs[:, 0], rot_errors=errs[:, 1],
+        uncertainties=np.array([p.scalar_uncertainty() for p in posteriors]), kept=kept,
+        summary={**error_summary(errs, "raw_"), **error_summary(errs[kept], "filt_")})
 
 
 def _frames_table(rep: MetricsReport) -> str:
     lines = ["frame\terr_trans_m\terr_rot_deg\tuncertainty\tkept"]
-    for i in range(rep.n_frames):
+    for i in range(len(rep.kept)):
         lines.append(f"{i}\t{float(rep.trans_errors[i])!r}\t{float(rep.rot_errors[i])!r}"
                      f"\t{float(rep.uncertainties[i])!r}\t{int(rep.kept[i])}")
     return "\n".join(lines) + "\n"
@@ -272,7 +254,7 @@ def cmd_sample_poses(args) -> None:
     t0 = time.perf_counter()
     cloud = sg.export_point_cloud(scene, _gi(pairs, "cloud_points", 20000),
                                   np.random.default_rng([args.seed, 2]))
-    training = [Pose.from_vector(v, data.pose_dim) for v in data.poses]
+    training = [Pose.from_vector(v, 3) for v in data.poses]
     accepted = sp.sample_poses(scene, cloud, training, data.intrinsics, cfg)
     poses = np.array([p.as_vector() for p, _ in accepted])
     images = sg.render_batch(scene, data.intrinsics, [p for p, _ in accepted])
@@ -306,7 +288,7 @@ def _train_config(pairs: dict[str, str], seed: int) -> tr.TrainConfig:
 
 def _model_config(pairs: dict[str, str], data: ds.Dataset, seed: int) -> ModelConfig:
     kw = _config_fields(pairs, ModelConfig, _MODEL_FROM_DATA)
-    return ModelConfig(dim=data.pose_dim, image_hw=data.intrinsics.height, seed=seed, **kw)
+    return ModelConfig(dim=3, image_hw=data.intrinsics.height, seed=seed, **kw)
 
 
 _TRAIN_KEYS = ({f.name for f in fields(tr.TrainConfig)} - {"seed"}) \
@@ -370,8 +352,6 @@ def cmd_eval(args) -> None:
         raise ConditioningError(
             "conditional checkpoints need a pose prior per frame; use the track command")
     data = ds.load_dataset(args.data)
-    if data.count == 0:
-        raise ConfigError("empty test split: nothing to evaluate")
     _check_model_data(model.config, data, str(args.ckpt))
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
@@ -381,20 +361,23 @@ def cmd_eval(args) -> None:
                                rng=np.random.default_rng([args.seed, i]))
                   for i in range(data.count)]
     rep = evaluate_posteriors(posteriors, data.poses)
+    n_kept = int(np.sum(rep.kept))
     with _OutputDir(args.out) as out:
         write_kv(os.path.join(out, "report.kv"),
                  {"kind": "eval_report", "version": "1",
                   "seed": str(args.seed), "n_samples": str(args.samples),
-                  **_report_fields(rep)})
+                  "n_frames": str(data.count), "n_kept": str(n_kept),
+                  **{k: repr(v) for k, v in rep.summary.items()}})
         with open(os.path.join(out, "frames.tsv"), "w", encoding="utf-8") as f:
             f.write(_frames_table(rep))
     dt = time.perf_counter() - t0
-    print(f"evaluated {rep.n_frames} frames in {dt:.1f} s")
-    print(f"raw:      median {rep.raw_median_trans:.4f} m / {rep.raw_median_rot:.2f} deg, "
-          f"mean {rep.raw_mean_trans:.4f} m / {rep.raw_mean_rot:.2f} deg")
-    print(f"filtered: median {rep.filt_median_trans:.4f} m / {rep.filt_median_rot:.2f} deg, "
-          f"mean {rep.filt_mean_trans:.4f} m / {rep.filt_mean_rot:.2f} deg "
-          f"({rep.n_kept}/{rep.n_frames} kept)")
+    s = rep.summary
+    print(f"evaluated {data.count} frames in {dt:.1f} s")
+    print(f"raw:      median {s['raw_median_trans_m']:.4f} m / {s['raw_median_rot_deg']:.2f} deg, "
+          f"mean {s['raw_mean_trans_m']:.4f} m / {s['raw_mean_rot_deg']:.2f} deg")
+    print(f"filtered: median {s['filt_median_trans_m']:.4f} m / {s['filt_median_rot_deg']:.2f} deg, "
+          f"mean {s['filt_mean_trans_m']:.4f} m / {s['filt_mean_rot_deg']:.2f} deg "
+          f"({n_kept}/{data.count} kept)")
 
 
 def _read_odom(path, n_frames: int, noise_var: np.ndarray) -> list[loc.OdometryStep]:
@@ -462,6 +445,7 @@ def cmd_track(args) -> None:
         variances[i] = np.diag(state.cov)
 
     errs = np.array([pose_errors(means[i], data.poses[i]) for i in range(data.count)])
+    summary = error_summary(errs, "")
     with _OutputDir(args.out) as out:
         lines = ["frame\tx\ty\ttheta\tvar_x\tvar_y\tvar_theta\terr_trans_m\terr_rot_deg"]
         for i in range(data.count):
@@ -472,14 +456,10 @@ def cmd_track(args) -> None:
         write_kv(os.path.join(out, "report.kv"), {
             "kind": "track_report", "version": "2",
             "seed": str(args.seed), "n_frames": str(data.count),
-            "median_trans_m": repr(float(np.median(errs[:, 0]))),
-            "mean_trans_m": repr(float(np.mean(errs[:, 0]))),
-            "median_rot_deg": repr(float(np.median(errs[:, 1]))),
-            "mean_rot_deg": repr(float(np.mean(errs[:, 1]))),
-        })
+            **{k: repr(v) for k, v in summary.items()}})
     dt = time.perf_counter() - t0
     print(f"tracked {data.count} frames in {dt:.1f} s; median "
-          f"{float(np.median(errs[:, 0])):.4f} m / {float(np.median(errs[:, 1])):.2f} deg")
+          f"{summary['median_trans_m']:.4f} m / {summary['median_rot_deg']:.2f} deg")
 
 
 # ---------------------------------------------------------------------------

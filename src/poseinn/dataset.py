@@ -35,11 +35,8 @@ class Dataset:
 
     poses: np.ndarray
     images: np.ndarray
-    pose_dim: int
     intrinsics: CameraIntrinsics
     scene_path: str
-    split: str
-    seed: int
 
     @property
     def count(self) -> int:
@@ -132,10 +129,11 @@ def load_dataset(manifest_path) -> Dataset:
     if not _in_unit_range(images):
         raise ConfigError(f"{manifest_path}: blob {images_path} holds an image value "
                           "that is not finite or lies outside [0, 1]")
-    return Dataset(poses=poses, images=images, pose_dim=dim, intrinsics=intr,
-                   scene_path=os.path.join(base, as_str(pairs, "scene")),
-                   split=as_str(pairs, "split", allowed=SPLITS),
-                   seed=as_int(pairs, "seed"))
+    # checked, not kept: nothing reads a loaded split's name or seed
+    as_str(pairs, "split", allowed=SPLITS)
+    as_int(pairs, "seed")
+    return Dataset(poses=poses, images=images, intrinsics=intr,
+                   scene_path=os.path.join(base, as_str(pairs, "scene")))
 
 
 def _in_unit_range(values: np.ndarray) -> bool:

@@ -7,10 +7,6 @@ class PoseInnError(Exception):
 
     code = "error"
 
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
-
 
 class DimensionError(PoseInnError):
     """Shapes or vector lengths do not agree."""

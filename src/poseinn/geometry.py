@@ -46,7 +46,7 @@ def squared_norms(v: np.ndarray) -> np.ndarray:
 class Pose:
     """Planar camera pose: position in meters with z = 0, Euler angles
     (theta, 0, 0) in radians; z and the two tilt angles must be 0
-    (tolerance 1e-9 at construction).
+    (tolerance 1e-9 at construction, unwrapped). The heading is wrapped.
 
     ``dim`` is the serialized length, 3; any other value is refused.
     """
@@ -57,15 +57,16 @@ class Pose:
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=np.float64).reshape(-1)
-        ang = wrap_angle(np.asarray(self.euler, dtype=np.float64).reshape(-1))
+        ang = np.asarray(self.euler, dtype=np.float64).reshape(-1)
         if pos.shape != (3,) or ang.shape != (3,):
             raise DimensionError(f"pose needs 3 positions and 3 angles, got {pos.shape}, {ang.shape}")
         if self.dim != 3:
             raise DimensionError(f"pose dim must be 3 (planar poses only), got {self.dim}")
+        # only the heading is wrapped: a tilt of 2 pi is refused, not wrapped to 0
         if abs(pos[2]) > 1e-9 or abs(ang[1]) > 1e-9 or abs(ang[2]) > 1e-9:
             raise DomainError("planar pose requires z = theta_x = theta_y = 0")
         object.__setattr__(self, "position", np.array([pos[0], pos[1], 0.0]))
-        object.__setattr__(self, "euler", np.array([ang[0], 0.0, 0.0]))
+        object.__setattr__(self, "euler", np.array([wrap_angle(ang[0]), 0.0, 0.0]))
 
     def as_vector(self) -> np.ndarray:
         """[x, y, theta]."""

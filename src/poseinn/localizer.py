@@ -118,17 +118,16 @@ def localize(model: PoseRegressor, image: np.ndarray, n_samples: int = 50,
     return summarize_samples(samples, model.config.dim)
 
 
-def variance_filter(posteriors: list[PosePosterior]) -> tuple[np.ndarray, list[PosePosterior]]:
-    """Keep posteriors whose scalar uncertainty is <= the median.
-
-    Returns (boolean keep mask, kept subset). Ties at the median are kept, so
-    distinct values keep exactly ceil(n / 2) entries.
+def variance_filter(posteriors: list[PosePosterior]) -> np.ndarray:
+    """Boolean keep mask: posteriors whose scalar uncertainty is <= the
+    median. Ties at the median are kept, so distinct values keep exactly
+    ceil(n / 2) entries, and a lone posterior is kept. An empty list raises
+    ``DomainError``.
     """
-    if len(posteriors) < 2:
-        raise DomainError("variance filtering needs at least 2 posteriors")
+    if not posteriors:
+        raise DomainError("variance filtering needs at least 1 posterior")
     u = np.array([p.scalar_uncertainty() for p in posteriors])
-    mask = u <= np.median(u)
-    return mask, [p for p, m in zip(posteriors, mask) if m]
+    return u <= np.median(u)
 
 
 # ---------------------------------------------------------------------------

@@ -162,10 +162,11 @@ class PoseRegressor:
         return out
 
     def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Inverse of ``param_arrays``. A missing record or a shape mismatch
-        raises ``DimensionError``. A permutation record that is not a
-        permutation of the flow's working indices, or that moves the pad
-        channel, raises ``CheckpointError``.
+        """Inverse of ``param_arrays``, on a record set whose names and
+        shapes are those ``param_arrays`` returns (``load_checkpoint``
+        checks both). A permutation record that is not a permutation of the
+        flow's working indices, or that moves the pad channel, raises
+        ``CheckpointError``.
 
         A non-finite weight raises ``NonFiniteError``: no op checks the
         values it computes, and an infinite weight inside a tanh-clamped
@@ -175,24 +176,17 @@ class PoseRegressor:
         width = self.flow.width
         perms = []
         for i in range(self.config.blocks):
-            a = arrays.get(f"flow.perm{i}")
-            if a is None:
-                raise DimensionError(f"missing flow permutation 'perm{i}'")
-            if a.shape != (width,) or not np.array_equal(np.sort(a), np.arange(width)):
+            a = arrays[f"flow.perm{i}"]
+            if not np.array_equal(np.sort(a), np.arange(width)):
                 raise CheckpointError(f"flow permutation 'perm{i}' is not a permutation of "
                                       f"0..{width - 1}")
             if a[0] != 0:
                 raise CheckpointError(f"flow permutation 'perm{i}' moves the pad channel 0")
             perms.append(a.astype(np.intp))
         for k, t in self.params.items():
-            part, name = k.split(".", 1)
-            a = arrays.get(k)
-            if a is None:
-                raise DimensionError(f"missing {part} parameter '{name}'")
-            if a.shape != t.data.shape:
-                raise DimensionError(
-                    f"{part} parameter '{name}' has shape {a.shape}, expected {t.data.shape}")
+            a = arrays[k]
             if not np.all(np.isfinite(a)):
+                part, name = k.split(".", 1)
                 raise NonFiniteError(f"{part} parameter '{name}' is not finite")
             t.data = np.array(a)
         self.flow.perms = perms

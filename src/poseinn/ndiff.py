@@ -90,14 +90,6 @@ class Tensor:
         self._op = _op
         self._spent = False
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise DimensionError(f"item() on tensor of shape {self.data.shape}")
@@ -684,8 +676,9 @@ class Adam:
         return {f"adam.{s}.{k}": self.state[s][k] for k in self.params for s in "mv"}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int) -> None:
-        self.state = {
-            "m": {k: np.array(arrays[f"adam.m.{k}"]) for k in self.params},
-            "v": {k: np.array(arrays[f"adam.v.{k}"]) for k in self.params},
-            "t": t,
-        }
+        """Inverse of ``state_arrays``: copy each moment, under the name
+        ``state_arrays`` gives it, into this optimizer's own moment array,
+        and set the step count to ``t``."""
+        for k, a in self.state_arrays().items():
+            a[...] = arrays[k]
+        self.state["t"] = t

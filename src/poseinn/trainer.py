@@ -424,9 +424,12 @@ def _meta_value(meta, key: str, decode):
 def load_checkpoint(path) -> Checkpoint:
     """Rebuild the model (architecture from the meta block, parameters and
     optimizer moments bitwise from the records, the train config from the
-    meta block). The meta block fixes the record set: the parameters, the
-    flow permutations and every Adam moment. Each record name appears
-    once; a repeated one is refused."""
+    meta block). The meta block fixes the record set: the rebuilt model's
+    ``param_arrays`` (parameters and flow permutations) and a fresh
+    optimizer's ``state_arrays`` (every Adam moment), the two tables
+    ``save_checkpoint`` writes. A record name that appears twice is refused
+    as it is read; then the first missing, unexpected or misshapen record
+    in name order is one ``CheckpointError`` line naming it."""
     with open(path, "rb") as f:
         r = _Reader(f.read())
     if r.take(4) != MAGIC:
@@ -458,16 +461,17 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"checkpoint meta epoch {epoch} and adam_t {adam_t} must be >= 0")
     train_cfg = _meta_value(meta, "train", lambda v: TrainConfig(**v))
 
+    # the records save_checkpoint writes for this model, from the same calls
+    moments = nd.Adam(model.params).state_arrays()
+    expected = {**model.param_arrays(), **moments}
+    for k in sorted(arrays.keys() | expected.keys()):
+        if k not in arrays or k not in expected:
+            why = "unexpected" if k in arrays else "missing"
+            raise CheckpointError(f"{why} checkpoint record '{k}'")
+        if arrays[k].shape != expected[k].shape:
+            raise CheckpointError(f"checkpoint record '{k}' has shape {arrays[k].shape}, "
+                                  f"expected {expected[k].shape}")
     model.load_param_arrays(arrays)
-    moments = {f"adam.{m}.{k}": t.data for k, t in model.params.items() for m in "mv"}
-    odd = sorted(arrays.keys() ^ (model.param_arrays().keys() | moments.keys()))
-    if odd:
-        why = "unexpected" if odd[0] in arrays else "missing"
-        raise CheckpointError(f"{why} checkpoint record '{odd[0]}'")
-    for k, a in moments.items():
-        if arrays[k].shape != a.shape:
-            raise CheckpointError(
-                f"checkpoint record '{k}' has shape {arrays[k].shape}, expected {a.shape}")
     return Checkpoint(model=model, epoch=epoch, adam_t=adam_t,
                       opt_arrays={k: arrays[k] for k in moments}, train=train_cfg)
 

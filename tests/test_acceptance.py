@@ -383,7 +383,7 @@ def test_variance_filter_lowers_mean_translation_error(toy_run):
     wins = 0
     for seed in range(5):
         rep = cli.evaluate_posteriors(_posteriors(toy_run, seed), toy_run.test.poses)
-        wins += rep.filt_mean_trans <= rep.raw_mean_trans
+        wins += rep.summary["filt_mean_trans_m"] <= rep.summary["raw_mean_trans_m"]
     assert wins >= 4, f"filtering lowered the mean in only {wins}/5 seeds"
 
 

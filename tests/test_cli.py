@@ -102,7 +102,8 @@ class TestPipeline:
         test = ds.load_dataset(pipeline["test"])
         synth = ds.load_dataset(pipeline["synth"])
         assert (train.count, test.count, synth.count) == (12, 4, 8)
-        assert (train.split, test.split, synth.split) == ("train", "test", "synth")
+        assert [read_kv(pipeline[k])["split"] for k in ("train", "test", "synth")] \
+            == ["train", "test", "synth"]
 
     def test_lockfiles_released(self, pipeline):
         root = pipeline["root"]
@@ -114,8 +115,13 @@ class TestPipeline:
         assert cli.main(["eval", "--ckpt", pipeline["ckpt"],
                          "--data", pipeline["test"], "--samples", "10",
                          "--seed", "1", "--out", str(out)]) == 0
-        report = (out / "report.kv").read_text()
-        assert "raw_median_trans_m" in report and "filt_mean_rot_deg" in report
+        report = read_kv(out / "report.kv")
+        assert list(report) == [
+            "kind", "version", "seed", "n_samples", "n_frames", "n_kept",
+            "raw_median_trans_m", "raw_mean_trans_m", "raw_median_rot_deg", "raw_mean_rot_deg",
+            "filt_median_trans_m", "filt_mean_trans_m", "filt_median_rot_deg",
+            "filt_mean_rot_deg"]
+        assert (report["kind"], report["n_frames"], report["n_kept"]) == ("eval_report", "4", "2")
         rows = (out / "frames.tsv").read_text().strip().splitlines()
         assert len(rows) == 1 + 4  # header + one row per test frame
 
@@ -500,6 +506,19 @@ def run_module(argv, tmp_path) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300)
 
 
+def write_records(path, ckpt, records: dict) -> str:
+    """A copy of checkpoint file ``ckpt`` with its header and meta block
+    kept and its records replaced by ``records``, in that order."""
+    blob = Path(ckpt).read_bytes()
+    head = 16 + struct.unpack_from("<Q", blob, 8)[0]
+    out = [blob[:head], struct.pack("<I", len(records))]
+    for name, a in records.items():
+        out += [struct.pack("<I", len(name)), name.encode(), struct.pack("<I", a.ndim),
+                struct.pack(f"<{a.ndim}I", *a.shape), np.ascontiguousarray(a, "<f8").tobytes()]
+    path.write_bytes(b"".join(out))
+    return str(path)
+
+
 class TestOneErrorLine:
     @pytest.mark.parametrize("verb, cfg_key", [("gen-data", "image_hw"),
                                                 ("sample-poses", "cloud_points")])
@@ -569,6 +588,64 @@ class TestOneErrorLine:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
             f"ERROR checkpoint: flow permutation 'perm0' is not a permutation of 0..{w - 1}"]
+
+    @pytest.mark.parametrize("case", [
+        "missing_param", "param_shape", "missing_perm", "perm_shape", "missing_moment",
+        "moment_shape", "unexpected", "not_a_permutation", "pad_moved", "non_finite"])
+    def test_checkpoint_record_faults(self, pipeline, tmp_path, capsys, case):
+        # every missing, unexpected or misshapen record is one checkpoint
+        # line naming it; the permutation and finiteness rules keep theirs
+        ck = tr.load_checkpoint(pipeline["ckpt"])
+        table = {**ck.model.param_arrays(), **tr.restore_optimizer(ck).state_arrays()}
+        w, p, m = "flow.block0.s.w0", "flow.perm1", "adam.v.vae.enc.conv0.w"
+        shape = {k: table[k].shape for k in (w, p, m)}
+        swapped = table[p].copy()
+        swapped[[0, 1]] = swapped[[1, 0]]
+        edits = {
+            "missing_param": ({w: None}, f"checkpoint: missing checkpoint record '{w}'"),
+            "param_shape": ({w: table[w].reshape(-1)},
+                            f"checkpoint: checkpoint record '{w}' has shape "
+                            f"{(table[w].size,)}, expected {shape[w]}"),
+            "missing_perm": ({p: None}, f"checkpoint: missing checkpoint record '{p}'"),
+            "perm_shape": ({p: table[p][None]}, f"checkpoint: checkpoint record '{p}' has "
+                                                f"shape {(1, *shape[p])}, expected {shape[p]}"),
+            "missing_moment": ({m: None}, f"checkpoint: missing checkpoint record '{m}'"),
+            "moment_shape": ({m: table[m].reshape(-1)},
+                             f"checkpoint: checkpoint record '{m}' has shape "
+                             f"{(table[m].size,)}, expected {shape[m]}"),
+            "unexpected": ({"vae.bogus": np.zeros(3)},
+                           "checkpoint: unexpected checkpoint record 'vae.bogus'"),
+            "not_a_permutation": ({p: np.zeros_like(table[p])},
+                                  f"checkpoint: flow permutation 'perm1' is not a permutation "
+                                  f"of 0..{shape[p][0] - 1}"),
+            "pad_moved": ({p: swapped},
+                          "checkpoint: flow permutation 'perm1' moves the pad channel 0"),
+            "non_finite": ({w: np.full(shape[w], np.inf)},
+                           "non_finite: flow parameter 'block0.s.w0' is not finite"),
+        }
+        edit, why = edits[case]
+        table.update(edit)
+        bad = write_records(tmp_path / "bad.ckpt", pipeline["ckpt"],
+                            {k: a for k, a in table.items() if a is not None})
+        capsys.readouterr()
+        rc = cli.main(["eval", "--ckpt", bad, "--data", pipeline["test"], "--seed", "0",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"ERROR {why}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_eval_empty_split(self, pipeline, tmp_path, capsys):
+        # refused by evaluate_posteriors, before the output directory exists
+        intr = ds.load_dataset(pipeline["test"]).intrinsics
+        empty = ds.save_dataset(tmp_path, "test", np.zeros((0, 3)),
+                                np.zeros((0, intr.height, intr.width, 3)), "scene.kv", intr, 0)
+        capsys.readouterr()
+        rc = cli.main(["eval", "--ckpt", pipeline["ckpt"], "--data", empty, "--seed", "0",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR config: empty test split: nothing to evaluate"]
+        assert not (tmp_path / "o").exists()
 
     def test_bad_meta_block(self, pipeline, tmp_path):
         blob = Path(pipeline["ckpt"]).read_bytes()
@@ -725,7 +802,7 @@ class TestConfigDefaults:
 
     def test_empty_model_config_keeps_dataclass_defaults(self, pipeline):
         data = ds.load_dataset(pipeline["train"])
-        want = ModelConfig(dim=data.pose_dim, image_hw=data.intrinsics.height, seed=4)
+        want = ModelConfig(dim=3, image_hw=data.intrinsics.height, seed=4)
         assert cli._model_config({}, data, seed=4) == want
 
     def test_keys_parse_by_field_type(self, pipeline):
@@ -751,16 +828,32 @@ class TestMetrics:
         gt = np.array([[0.5, -0.3, 1.0], [-0.2, 0.8, -2.0]])
         posts = [loc.summarize_samples(np.tile(g, (5, 1)), 3) for g in gt]
         rep = cli.evaluate_posteriors(posts, gt)
-        assert rep.raw_median_trans == 0.0 and rep.raw_mean_trans == 0.0
-        assert rep.raw_median_rot == 0.0 and rep.raw_mean_rot == 0.0
+        assert [rep.summary[f"raw_{k}"] for k in ("median_trans_m", "mean_trans_m",
+                                                  "median_rot_deg", "mean_rot_deg")] == [0.0] * 4
 
     def test_median_between_min_and_max(self):
         rng = np.random.default_rng(1)
         gt = rng.uniform(-1, 1, (9, 3))
         posts = [loc.summarize_samples(g + rng.normal(0, 0.1, (7, 3)), 3) for g in gt]
         rep = cli.evaluate_posteriors(posts, gt)
-        assert rep.trans_errors.min() <= rep.raw_median_trans <= rep.trans_errors.max()
-        assert rep.n_kept == int(np.sum(rep.kept))
+        assert rep.trans_errors.min() <= rep.summary["raw_median_trans_m"] \
+            <= rep.trans_errors.max()
+        kept = rep.trans_errors[rep.kept]
+        assert kept.min() <= rep.summary["filt_median_trans_m"] <= kept.max()
+
+    def test_error_summary_keys_and_values(self):
+        errs = np.array([[1.0, 10.0], [2.0, 40.0], [6.0, 70.0]])
+        assert cli.error_summary(errs, "raw_") == {
+            "raw_median_trans_m": 2.0, "raw_mean_trans_m": 3.0,
+            "raw_median_rot_deg": 40.0, "raw_mean_rot_deg": 40.0}
+        assert list(cli.error_summary(errs, "")) == [
+            "median_trans_m", "mean_trans_m", "median_rot_deg", "mean_rot_deg"]
+
+    def test_lone_frame_is_kept(self):
+        gt = np.array([[0.5, -0.3, 1.0]])
+        rep = cli.evaluate_posteriors([loc.summarize_samples(gt + 0.1, 3)], gt)
+        assert rep.kept.tolist() == [True]
+        assert rep.summary["filt_mean_trans_m"] == rep.summary["raw_mean_trans_m"]
 
     def test_empty_set_rejected(self):
         with pytest.raises(Exception, match="empty test split"):

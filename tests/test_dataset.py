@@ -6,6 +6,7 @@ import pytest
 
 import poseinn.dataset as ds
 from poseinn.errors import ConfigError
+from poseinn.kvconfig import read_kv
 from poseinn.scenegen import CameraIntrinsics
 
 from conftest import traced_peak
@@ -34,8 +35,8 @@ class TestRoundTrip:
         path, _, _ = make(tmp_path, n=7)
         d = ds.load_dataset(path)
         assert d.count == 7
-        assert d.pose_dim == 3
-        assert d.seed == 42
+        manifest = read_kv(path)
+        assert (manifest["pose_dim"], manifest["seed"]) == ("3", "42")
         assert d.intrinsics.width == 8 and d.intrinsics.height == 8
         assert abs(d.intrinsics.hfov - INTR.hfov) < 1e-15
         assert d.scene_path == os.path.join(str(tmp_path), "scene.kv")
@@ -156,7 +157,21 @@ class TestValidation:
     def test_split_is_the_name(self, tmp_path):
         for split in ds.SPLITS:
             path, _, _ = make(tmp_path, name=split)
-            assert ds.load_dataset(path).split == split
+            assert read_kv(path)["split"] == split
+            assert ds.load_dataset(path).count == 5
+
+    @pytest.mark.parametrize("key, bad, why", [
+        ("split", "val", "key 'split': expected one of"),
+        ("seed", "x", "key 'seed': expected integer, got 'x'")])
+    def test_manifest_split_and_seed_still_checked(self, tmp_path, key, bad, why):
+        # neither is kept on the loaded dataset, but a bad value is refused
+        path, _, _ = make(tmp_path)
+        text = Path(path).read_text(encoding="utf-8")
+        good = f"{key} = {read_kv(path)[key]}\n"
+        assert good in text
+        Path(path).write_text(text.replace(good, f"{key} = {bad}\n"), encoding="utf-8")
+        with pytest.raises(ConfigError, match=why):
+            ds.load_dataset(path)
 
     def test_save_rejects_bad_pose_dim(self, tmp_path):
         with pytest.raises(ConfigError, match="poses must be"):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from poseinn import ndiff as nd
-from poseinn.errors import ConditioningError, DimensionError, DomainError
+from poseinn import trainer as tr
+from poseinn.errors import CheckpointError, ConditioningError, DimensionError, DomainError
 from poseinn.flow import FlowModel
 from poseinn.geometry import Aabb
 from poseinn.model import ModelConfig, PoseRegressor
@@ -452,8 +453,14 @@ class TestShapesAndSerialization:
     def test_unconditional_ignores_cond_width(self):
         assert ModelConfig(dim=3, cond_width=0).cond_width == 0
 
-    def test_missing_param_rejected(self):
-        arrays = rand_regressor(seed=1).param_arrays()
+    def test_missing_param_rejected(self, tmp_path):
+        # a file written without one parameter record, its moments kept
+        m = rand_regressor(seed=1)
+        arrays = m.param_arrays()
         del arrays["flow.block0.s.w0"]
-        with pytest.raises(DimensionError):
-            rand_regressor(seed=2).load_param_arrays(arrays)
+        m.param_arrays = lambda: arrays
+        p = tmp_path / "m.ckpt"
+        tr.save_checkpoint(p, m, epoch=0, train_cfg=tr.TrainConfig(), opt=nd.Adam(m.params))
+        with pytest.raises(CheckpointError,
+                           match="^missing checkpoint record 'flow.block0.s.w0'$"):
+            tr.load_checkpoint(p)

@@ -58,6 +58,29 @@ class TestPose:
         p = geo.Pose(np.zeros(3), np.array([3 * np.pi, 0.0, 0.0]))
         np.testing.assert_allclose(p.euler[0], -np.pi)
 
+    def test_heading_wrapped_alone_bitwise(self):
+        # the heading, wrapped by itself, is bitwise the first entry of the
+        # 3-vector wrap, also within a few ulps of odd multiples of pi
+        rng = np.random.default_rng(5)
+        k = np.array([-41, -7, -5, -3, -1, 1, 3, 5, 7, 41])[:, None] * np.pi
+        steps = np.arange(-3, 4)[None, :]
+        heads = np.concatenate([rng.uniform(-60, 60, 2000), rng.normal(0, 4, 2000),
+                                (k + steps * np.spacing(k)).ravel(),
+                                [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]])
+        for h in heads:
+            want = geo.wrap_angle(np.array([h, 0.0, 0.0]))[0]
+            got = geo.Pose(np.zeros(3), np.array([h, 0.0, 0.0])).euler[0]
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), h
+
+    @pytest.mark.parametrize("tilt", [2 * np.pi, -2 * np.pi])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_full_turn_tilt_refused(self, axis, tilt):
+        # tilts are checked raw: a full turn is not wrapped to 0
+        ang = np.zeros(3)
+        ang[axis] = tilt
+        with pytest.raises(DomainError, match="planar pose requires"):
+            geo.Pose(np.zeros(3), ang)
+
     def test_bad_dim(self):
         # planar poses only: dim 6 is refused like any other width
         for dim in (4, 6):

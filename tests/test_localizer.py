@@ -167,23 +167,25 @@ class TestLocalize:
 class TestVarianceFilter:
     def test_distinct_values_keep_lower_half(self):
         ps = [make_posterior([v, 0, 0]) for v in (3.0, 1.0, 5.0, 2.0, 4.0)]
-        mask, kept = lc.variance_filter(ps)
-        assert mask.tolist() == [True, True, False, True, False]
-        assert len(kept) == 3  # ceil(5 / 2)
+        mask = lc.variance_filter(ps)
+        assert isinstance(mask, np.ndarray) and mask.dtype == bool
+        assert mask.tolist() == [True, True, False, True, False]  # ceil(5 / 2) kept
 
     def test_ties_all_kept(self):
         ps = [make_posterior([1.0, 1.0, 0]) for _ in range(4)]
-        mask, kept = lc.variance_filter(ps)
-        assert mask.all() and len(kept) == 4
+        assert lc.variance_filter(ps).tolist() == [True] * 4
 
     def test_even_count_keeps_half(self):
         ps = [make_posterior([v, 0, 0]) for v in (1.0, 2.0, 3.0, 4.0)]
-        mask, kept = lc.variance_filter(ps)
-        assert len(kept) == 2
+        assert lc.variance_filter(ps).tolist() == [True, True, False, False]
 
-    def test_needs_two(self):
-        with pytest.raises(DomainError):
-            lc.variance_filter([make_posterior([1, 0, 0])])
+    def test_lone_posterior_kept(self):
+        assert lc.variance_filter([make_posterior([1, 0, 0])]).tolist() == [True]
+
+    def test_empty_refused(self):
+        with pytest.raises(DomainError, match="at least 1 posterior") as e:
+            lc.variance_filter([])
+        assert "\n" not in str(e.value)
 
 
 class TestHeadingModes:

@@ -392,12 +392,12 @@ class TestConv:
         x0, w0, b0 = rng.normal(size=(2, 6, 6, 3)), rng.normal(size=(4, 4, 3, 5)), rng.normal(size=5)
         x, w, b = (nd.Tensor(a, requires_grad=True) for a in (x0, w0, b0))
         out = (nd.conv_transpose2d if transpose else nd.conv2d)(x, w, b)
-        g = rng.normal(size=out.shape)
+        g = rng.normal(size=out.data.shape)
         nd.tsum(nd.mul(out, g)).backward()
         if transpose:
             wmat = w0[::-1, ::-1].transpose(2, 0, 1, 3).reshape(3, -1)
             flat = x0.reshape(-1, 3)
-            ref = nd._col2im((flat @ wmat).reshape(2, 6, 6, -1), out.shape, 4, 2, 1) + b0
+            ref = nd._col2im((flat @ wmat).reshape(2, 6, 6, -1), out.data.shape, 4, 2, 1) + b0
             gflat = nd._im2col(g, 4, 2, 1)[0].reshape(-1, 4 * 4 * 5)
             grads = [(gflat @ wmat.T).reshape(x0.shape),
                      (flat.T @ gflat).reshape(3, 4, 4, 5).transpose(1, 2, 0, 3)[::-1, ::-1],
@@ -405,7 +405,7 @@ class TestConv:
         else:
             flat = nd._im2col(x0, 4, 2, 1)[0].reshape(-1, 4 * 4 * 3)
             wmat = w0.reshape(-1, 5)
-            ref = (flat @ wmat + b0).reshape(out.shape)
+            ref = (flat @ wmat + b0).reshape(out.data.shape)
             gflat = g.reshape(-1, 5)
             grads = [nd._col2im((gflat @ wmat.T).reshape(2, 3, 3, -1), x0.shape, 4, 2, 1),
                      (flat.T @ gflat).reshape(w0.shape), gflat.sum(axis=0)]
