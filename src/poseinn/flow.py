@@ -36,10 +36,12 @@ coupling mixes z into its active half, and the permutation after it
 spreads those columns over both halves, so every later coupling runs on
 n rows; the top coupling is the only one that gains.
 
-Between couplings the inverse does not permute the whole vector and then
-split it: it gathers the next coupling's passive and active halves
-straight from [v1 || u2], each through its half of the inverse
-permutation. Only the bottom coupling gathers the whole vector.
+Neither direction permutes the whole vector and then splits it: each
+coupling gathers its passive and active halves straight from the vector
+the previous coupling left, through the two halves of its permutation
+(the inverse permutation, going backwards). Both permutations fix the
+pad, so the forward narrows y_hat and z past it and the inverse's last
+gather skips it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import ndiff as nd
-from .errors import ConditioningError, DimensionError
+from .errors import CheckpointError, ConditioningError, DimensionError
 from .ndiff import Tensor
 
 if TYPE_CHECKING:
@@ -89,12 +91,8 @@ class FlowModel:
         self.half = self.width // 2
         rng = np.random.default_rng(config.seed)
 
-        self.perms: list[np.ndarray] = []
-        self.inv_perms: list[np.ndarray] = []
-        for _ in range(config.blocks):
-            p = np.concatenate([[0], 1 + rng.permutation(self.width - 1)])
-            self.perms.append(p.astype(np.intp))
-            self.inv_perms.append(np.argsort(p).astype(np.intp))
+        self.set_perms([np.concatenate([[0], 1 + rng.permutation(self.width - 1)])
+                        for _ in range(config.blocks)])
 
         self.params: dict[str, Tensor] = {}
         # each MLP's (weight, bias) per layer: the tensors of ``params``, so
@@ -109,6 +107,20 @@ class FlowModel:
         if config.conditional:
             csizes = [config.cond_dim, 2 * config.cond_width, config.cond_width]
             self._add_mlp("cond", _init_mlp(rng, csizes, zero_last=False))
+
+    def set_perms(self, perms: list[np.ndarray]) -> None:
+        """Install one permutation per block and their inverses. Values may
+        be of any dtype, as a checkpoint's float records hold them. Each
+        must permute the working indices and fix the pad channel 0; else
+        ``CheckpointError`` names it."""
+        for i, p in enumerate(perms):
+            if not np.array_equal(np.sort(p), np.arange(self.width)):
+                raise CheckpointError(f"flow permutation 'perm{i}' is not a permutation of "
+                                      f"0..{self.width - 1}")
+            if p[0] != 0:
+                raise CheckpointError(f"flow permutation 'perm{i}' moves the pad channel 0")
+        self.perms = [np.asarray(p).astype(np.intp) for p in perms]
+        self.inv_perms = [np.argsort(p).astype(np.intp) for p in self.perms]
 
     def _add_mlp(self, prefix: str, layers: list[tuple[np.ndarray, np.ndarray]]) -> None:
         self._layers[prefix] = []
@@ -174,8 +186,8 @@ class FlowModel:
         """Run the stack; returns (output working vector, per-sample log-det)."""
         logdet = Tensor(np.zeros(w.data.shape[0]))
         for k in range(self.config.blocks):
-            w = nd.gather_cols(w, self.perms[k])
-            u1, u2 = nd.split(w, [self.half, self.width - self.half])
+            perm = self.perms[k]
+            u1, u2 = nd.gather_cols(w, perm[:self.half]), nd.gather_cols(w, perm[self.half:])
             s, t = self._subnets(k, u1, ce)
             v2 = nd.mul(u2, nd.exp(s)) + t
             w = nd.concat([u1, v2])
@@ -192,11 +204,11 @@ class FlowModel:
             s, t = self._subnets(k, v1, ce)
             u2 = nd.mul(v2 - t, nd.exp(nd.mul(s, _NEG_ONE)))
             w = nd.concat([self._widen(v1, n), u2])
-            # the permutations are read here, not cached: load_param_arrays
+            # the permutations are read here, not cached: set_perms
             # replaces them
             perm = self.inv_perms[k]
             if not k:
-                return nd.gather_cols(w, perm)
+                return nd.gather_cols(w, perm[1:])
             v1, v2 = nd.gather_cols(w, perm[:half]), nd.gather_cols(w, perm[half:])
 
     @staticmethod
@@ -211,9 +223,6 @@ class FlowModel:
         zeros = Tensor(np.zeros((x.data.shape[0], 1)))
         return nd.concat([zeros, x])
 
-    def _unpad(self, w: Tensor) -> Tensor:
-        return nd.narrow(w, 1, self.width)
-
     # ------------------------------------------------------------------
     def forward_log_det(self, x, c=None) -> tuple[Tensor, Tensor, Tensor]:
         """Encoded pose -> (image latent y_hat, residual latent z, per-sample
@@ -225,8 +234,8 @@ class FlowModel:
             raise DimensionError(f"flow input must be (n, {self.config.x_len}), got {x.data.shape}")
         ce = self._check_condition(x.data.shape[0], c)
         out, logdet = self._forward_working(self._pad(x), ce)
-        y, z = nd.split(self._unpad(out), [self.config.latent, self.config.dim])
-        return y, z, logdet
+        latent = self.config.latent
+        return nd.narrow(out, 1, 1 + latent), nd.narrow(out, 1 + latent, self.width), logdet
 
     def forward(self, x, c=None) -> tuple[Tensor, Tensor]:
         """Encoded pose -> (image latent y_hat, residual latent z)."""
@@ -251,7 +260,6 @@ class FlowModel:
         if ce is not None and ce.data.shape[0] > y.data.shape[0]:
             y = self._widen(y, n)
         # the working vector is [pad || y || z]; y covers the passive half
-        head, tail = nd.split(y, [self.half - 1, self.config.latent - self.half + 1])
-        v1 = nd.concat([Tensor(np.zeros((y.data.shape[0], 1))), head])
-        v2 = nd.concat([self._widen(tail, n), z])
-        return self._unpad(self._inverse_working(v1, v2, ce))
+        v1 = self._pad(nd.narrow(y, 0, self.half - 1))
+        v2 = nd.concat([self._widen(nd.narrow(y, self.half - 1, self.config.latent), n), z])
+        return self._inverse_working(v1, v2, ce)

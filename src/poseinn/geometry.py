@@ -45,8 +45,9 @@ def squared_norms(v: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Pose:
     """Planar camera pose: position in meters with z = 0, Euler angles
-    (theta, 0, 0) in radians; z and the two tilt angles must be 0
-    (tolerance 1e-9 at construction, unwrapped). The heading is wrapped.
+    (theta, 0, 0) in radians; every value must be finite, and z and the
+    two tilt angles must be 0 (tolerance 1e-9 at construction, unwrapped).
+    The heading is wrapped.
 
     ``dim`` is the serialized length, 3; any other value is refused.
     """
@@ -62,6 +63,8 @@ class Pose:
             raise DimensionError(f"pose needs 3 positions and 3 angles, got {pos.shape}, {ang.shape}")
         if self.dim != 3:
             raise DimensionError(f"pose dim must be 3 (planar poses only), got {self.dim}")
+        if not (np.isfinite(pos).all() and np.isfinite(ang).all()):
+            raise DomainError(f"pose position {pos} and angles {ang} must be finite")
         # only the heading is wrapped: a tilt of 2 pi is refused, not wrapped to 0
         if abs(pos[2]) > 1e-9 or abs(ang[1]) > 1e-9 or abs(ang[2]) > 1e-9:
             raise DomainError("planar pose requires z = theta_x = theta_y = 0")

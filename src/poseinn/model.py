@@ -16,9 +16,9 @@ import numpy as np
 
 from . import ndiff as nd
 from .encoder import Vae
-from .errors import CheckpointError, DimensionError, DomainError, NonFiniteError
+from .errors import DimensionError, DomainError, NonFiniteError
 from .flow import FlowModel
-from .geometry import Aabb, Pose, positional_encode_batch, wrap_angle
+from .geometry import Aabb, Pose, is_int, positional_encode_batch, wrap_angle
 
 # the conditioning grid: position cells in metres, heading cells in radians
 COND_CELL_XY, COND_CELL_THETA = 0.5, np.pi / 6
@@ -50,6 +50,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("dim", "image_hw", "enc_L", "blocks", "hidden", "layers", "cond_width", "seed"):
+            if not is_int(getattr(self, name)):
+                raise DimensionError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise DimensionError(f"seed must be >= 0, got {self.seed}")
         if self.dim != 3:
             raise DimensionError(f"pose dim must be 3 (planar poses only), got {self.dim}")
         if self.enc_L < 1 or self.blocks < 1 or self.layers < 1 or self.hidden < 1:
@@ -164,30 +169,19 @@ class PoseRegressor:
     def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Inverse of ``param_arrays``, on a record set whose names and
         shapes are those ``param_arrays`` returns (``load_checkpoint``
-        checks both). A permutation record that is not a permutation of the
-        flow's working indices, or that moves the pad channel, raises
-        ``CheckpointError``.
+        checks both). The permutation records go through
+        ``FlowModel.set_perms`` first, so a bad one raises its
+        ``CheckpointError`` before any weight is checked.
 
         A non-finite weight raises ``NonFiniteError``: no op checks the
         values it computes, and an infinite weight inside a tanh-clamped
         coupling scale saturates to a finite output that no later check
         would catch.
         """
-        width = self.flow.width
-        perms = []
-        for i in range(self.config.blocks):
-            a = arrays[f"flow.perm{i}"]
-            if not np.array_equal(np.sort(a), np.arange(width)):
-                raise CheckpointError(f"flow permutation 'perm{i}' is not a permutation of "
-                                      f"0..{width - 1}")
-            if a[0] != 0:
-                raise CheckpointError(f"flow permutation 'perm{i}' moves the pad channel 0")
-            perms.append(a.astype(np.intp))
+        self.flow.set_perms([arrays[f"flow.perm{i}"] for i in range(self.config.blocks)])
         for k, t in self.params.items():
             a = arrays[k]
             if not np.all(np.isfinite(a)):
                 part, name = k.split(".", 1)
                 raise NonFiniteError(f"{part} parameter '{name}' is not finite")
             t.data = np.array(a)
-        self.flow.perms = perms
-        self.flow.inv_perms = [np.argsort(p).astype(np.intp) for p in perms]

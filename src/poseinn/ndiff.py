@@ -40,9 +40,10 @@ non-finite value is reported by one of those checks, not by warnings.
 Only the layers this project uses are supported: 2-D affine layers
 (``linear`` is the one matrix product), elementwise arithmetic with
 numpy-style broadcasting on add/sub/mul, a handful of nonlinearities,
-concat/split/column-gather, reshape, full and per-axis sums, the full
-mean, MSE, stride-2 convolutions (direct, and transposed as its adjoint
-through the same im2col/col2im pair). ``+`` and ``-`` are the only
+concat, narrow and column-gather (both directions of the flow gather
+each coupling's halves through its permutation), reshape, full and
+per-axis sums, the full mean, MSE, stride-2 convolutions (direct, and
+transposed as its adjoint through the same im2col/col2im pair). ``+`` and ``-`` are the only
 operators a tensor takes; every other op is called by name. No GPU, no
 higher-order derivatives. A shape op or a reduction refuses a bad axis,
 index or size with one ``DimensionError``.
@@ -405,20 +406,6 @@ def narrow(t: Tensor, start: int, stop: int, axis: int = 1) -> Tensor:
     return _make(out_data, (t,), bwd, "narrow")
 
 
-def split(t: Tensor, sizes: list[int]) -> list[Tensor]:
-    """Consecutive column blocks of the given widths, which must add up to
-    the column count."""
-    t = _wrap(t)
-    n = _axis_len(t, 1, "split")
-    if sum(sizes) != n:
-        raise DimensionError(f"split sizes {sizes} do not sum to axis length {n}")
-    outs, at = [], 0
-    for s in sizes:
-        outs.append(narrow(t, at, at + s))
-        at += s
-    return outs
-
-
 def gather_cols(t: Tensor, idx) -> Tensor:
     """Column permutation/selection: out[:, j] = t[:, idx[j]]. ``idx`` is
     an intp array or converts to one from integers; a non-integer index,
@@ -430,7 +417,10 @@ def gather_cols(t: Tensor, idx) -> Tensor:
             raise DimensionError(f"gather_cols index must be integers, got dtype {idx.dtype}")
         idx = idx.astype(np.intp)
     try:
-        out_data = t.data[:, idx]
+        # take, not t.data[:, idx]: fancy indexing on the second axis returns
+        # a column-major array, and a reduction over its rows then rounds
+        # differently from one over the same values in row-major order
+        out_data = np.take(t.data, idx, axis=1)
     except IndexError:
         raise DimensionError(
             f"gather_cols index {idx} outside the columns of a tensor of shape {t.data.shape}"

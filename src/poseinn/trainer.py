@@ -35,7 +35,7 @@ import numpy as np
 from . import ndiff as nd
 from .encoder import kl_divergence
 from .errors import CheckpointError, DomainError, NonFiniteError
-from .geometry import Aabb
+from .geometry import Aabb, is_int
 from .model import ModelConfig, PoseRegressor
 from .ndiff import Tensor
 
@@ -65,6 +65,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch", "warmup_epochs", "checkpoint_every", "seed"):
+            if not is_int(getattr(self, name)):
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1 or self.batch < 1:
             raise DomainError("epochs and batch size must be positive")
         if not (self.lr_start >= self.lr_end > 0):

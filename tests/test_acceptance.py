@@ -148,9 +148,6 @@ def _op_table(rng):
          lambda t: w(nd.concat([t[0], t[1]]))),
         ("narrow", [rng.standard_normal((3, 6))],
          lambda t: w(nd.narrow(t[0], 1, 5))),
-        ("split", [rng.standard_normal((3, 7))],
-         lambda t: sum((w(p) for p in nd.split(t[0], [2, 4, 1])),
-                       nd.Tensor(np.array(0.0)))),
         ("gather_cols", [rng.standard_normal((3, 6))],
          lambda t: w(nd.gather_cols(t[0], idx))),
         ("reshape", [n34()], lambda t: w(nd.reshape(t[0], (2, 6)))),

@@ -12,9 +12,10 @@ from poseinn.geometry import Aabb
 from poseinn.model import ModelConfig, PoseRegressor
 
 
-def tiny_vae(enc_L=2, hw=16, seed=0) -> Vae:
+def tiny_vae(enc_L=2, hw=16, seed=1) -> Vae:
     """A VAE with latent width 2 * 3 * enc_L whose weights are drawn
-    from ``seed``: a model draws its VAE from its own seed + 1."""
+    from ``seed`` >= 1: a model draws its VAE from its own seed + 1, and a
+    model seed is >= 0."""
     return Vae(ModelConfig(dim=3, enc_L=enc_L, image_hw=hw, seed=seed - 1))
 
 

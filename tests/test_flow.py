@@ -7,7 +7,8 @@ import pytest
 
 from poseinn import ndiff as nd
 from poseinn import trainer as tr
-from poseinn.errors import CheckpointError, ConditioningError, DimensionError, DomainError
+from poseinn.errors import (CheckpointError, ConditioningError, DimensionError, DomainError,
+                            PoseInnError)
 from poseinn.flow import FlowModel
 from poseinn.geometry import Aabb
 from poseinn.model import ModelConfig, PoseRegressor
@@ -405,6 +406,84 @@ class TestOneRowLatent:
             got = t.grad[idx]
             assert abs(got - num) <= 1e-5 * max(1.0, abs(num)), (idx, got, num)
 
+
+class TestPlumbingOracle:
+    """Each coupling gathers its halves straight through its permutation.
+    The reference here is the plain path, run with the model's own
+    subnets: pad, permute the whole vector and split it (the inverse
+    gathers the whole vector and drops the pad). Values, log-dets and
+    every gradient must be the same bits."""
+
+    @staticmethod
+    def reference_forward(m, x, c):
+        n, half, width = x.data.shape[0], m.half, m.width
+        ce = m._check_condition(n, c)
+        w = nd.concat([nd.Tensor(np.zeros((n, 1))), x])
+        logdet = nd.Tensor(np.zeros(n))
+        for k in range(m.config.blocks):
+            w = nd.gather_cols(w, m.perms[k])
+            u1, u2 = nd.narrow(w, 0, half), nd.narrow(w, half, width)
+            s, t = m._subnets(k, u1, ce)
+            w = nd.concat([u1, nd.mul(u2, nd.exp(s)) + t])
+            logdet = logdet + nd.tsum(s, axis=1)
+        out = nd.narrow(w, 1, width)
+        latent = m.config.latent
+        return nd.narrow(out, 0, latent), nd.narrow(out, latent, m.config.x_len), logdet
+
+    @staticmethod
+    def reference_inverse(m, y, z, c):
+        n, half, width = z.data.shape[0], m.half, m.width
+        ce = m._check_condition(n, c)
+        if ce is not None and ce.data.shape[0] > y.data.shape[0]:
+            y = m._widen(y, n)
+        pad = nd.Tensor(np.zeros((y.data.shape[0], 1)))
+        v1 = nd.concat([pad, nd.narrow(y, 0, half - 1)])
+        v2 = nd.concat([m._widen(nd.narrow(y, half - 1, m.config.latent), n), z])
+        for k in reversed(range(m.config.blocks)):
+            s, t = m._subnets(k, v1, ce)
+            u2 = nd.mul(v2 - t, nd.exp(nd.mul(s, nd.Tensor(-1.0))))
+            w = nd.gather_cols(nd.concat([m._widen(v1, n), u2]), m.inv_perms[k])
+            v1, v2 = nd.narrow(w, 0, half), nd.narrow(w, half, width)
+        return nd.narrow(w, 1, width)
+
+    @staticmethod
+    def grads(m, leaves, run):
+        """Run ``run()``, a tuple of outputs, and backpropagate a fixed
+        random weighting of them; returns the output and gradient bytes."""
+        for t in [*m.params.values(), *leaves]:
+            t.grad = None
+        outs = run()
+        wrng = np.random.default_rng(3)
+        loss = nd.Tensor(np.array(0.0))
+        for o in outs:
+            loss = loss + nd.tsum(nd.mul(o, nd.Tensor(wrng.normal(size=o.data.shape))))
+        loss.backward()
+        return ([o.data.tobytes() for o in outs],
+                {k: t.grad.tobytes() for k, t in [*m.params.items(), *enumerate(leaves)]})
+
+    @pytest.mark.parametrize("conditional,c_rows,y_rows", [
+        (False, 0, 5), (True, 1, 5), (True, 5, 5), (False, 0, 1), (True, 1, 1), (True, 5, 1)],
+        ids=["unconditional", "cond_one_row", "cond_n_rows", "one_row_latent",
+             "one_row_latent_cond_one_row", "one_row_latent_cond_n_rows"])
+    def test_bitwise_equal_to_whole_vector_path(self, conditional, c_rows, y_rows):
+        m = rand_model(dim=3, enc_L=2, blocks=4, hidden=16, conditional=conditional, seed=61)
+        rng = np.random.default_rng(19)
+        c = rng.normal(size=(c_rows, m.config.cond_dim)) if conditional else None
+        x0 = rng.normal(size=(5, m.config.x_len)) * 0.5
+        y0 = rng.normal(size=(y_rows, m.config.latent)) * 0.5
+        z0 = rng.normal(size=(5, m.config.dim))
+
+        x = nd.Tensor(x0, requires_grad=True)
+        got = self.grads(m, [x], lambda: m.forward_log_det(x, c))
+        x = nd.Tensor(x0, requires_grad=True)
+        assert got == self.grads(m, [x], lambda: self.reference_forward(m, x, c))
+
+        y, z = nd.Tensor(y0, requires_grad=True), nd.Tensor(z0, requires_grad=True)
+        got = self.grads(m, [y, z], lambda: (m.inverse(y, z, c),))
+        y, z = nd.Tensor(y0, requires_grad=True), nd.Tensor(z0, requires_grad=True)
+        assert got == self.grads(m, [y, z], lambda: (self.reference_inverse(m, y, z, c),))
+
+
 class TestAmbiguityChannel:
     def test_two_z_two_poses(self):
         m = rand_model(dim=3, seed=41)
@@ -449,6 +528,16 @@ class TestShapesAndSerialization:
     def test_nonpositive_width_rejected(self, kw):
         with pytest.raises(DimensionError):
             ModelConfig(dim=3, **kw)
+
+    @pytest.mark.parametrize("kw", [
+        {name: bad} for name in ("dim", "image_hw", "enc_L", "blocks", "hidden", "layers",
+                                 "cond_width", "seed")
+        for bad in (2.5, True)] + [{"seed": -1}], ids=str)
+    def test_non_integer_count_or_negative_seed_refused(self, kw):
+        why = "seed must be >= 0" if kw == {"seed": -1} else "must be an integer"
+        with pytest.raises(PoseInnError, match=why) as e:
+            ModelConfig(**{"dim": 3, **kw})
+        assert "\n" not in str(e.value)
 
     def test_unconditional_ignores_cond_width(self):
         assert ModelConfig(dim=3, cond_width=0).cond_width == 0

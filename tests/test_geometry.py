@@ -81,6 +81,16 @@ class TestPose:
         with pytest.raises(DomainError, match="planar pose requires"):
             geo.Pose(np.zeros(3), ang)
 
+    @pytest.mark.parametrize("pos,ang", [
+        ([np.nan, 2.0, 0.0], [0.5, 0.0, 0.0]), ([1.0, 2.0, np.nan], [0.5, 0.0, 0.0]),
+        ([1.0, 2.0, 0.0], [0.5, np.nan, 0.0]), ([0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]),
+        ([0.0, 0.0, 0.0], [-np.inf, 0.0, 0.0])],
+        ids=["nan_x", "nan_z", "nan_tilt", "inf_heading", "neg_inf_heading"])
+    def test_non_finite_refused(self, pos, ang):
+        with pytest.raises(DomainError, match="must be finite") as e:
+            geo.Pose(np.array(pos), np.array(ang))
+        assert "\n" not in str(e.value)
+
     def test_bad_dim(self):
         # planar poses only: dim 6 is refused like any other width
         for dim in (4, 6):

@@ -10,7 +10,7 @@ import pytest
 import poseinn.localizer as lc
 import poseinn.ndiff as nd
 import poseinn.trainer as tr
-from poseinn.errors import CheckpointError, DimensionError, DomainError, NonFiniteError
+from poseinn.errors import CheckpointError, DimensionError, DomainError, NonFiniteError, PoseInnError
 from poseinn.geometry import Aabb, Pose
 from poseinn.model import COND_CELL_THETA, ModelConfig, PoseRegressor
 from poseinn.ndiff import Tensor
@@ -147,6 +147,15 @@ class TestSchedule:
         for mix in ("shaken", "pool"):
             with pytest.raises(DomainError, match="mix must be 'alternate'"):
                 tr.TrainConfig(mix=mix)
+
+    @pytest.mark.parametrize("kw", [
+        {name: bad} for name in ("epochs", "batch", "warmup_epochs", "checkpoint_every", "seed")
+        for bad in (2.5, True)] + [{"seed": -1}], ids=str)
+    def test_non_integer_count_or_negative_seed_refused(self, kw):
+        why = "seed must be >= 0" if kw == {"seed": -1} else "must be an integer"
+        with pytest.raises(PoseInnError, match=why) as e:
+            tr.TrainConfig(**kw)
+        assert "\n" not in str(e.value)
 
 
 class TestRotationLosses:
