@@ -30,8 +30,8 @@ from . import scenegen as sg
 from . import trainer as tr
 from .errors import ConditioningError, ConfigError, PoseInnError
 from .geometry import Aabb, Pose, wrap_angle
-from .kvconfig import as_float, as_floats, as_int, as_str, ensure_keys, read_kv, \
-    read_text, write_kv
+from .kvconfig import as_float, as_floats, as_int, as_str, ensure_keys, floats, read_kv, \
+    read_text, write_kv, write_table
 from .model import ModelConfig, PoseRegressor
 
 log = logging.getLogger("poseinn")
@@ -178,14 +178,6 @@ def evaluate_posteriors(posteriors: list, gt_poses: np.ndarray) -> MetricsReport
         trans_errors=errs[:, 0], rot_errors=errs[:, 1],
         uncertainties=np.array([p.scalar_uncertainty() for p in posteriors]), kept=kept,
         summary={**error_summary(errs, "raw_"), **error_summary(errs[kept], "filt_")})
-
-
-def _frames_table(rep: MetricsReport) -> str:
-    lines = ["frame\terr_trans_m\terr_rot_deg\tuncertainty\tkept"]
-    for i in range(len(rep.kept)):
-        lines.append(f"{i}\t{float(rep.trans_errors[i])!r}\t{float(rep.rot_errors[i])!r}"
-                     f"\t{float(rep.uncertainties[i])!r}\t{int(rep.kept[i])}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +330,9 @@ def cmd_train(args) -> None:
                               synth_poses=None if synth is None else synth.poses,
                               synth_images=None if synth is None else synth.images,
                               out_dir=out, start_epoch=start, opt=opt)
-        with open(os.path.join(out, "loss.tsv"), "w", encoding="utf-8") as f:
-            f.write(tr.format_loss_table(entries))
+        cols = [f.name for f in fields(tr.LossEntry)]
+        write_table(os.path.join(out, "loss.tsv"), cols,
+                    [[getattr(e, c) for c in cols] for e in entries])
     dt = time.perf_counter() - t0
     print(f"trained epochs {start}..{cfg.epochs - 1} in {dt:.1f} s; "
           f"final total loss {entries[-1].total:.6f}")
@@ -368,8 +361,10 @@ def cmd_eval(args) -> None:
                   "seed": str(args.seed), "n_samples": str(args.samples),
                   "n_frames": str(data.count), "n_kept": str(n_kept),
                   **{k: repr(v) for k, v in rep.summary.items()}})
-        with open(os.path.join(out, "frames.tsv"), "w", encoding="utf-8") as f:
-            f.write(_frames_table(rep))
+        write_table(os.path.join(out, "frames.tsv"),
+                    ["frame", "err_trans_m", "err_rot_deg", "uncertainty", "kept"],
+                    zip(range(data.count), rep.trans_errors, rep.rot_errors,
+                        rep.uncertainties, map(int, rep.kept)))
     dt = time.perf_counter() - t0
     s = rep.summary
     print(f"evaluated {data.count} frames in {dt:.1f} s")
@@ -386,42 +381,22 @@ def _read_odom(path, n_frames: int, noise_var: np.ndarray) -> list[loc.OdometryS
     A line with ``#`` in its first column is a comment, and blank lines are
     skipped. An error names the file and the line's number in the file,
     counting every line from 1."""
-    lines = [(no, ln.strip()) for no, ln in enumerate(read_text(path).splitlines(), 1)
+    lines = [(no, ln) for no, ln in enumerate(read_text(path).splitlines(), 1)
              if ln.strip() and not ln.startswith("#")]
     if len(lines) != n_frames:
         raise ConfigError(f"{path}: {len(lines)} odometry lines for {n_frames} frames")
-    steps = []
-    for no, ln in lines:
-        tok = ln.split()
-        if len(tok) != 3:
-            raise ConfigError(f"{path}: line {no}: expected 3 values, got {len(tok)}")
-        try:
-            df, dl, dth = (float(t) for t in tok)
-        except ValueError:
-            raise ConfigError(f"{path}: line {no}: not parseable as floats") from None
-        if not np.all(np.isfinite((df, dl, dth))):
-            raise ConfigError(f"{path}: line {no}: odometry values must be finite, got {ln!r}")
-        steps.append(loc.OdometryStep(df, dl, dth, noise=noise_var))
-    return steps
-
-
-def _finite_floats(pairs: dict[str, str], key: str, path,
-                   default: np.ndarray | None = None) -> np.ndarray:
-    """Three finite floats from ``key``, or ``default`` when it is absent."""
-    if key not in pairs:
-        return default
-    vals = as_floats(pairs, key, 3)
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError(f"{path}: key '{key}' must be finite, got {pairs[key]!r}")
-    return vals
+    return [loc.OdometryStep(*floats(ln, 3, f"{path}: line {no}").tolist(), noise=noise_var)
+            for no, ln in lines]
 
 
 def cmd_track(args) -> None:
     pairs = _read_config(args.config, "track_config", required={"init"},
                          optional={"n_samples", "init_var", "odom_var"})
-    init = _finite_floats(pairs, "init", args.config)
-    init_var = _finite_floats(pairs, "init_var", args.config, np.array([1e-2, 1e-2, 1e-2]))
-    odom_var = _finite_floats(pairs, "odom_var", args.config, np.array([1e-4, 1e-4, 7.6e-5]))
+    init = as_floats(pairs, "init", 3)
+    init_var = as_floats(pairs, "init_var", 3) if "init_var" in pairs \
+        else np.array([1e-2, 1e-2, 1e-2])
+    odom_var = as_floats(pairs, "odom_var", 3) if "odom_var" in pairs \
+        else np.array([1e-4, 1e-4, 7.6e-5])
     n_samples = _gi(pairs, "n_samples", 50)
     ck = tr.load_checkpoint(args.ckpt)
     model = ck.model
@@ -447,12 +422,10 @@ def cmd_track(args) -> None:
     errs = np.array([pose_errors(means[i], data.poses[i]) for i in range(data.count)])
     summary = error_summary(errs, "")
     with _OutputDir(args.out) as out:
-        lines = ["frame\tx\ty\ttheta\tvar_x\tvar_y\tvar_theta\terr_trans_m\terr_rot_deg"]
-        for i in range(data.count):
-            lines.append("\t".join([str(i)] + [repr(float(v)) for v in
-                                              (*means[i], *variances[i], *errs[i])]))
-        with open(os.path.join(out, "track.tsv"), "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
+        write_table(os.path.join(out, "track.tsv"),
+                    ["frame", "x", "y", "theta", "var_x", "var_y", "var_theta",
+                     "err_trans_m", "err_rot_deg"],
+                    [(i, *row) for i, row in enumerate(np.hstack((means, variances, errs)))])
         write_kv(os.path.join(out, "report.kv"), {
             "kind": "track_report", "version": "2",
             "seed": str(args.seed), "n_frames": str(data.count),

@@ -6,9 +6,12 @@ strict by design: duplicate keys, missing required keys, and keys outside
 the declared schema are errors, never silently ignored. Floats are written
 with repr so they round-trip exactly.
 
-``read_text`` is the package's one reader of text files: these and the
-odometry file. A file that is missing, unreadable or not UTF-8 is one
-``ConfigError`` that names it.
+This module is the package's one reader and writer of text files and its
+one parser of float rows. ``read_text`` reads every text file (these and
+the odometry file): a file that is missing, unreadable or not UTF-8 is one
+``ConfigError`` that names it. ``floats`` parses every row of floats read
+from a file. ``write_kv`` writes every key-value file and ``write_table``
+every tab-separated table.
 """
 
 from __future__ import annotations
@@ -86,15 +89,23 @@ def as_float(pairs: dict[str, str], key: str) -> float:
         raise ConfigError(f"key '{key}': expected float, got {pairs[key]!r}") from None
 
 
-def as_floats(pairs: dict[str, str], key: str, n: int) -> np.ndarray:
-    """Exactly ``n`` space-separated floats."""
+def floats(text: str, n: int, where: str) -> np.ndarray:
+    """Exactly ``n`` whitespace-separated finite floats. A wrong count, a
+    token that is not a number or a non-finite value is one ``ConfigError``
+    that names ``where``."""
     try:
-        vals = np.array([float(tok) for tok in pairs[key].split()])
+        vals = np.array([float(tok) for tok in text.split()])
     except ValueError:
-        raise ConfigError(f"key '{key}': expected space-separated floats, got {pairs[key]!r}") from None
+        raise ConfigError(f"{where}: not parseable as floats: {text!r}") from None
     if vals.size != n:
-        raise ConfigError(f"key '{key}': expected {n} floats, got {vals.size}")
+        raise ConfigError(f"{where}: expected {n} floats, got {vals.size}")
+    if not np.isfinite(vals).all():
+        raise ConfigError(f"{where} must be finite, got {text!r}")
     return vals
+
+
+def as_floats(pairs: dict[str, str], key: str, n: int) -> np.ndarray:
+    return floats(pairs[key], n, f"key '{key}'")
 
 
 def as_str(pairs: dict[str, str], key: str, allowed: set[str] | None = None) -> str:
@@ -106,3 +117,12 @@ def as_str(pairs: dict[str, str], key: str, allowed: set[str] | None = None) -> 
 
 def fmt_floats(vals) -> str:
     return " ".join(repr(float(v)) for v in np.asarray(vals).reshape(-1))
+
+
+def write_table(path, header, rows) -> None:
+    """Tab-separated text under a header row: an int cell as ``str``, any
+    other cell as ``repr(float(v))``, so that every float round-trips."""
+    lines = ["\t".join(header)]
+    lines += ["\t".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row)
+              for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -58,8 +58,11 @@ class Sphere:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
+        object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "albedo", np.asarray(self.albedo, dtype=np.float64))
-        if self.radius <= 0:
+        if not np.isfinite(self.center).all():
+            raise DomainError(f"sphere center must be finite, got {self.center}")
+        if not self.radius > 0:
             raise DomainError(f"sphere radius must be positive, got {self.radius}")
         _check_albedo(self.albedo)
 
@@ -83,6 +86,9 @@ class Box:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
         object.__setattr__(self, "half", np.asarray(self.half, dtype=np.float64))
         object.__setattr__(self, "albedo", np.asarray(self.albedo, dtype=np.float64))
+        if not (np.isfinite(self.center).all() and np.isfinite(self.half).all()):
+            raise DomainError(f"box center and half-extents must be finite, "
+                              f"got {self.center} and {self.half}")
         if np.any(self.half <= 0):
             raise DomainError(f"box half-extents must be positive, got {self.half}")
         _check_albedo(self.albedo)
@@ -99,7 +105,7 @@ class Box:
 
 
 def _check_albedo(a: np.ndarray) -> None:
-    if a.shape != (3,) or np.any(a < 0.0) or np.any(a > 1.0):
+    if a.shape != (3,) or not ((a >= 0.0) & (a <= 1.0)).all():
         raise DomainError(f"albedo must be 3 values in [0,1], got {a}")
 
 
@@ -538,13 +544,13 @@ def save_scene(scene: Scene, path) -> None:
 
 def load_scene(path) -> Scene:
     pairs = kv.read_kv(path)
-    count_s = pairs.get("primitive_count")
-    if count_s is None:
+    if "primitive_count" not in pairs:
         raise ConfigError(f"{path}: missing primitive_count")
-    try:
-        count = int(count_s)
-    except ValueError:
-        raise ConfigError(f"{path}: primitive_count must be an integer") from None
+    # bounded before the key set is built: a count is at most the file's keys
+    count = kv.as_int(pairs, "primitive_count")
+    if not 1 <= count <= len(pairs):
+        raise ConfigError(f"{path}: primitive_count must be in [1, {len(pairs)}] "
+                          f"(the file's key count), got {count}")
     kv.ensure_keys(pairs, _SCENE_KEYS | {f"prim{i}" for i in range(count)}, source=str(path))
     if kv.as_str(pairs, "type") != "scene":
         raise ConfigError(f"{path}: not a scene file")
@@ -553,17 +559,15 @@ def load_scene(path) -> Scene:
     bounds = Aabb(kv.as_floats(pairs, "bounds_lo", 3), kv.as_floats(pairs, "bounds_hi", 3))
     prims = []
     for i in range(count):
-        toks = pairs[f"prim{i}"].split()
-        kind = toks[0]
-        try:
-            vals = [float(t) for t in toks[1:]]
-        except ValueError:
-            raise ConfigError(f"{path}: prim{i} has non-numeric fields") from None
-        if kind == "sphere" and len(vals) == 7:
-            prims.append(Sphere(np.array(vals[0:3]), vals[3], np.array(vals[4:7])))
-        elif kind == "box" and len(vals) == 9:
-            prims.append(Box(np.array(vals[0:3]), np.array(vals[3:6]), np.array(vals[6:9])))
+        kind, *rest = pairs[f"prim{i}"].split(maxsplit=1) or [""]
+        where = f"{path}: prim{i}"
+        if kind == "sphere":
+            v = kv.floats("".join(rest), 7, where)
+            prims.append(Sphere(v[:3], v[3], v[4:]))
+        elif kind == "box":
+            v = kv.floats("".join(rest), 9, where)
+            prims.append(Box(v[:3], v[3:6], v[6:]))
         else:
-            raise ConfigError(f"{path}: prim{i} malformed: {pairs[f'prim{i}']!r}")
+            raise ConfigError(f"{where}: kind must be 'sphere' or 'box', got {kind!r}")
     return Scene(bounds, tuple(prims), kv.as_floats(pairs, "background", 3),
                  seed=kv.as_int(pairs, "seed"))

@@ -27,6 +27,7 @@ VAE's own optimum. The module also owns the binary checkpoint format.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import ndiff as nd
 from .encoder import kl_divergence
-from .errors import CheckpointError, DomainError, NonFiniteError
+from .errors import CheckpointError, DomainError, NonFiniteError, PoseInnError
 from .geometry import Aabb, is_int
 from .model import ModelConfig, PoseRegressor
 from .ndiff import Tensor
@@ -343,16 +344,6 @@ def train(model: PoseRegressor, poses: np.ndarray, images: np.ndarray,
     return entries, opt
 
 
-def format_loss_table(entries: list[LossEntry]) -> str:
-    """Per-epoch losses as tab-separated text with a header row."""
-    cols = [f.name for f in fields(LossEntry)]
-    lines = ["\t".join(cols)]
-    for e in entries:
-        lines.append("\t".join(
-            [str(e.epoch)] + [repr(getattr(e, c)) for c in cols[1:]]))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -417,12 +408,14 @@ def save_checkpoint(path, model: PoseRegressor, epoch: int, train_cfg: TrainConf
 
 def _meta_value(meta, key: str, decode):
     """``decode(meta[key])``; a missing key, or a value that ``decode``
-    refuses, raises one ``CheckpointError`` line naming the key."""
+    refuses (a type or value error, or a package error such as a config
+    class's own check), raises one ``CheckpointError`` line naming the key
+    and keeping the reason."""
     try:
         return decode(meta[key])
     except KeyError:
         raise CheckpointError(f"checkpoint meta block has no key '{key}'") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, PoseInnError) as e:
         raise CheckpointError(f"checkpoint meta key '{key}' does not decode: {e}") from None
 
 
@@ -455,7 +448,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"repeated checkpoint record '{name}'")
         rank = r.u32()
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        n = int(np.prod(shape)) if rank else 1
+        n = math.prod(shape)  # Python ints: a huge shape cannot wrap around
         arrays[name] = np.frombuffer(r.take(8 * n), dtype="<f8").reshape(shape).copy()
 
     bounds = Aabb(*(_meta_value(meta, k, lambda v: np.array(v, dtype=np.float64))

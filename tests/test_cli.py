@@ -392,7 +392,7 @@ class TestErrors:
     # is the second data line
     @pytest.mark.parametrize("bad, message", [
         ("0 0 x", "line 4: not parseable as floats"),
-        ("0 nan 0", "line 4: odometry values must be finite")])
+        ("0 nan 0", "line 4 must be finite")])
     def test_odom_error_names_file_line(self, pipeline, tmp_path, capsys, bad, message):
         cfg = write(tmp_path / "t.cfg", "kind = track_config\ninit = 0 0 0\n")
         odom = write(tmp_path / "o.txt", f"# header\n\n0 0 0\n{bad}\n0 0 0\n0 0 0\n")
@@ -508,13 +508,16 @@ def run_module(argv, tmp_path) -> subprocess.CompletedProcess:
 
 def write_records(path, ckpt, records: dict) -> str:
     """A copy of checkpoint file ``ckpt`` with its header and meta block
-    kept and its records replaced by ``records``, in that order."""
+    kept and its records replaced by ``records``, in that order. A record
+    given as a shape tuple is written with that shape and no values."""
     blob = Path(ckpt).read_bytes()
     head = 16 + struct.unpack_from("<Q", blob, 8)[0]
     out = [blob[:head], struct.pack("<I", len(records))]
     for name, a in records.items():
-        out += [struct.pack("<I", len(name)), name.encode(), struct.pack("<I", a.ndim),
-                struct.pack(f"<{a.ndim}I", *a.shape), np.ascontiguousarray(a, "<f8").tobytes()]
+        shape, data = (a, b"") if isinstance(a, tuple) else \
+            (a.shape, np.ascontiguousarray(a, "<f8").tobytes())
+        out += [struct.pack("<I", len(name)), name.encode(), struct.pack("<I", len(shape)),
+                struct.pack(f"<{len(shape)}I", *shape), data]
     path.write_bytes(b"".join(out))
     return str(path)
 
@@ -591,7 +594,8 @@ class TestOneErrorLine:
 
     @pytest.mark.parametrize("case", [
         "missing_param", "param_shape", "missing_perm", "perm_shape", "missing_moment",
-        "moment_shape", "unexpected", "not_a_permutation", "pad_moved", "non_finite"])
+        "moment_shape", "unexpected", "not_a_permutation", "pad_moved", "non_finite",
+        "overflowing_shape"])
     def test_checkpoint_record_faults(self, pipeline, tmp_path, capsys, case):
         # every missing, unexpected or misshapen record is one checkpoint
         # line naming it; the permutation and finiteness rules keep theirs
@@ -622,6 +626,9 @@ class TestOneErrorLine:
                           "checkpoint: flow permutation 'perm1' moves the pad channel 0"),
             "non_finite": ({w: np.full(shape[w], np.inf)},
                            "non_finite: flow parameter 'block0.s.w0' is not finite"),
+            # (2^32 - 1)^2 values wrap around in int64; the file holds none
+            "overflowing_shape": ({w: (2 ** 32 - 1, 2 ** 32 - 1)},
+                                  "checkpoint: truncated checkpoint file"),
         }
         edit, why = edits[case]
         table.update(edit)
@@ -674,7 +681,8 @@ class TestOneErrorLine:
                            "--out", tmp_path / "o"], tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
-            "ERROR dimension: pose dim must be 3 (planar poses only), got 6"]
+            "ERROR checkpoint: checkpoint meta key 'model' does not decode: "
+            "pose dim must be 3 (planar poses only), got 6"]
 
     def test_gen_data_dim_6(self, pipeline, tmp_path):
         cfg = write(tmp_path / "d.cfg", DATA_CFG.format(scene=pipeline["scene"])
@@ -690,9 +698,8 @@ class TestOneErrorLine:
         cfg = write(tmp_path / "s.cfg", f"kind = scene_config\nbounds = 0 0 0 {bad} 4 3\n")
         proc = run_module(["gen-scene", "--config", cfg, "--out", tmp_path / "o"], tmp_path)
         assert proc.returncode == 1
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1, proc.stderr
-        assert lines[0].startswith("ERROR domain: aabb corners must be finite")
+        assert proc.stderr.splitlines() == [
+            f"ERROR config: key 'bounds' must be finite, got '0 0 0 {bad} 4 3'"]
         assert not (tmp_path / "o").exists()
 
     def test_gen_scene_box_above_floor(self, tmp_path):

@@ -13,6 +13,9 @@ from poseinn.errors import ConfigError, DimensionError, DomainError, GenerationE
 from poseinn.geometry import Aabb, Pose, squared_norms, wrap_angle
 
 BOUNDS = Aabb(np.array([-2.0, -2.0, -1.0]), np.array([2.0, 2.0, 1.0]))
+# a scene file's keys before its primitive lines
+SCENE_HEAD = ("type = scene\nversion = 1\nseed = 0\nbounds_lo = -1 -1 -1\n"
+              "bounds_hi = 1 1 1\nbackground = 0 0 0\n")
 
 
 def one_sphere_scene(center, radius=0.5, albedo=(0.8, 0.2, 0.1), bounds=BOUNDS) -> sg.Scene:
@@ -530,6 +533,20 @@ class TestSceneValidation:
         with pytest.raises(DomainError):
             sg.Sphere(np.zeros(3), 0.5, np.array([1.2, 0.0, 0.0]))
 
+    # every comparison with NaN is false, so each check is written to fail on it
+    @pytest.mark.parametrize("make, why", [
+        (lambda: sg.Sphere(np.array([np.nan, 0.0, 0.0]), 0.3, np.ones(3)),
+         "sphere center must be finite"),
+        (lambda: sg.Sphere(np.zeros(3), np.nan, np.ones(3)), "sphere radius must be positive"),
+        (lambda: sg.Box(np.zeros(3), np.array([0.2, np.nan, 0.2]), np.ones(3)),
+         "box center and half-extents must be finite"),
+        (lambda: sg.Box(np.zeros(3), np.full(3, 0.2), np.array([0.5, np.nan, 0.5])),
+         "albedo must be 3 values in"),
+    ], ids=["sphere_center", "sphere_radius", "box_half", "box_albedo"])
+    def test_nan_primitive_refused(self, make, why):
+        with pytest.raises(DomainError, match=re.escape(why)):
+            make()
+
     def test_intrinsics_validation(self):
         with pytest.raises(sg.DimensionError):
             sg.CameraIntrinsics(4, 16)
@@ -720,11 +737,30 @@ class TestSceneFile:
         with pytest.raises(ConfigError):
             sg.load_scene(path)
 
-    def test_malformed_primitive(self, tmp_path):
+    # a scene file's primitive line is a known kind followed by its finite
+    # numbers, and each fault is one line that names the file and the key
+    @pytest.mark.parametrize("line, why", [
+        ("cone 0 0 0 1 0.5 0.5 0.5", "prim1: kind must be 'sphere' or 'box', got 'cone'"),
+        ("", "prim1: kind must be 'sphere' or 'box', got ''"),
+        ("sphere 0.5 nan 0 0.3 0.5 0.5 0.5", "prim1 must be finite, got '0.5 nan 0 0.3"),
+        ("sphere 0.5 0 0 0.3 0.5 0.5", "prim1: expected 7 floats, got 6"),
+        ("box 0.5 0 0 0.2 0.2 0.2 x 0.5 0.5", "prim1: not parseable as floats"),
+    ], ids=["malformed_primitive", "empty", "nan", "count", "not_a_number"])
+    def test_primitive_line_fault(self, tmp_path, line, why):
         path = tmp_path / "scene.txt"
-        path.write_text("type = scene\nversion = 1\nseed = 0\n"
-                        "bounds_lo = -1 -1 -1\nbounds_hi = 1 1 1\n"
-                        "background = 0 0 0\nprimitive_count = 1\n"
-                        "prim0 = cone 0 0 0 1 0.5 0.5 0.5\n")
-        with pytest.raises(ConfigError):
+        path.write_text(f"{SCENE_HEAD}primitive_count = 2\n"
+                        f"prim0 = sphere -0.5 0 0 0.3 0.5 0.5 0.5\nprim1 = {line}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {why}")) as ei:
             sg.load_scene(path)
+        assert "\n" not in str(ei.value)
+
+    @pytest.mark.parametrize("count", [0, 300000])
+    def test_primitive_count_bounded_by_the_file(self, tmp_path, count):
+        # checked before the set of primitive key names is built, so a huge
+        # count is one short line, not one that lists every missing key
+        path = tmp_path / "scene.txt"
+        path.write_text(f"{SCENE_HEAD}primitive_count = {count}\n"
+                        "prim0 = sphere 0 0 0 0.3 0.5 0.5 0.5\n")
+        with pytest.raises(ConfigError, match="primitive_count must be in") as ei:
+            sg.load_scene(path)
+        assert len(str(ei.value)) < 200 and "\n" not in str(ei.value)

@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import poseinn.ndiff as nd
 import poseinn.trainer as tr
 from poseinn.errors import CheckpointError, DimensionError, DomainError, NonFiniteError, PoseInnError
 from poseinn.geometry import Aabb, Pose
+from poseinn.kvconfig import write_table
 from poseinn.model import COND_CELL_THETA, ModelConfig, PoseRegressor
 from poseinn.ndiff import Tensor
 
@@ -492,7 +494,8 @@ class TestCheckpoint:
         assert "\n" not in str(ei.value)
 
     @pytest.mark.parametrize("case", ["no_epoch", "model_key", "train_key", "train_null",
-                                      "model_not_mapping", "epoch_not_int", "negative_epoch"])
+                                      "model_not_mapping", "epoch_not_int", "negative_epoch",
+                                      "zero_hidden", "zero_epochs", "negative_seed"])
     def test_bad_meta_block_rejected(self, tmp_path, case):
         p = tmp_path / "m.ckpt"
         meta, records = stepped_checkpoint(p)
@@ -509,6 +512,14 @@ class TestCheckpoint:
                               "meta key 'epoch' does not decode"),
             "negative_epoch": (lambda: meta.update(epoch=-2),
                                "meta epoch -2 and adam_t 1 must be >= 0"),
+            # the config classes' own refusals keep their reason
+            "zero_hidden": (lambda: meta["model"].update(hidden=0),
+                            "meta key 'model' does not decode: model config requires positive"),
+            "zero_epochs": (lambda: meta["train"].update(epochs=0),
+                            "meta key 'train' does not decode: epochs and batch size must be "
+                            "positive"),
+            "negative_seed": (lambda: meta["model"].update(seed=-1),
+                              "meta key 'model' does not decode: seed must be >= 0, got -1"),
         }
         edit, why = edits[case]
         edit()
@@ -623,18 +634,26 @@ class TestCheckpoint:
 
 
 class TestLossTable:
-    def test_floats_round_trip(self):
+    """``loss.tsv`` is ``write_table`` over ``LossEntry``'s fields, as
+    ``poseinn train`` writes it."""
+
+    def table(self, tmp_path, entries) -> str:
+        cols = [f.name for f in fields(tr.LossEntry)]
+        write_table(tmp_path / "loss.tsv", cols, [[getattr(e, c) for c in cols] for e in entries])
+        return (tmp_path / "loss.tsv").read_text(encoding="utf-8")
+
+    def test_floats_round_trip(self, tmp_path):
         e = tr.LossEntry(epoch=3, lr=1 / 3, total=0.1 + 0.2, fwd=1e-17, rev_pos=2.5,
                          rev_rot=0.3, rev_enc=0.0, recon=np.pi, kl=1e-300)
-        text = tr.format_loss_table([e])
+        text = self.table(tmp_path, [e])
         header, row = text.strip().split("\n")
         vals = row.split("\t")
         assert vals[0] == "3"
         assert float(vals[1]) == e.lr and float(vals[2]) == e.total
         assert float(vals[8]) == e.kl
 
-    def test_header(self):
-        header = tr.format_loss_table([]).rstrip("\n")
+    def test_header(self, tmp_path):
+        header = self.table(tmp_path, []).rstrip("\n")
         assert header == "\t".join(["epoch", "lr", "total", "fwd", "rev_pos", "rev_rot", "rev_enc",
                                     "recon", "kl", "nll", "fwd_mmd", "rev_mmd"])
 
